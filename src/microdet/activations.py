@@ -50,13 +50,6 @@ def mish(x: Tensor4, tape: GradTape | None = None) -> Tensor4:
     return _record_unary(x, mish_np(xd), lambda: mish_grad_np(xd), tape)
 
 
-def mish_backward(x: Tensor4, upstream: Tensor4) -> Tensor4:
-    """Analytic derivative of mish at x, times the upstream gradient."""
-    if x.shape != upstream.shape:
-        raise DomainError("mish_backward", f"shape mismatch {x.shape} vs {upstream.shape}")
-    return Tensor4(upstream.data * mish_grad_np(x.data))
-
-
 def silu(x: Tensor4, tape: GradTape | None = None) -> Tensor4:
     xd = x.data
     return _record_unary(x, silu_np(xd), lambda: silu_grad_np(xd), tape)

@@ -20,9 +20,9 @@ from .dataio import (
     AnnotationError,
     generate_toy_dataset,
     load_annotations,
+    load_config,
     load_manifest,
     load_predictions,
-    parse_config,
     read_t4,
     save_predictions,
     write_config,
@@ -39,7 +39,6 @@ from .ghost import (
     C3GhostSpec,
     GhostConv,
     GhostSpec,
-    count_c3_plain,
     count_params_flops,
 )
 from .losses import (
@@ -74,7 +73,7 @@ from .tensor import (
     grad_check,
     sum_all,
 )
-from .train import TrainParams, train_toy
+from .train import load_run_config, train_toy
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_bench(args):
-    print("block params flops_64x64")
+    print("block hxw params flops")
     blocks = [
         ("conv3x3_c64", ConvSpec(64, 64, k=3, p=1), (8, 8)),
         ("ghost_c64", GhostSpec(64, 64), (8, 8)),
@@ -263,10 +262,10 @@ def _cmd_bench(args):
     ]
     for name, spec, (h, w) in blocks:
         p, f = count_params_flops(spec, h, w)
-        print(f"{name} {p} {f}")
+        print(f"{name} {h}x{w} {p} {f}")
     for name, spec, (h, w) in blocks[2:]:
-        p, f = count_c3_plain(spec, h, w)
-        print(f"{name.replace('c3ghost', 'c3plain')} {p} {f}")
+        p, f = count_params_flops(spec, h, w, ghost=False)
+        print(f"{name.replace('c3ghost', 'c3plain')} {h}x{w} {p} {f}")
     ghost_model = build_model(ModelConfig(), 0)
     plain_model = build_model(ModelConfig(use_c3ghost=False), 0)
     gp, pp = ghost_model.param_count(), plain_model.param_count()
@@ -285,37 +284,20 @@ def _cmd_bench(args):
     return 0
 
 
-def _split_config(path):
-    raw = parse_config(path) if path else {}
-    model_cfg = ModelConfig.from_dict(raw)
-    train_params = TrainParams.from_dict(raw)
-    data = {
-        "toy_images": int(raw.get("toy_images", 20)),
-        "image_size": int(raw.get("image_size", 64)),
-        "min_objects": int(raw.get("min_objects", 1)),
-        "max_objects": int(raw.get("max_objects", 3)),
-    }
-    return model_cfg, train_params, data
-
-
 def _cmd_train_toy(args):
-    model_cfg, params, data = _split_config(args.config)
+    model_cfg, params, data = load_run_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = generate_toy_dataset(
-        out / "data", seed=params.seed, n_images=data["toy_images"],
-        image_size=data["image_size"], num_classes=model_cfg.num_classes,
-        min_objects=data["min_objects"], max_objects=data["max_objects"],
+        out / "data", seed=params.seed, n_images=data.toy_images,
+        image_size=data.image_size, num_classes=model_cfg.num_classes,
+        min_objects=data.min_objects, max_objects=data.max_objects,
     )
     manifest = load_manifest(manifest_path)
     state, curve = train_toy(manifest, model_cfg, params,
                              log_every=args.log_every)
     save_weights(state.model, out / "weights.w1")
-    cfg_echo = model_cfg.to_dict()
-    cfg_echo.update({"lr": params.lr, "weight_decay": params.weight_decay,
-                     "momentum": params.momentum, "steps": params.steps,
-                     "seed": params.seed, "batch_size": params.batch_size})
-    write_config(out / "model.cfg", cfg_echo)
+    write_config(out / "model.cfg", model_cfg, params, data)
     with open(out / "loss_curve.csv", "w") as fh:
         fh.write("step,lr,total,cls,box,dfl\n")
         for row in curve:
@@ -331,10 +313,7 @@ def _cmd_train_toy(args):
 def _cmd_forward(args):
     weights = Path(args.weights)
     cfg_path = Path(args.config) if args.config else weights.parent / "model.cfg"
-    if cfg_path.exists():
-        model_cfg = ModelConfig.from_dict(parse_config(cfg_path))
-    else:
-        model_cfg = ModelConfig()
+    model_cfg, _, _ = load_run_config(cfg_path if cfg_path.exists() else None)
     model = build_model(model_cfg, 0)
     load_weights(model, weights)
     model.set_training(False)
@@ -376,12 +355,8 @@ def _cmd_eval(args):
     return 0
 
 
-def _droi_config(path):
-    return DroiConfig.from_dict(parse_config(path)) if path else DroiConfig()
-
-
 def _cmd_droi(args):
-    cfg = _droi_config(args.config)
+    (cfg,) = load_config(args.config, DroiConfig)
     res = critical_width(args.theta, args.speed, cfg)
     print(f"w_c {res.w_c:.6f}")
     print(f"regime {res.regime}")
@@ -391,7 +366,7 @@ def _cmd_droi(args):
 
 
 def _cmd_droi_replay(args):
-    cfg = _droi_config(args.config)
+    (cfg,) = load_config(args.config, DroiConfig)
     log = load_trajectory_csv(args.log)
     results, fraction = replay_trajectory(log, cfg)
     rows = replay_to_csv_rows(results)
@@ -485,7 +460,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ShapeError, DomainError, AnnotationError, OSError) as exc:
+    except (ShapeError, DomainError, AnnotationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,9 @@ normalized. Predictions add a confidence column. Config files are flat
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,34 +34,75 @@ class AnnotationError(ValueError):
 # ---------------------------------------------------------------------------
 # T4v1 tensors
 
+_MAX_HEADER = 256  # bytes; a valid T4 or W1 header line is far shorter
+
+
+def _write_t4_record(fh, arr):
+    n, c, h, w = arr.shape
+    fh.write(f"T4 {n} {c} {h} {w}\n".encode())
+    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _read_exact(fh, nbytes, what) -> bytes:
+    """Exactly nbytes from a binary file; the size is checked before reading."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < nbytes:
+        raise DomainError("read", f"{what} truncated ({max(left, 0)} of {nbytes} bytes)")
+    return fh.read(nbytes)
+
+
+def _read_t4_record(fh, where) -> np.ndarray:
+    """One checked T4 record from a binary stream; `where` names it in errors.
+
+    The header must be `T4` plus four integer dims, each >= 1, the payload
+    exactly 8 * numel bytes, and every value finite.
+    """
+    header = fh.readline(_MAX_HEADER)
+    parts = header.split()
+    try:
+        shape = tuple(int(v) for v in parts[1:])
+    except ValueError:
+        shape = ()
+    if parts[:1] != [b"T4"] or len(shape) != 4:
+        raise DomainError("t4", f"{where}: bad header {header!r}")
+    if min(shape) < 1:
+        raise DomainError("t4", f"{where}: dims {shape} must each be >= 1")
+    payload = _read_exact(fh, 8 * math.prod(shape), f"{where}: payload")
+    arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    if not np.isfinite(arr).all():
+        raise DomainError("t4", f"{where}: payload holds non-finite values")
+    return arr
+
 
 def write_t4(path, tensor):
     arr = tensor.data if isinstance(tensor, Tensor4) else np.asarray(tensor, dtype=np.float64)
     if arr.ndim != 4:
         raise ShapeError("t4", f"expected 4 axes, got {arr.ndim}")
-    n, c, h, w = arr.shape
     with open(path, "wb") as fh:
-        fh.write(f"T4 {n} {c} {h} {w}\n".encode())
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        _write_t4_record(fh, arr)
 
 
 def read_t4(path) -> Tensor4:
     with open(path, "rb") as fh:
-        header = fh.readline().decode()
-        parts = header.split()
-        if len(parts) != 5 or parts[0] != "T4":
-            raise DomainError("t4", f"{path}: bad header {header!r}")
-        shape = tuple(int(v) for v in parts[1:])
-        numel = int(np.prod(shape))
-        payload = fh.read(8 * numel)
-        if len(payload) != 8 * numel:
-            raise DomainError("t4", f"{path}: truncated payload "
-                                    f"({len(payload)} of {8 * numel} bytes)")
-        return Tensor4(np.frombuffer(payload, dtype="<f8").reshape(shape).copy())
+        arr = _read_t4_record(fh, path)
+        if fh.read(1):
+            raise DomainError("t4", f"{path}: bytes after the payload")
+    return Tensor4(arr.copy())
 
 
 # ---------------------------------------------------------------------------
 # annotations and predictions
+
+
+def _read_lines(path):
+    """Numbered lines of a UTF-8 text file; a bad byte names its line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise AnnotationError(path, line_no, "not UTF-8 text") from None
+    return enumerate(text.splitlines(), 1)
 
 
 def _parse_line(path, line_no, line, n_fields):
@@ -83,7 +127,7 @@ def load_annotations(path) -> list[GroundTruth]:
     path = Path(path)
     image_id = path.stem
     out = []
-    for line_no, line in enumerate(path.read_text().splitlines(), 1):
+    for line_no, line in _read_lines(path):
         if not line.strip():
             continue
         cls, (cx, cy, w, h) = _parse_line(path, line_no, line, 5)
@@ -104,7 +148,7 @@ def load_predictions(path) -> list[Detection]:
     path = Path(path)
     image_id = path.stem
     out = []
-    for line_no, line in enumerate(path.read_text().splitlines(), 1):
+    for line_no, line in _read_lines(path):
         if not line.strip():
             continue
         cls, (conf, cx, cy, w, h) = _parse_line(path, line_no, line, 6)
@@ -124,22 +168,72 @@ def save_predictions(path, dets):
 # config files
 
 
-def parse_config(path) -> dict:
-    """Flat `key = value` UTF-8 text; `#` starts a comment."""
-    out = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+def _config_lines(path):
+    """(line_no, key, value) per `key = value` line; `#` starts a comment."""
+    for line_no, line in _read_lines(path):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise AnnotationError(path, line_no, f"expected key = value, got {stripped!r}")
         key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        yield line_no, key.strip(), value.strip()
 
 
-def write_config(path, values: dict):
-    lines = [f"{k} = {v}" for k, v in values.items()]
+def parse_config(path) -> dict:
+    """Flat `key = value` UTF-8 text as a dict of strings."""
+    return {key: value for _, key, value in _config_lines(path)}
+
+
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _parse_value(text, default):
+    """`text` as the type of a field's default: bool, int, float or str."""
+    if isinstance(default, bool):
+        if text.lower() not in _TRUE + _FALSE:
+            raise ValueError(f"{text!r} is not a boolean ({'/'.join(_TRUE + _FALSE)})")
+        return text.lower() in _TRUE
+    if not isinstance(default, (int, float, str)):
+        raise ValueError("cannot be set from a config file")
+    value = type(default)(text)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def load_config(path, *kinds):
+    """One instance per dataclass kind, fields set from a `key = value` file.
+
+    Each field's type comes from its default; no path gives the defaults.
+    A key no kind declares, or a value that does not parse, raises
+    AnnotationError naming the line.
+    """
+    declared = {f.name: (kind, f.default) for kind in kinds for f in dataclasses.fields(kind)}
+    values = {kind: {} for kind in kinds}
+    for line_no, key, text in _config_lines(path) if path else ():
+        if key not in declared:
+            raise AnnotationError(path, line_no, f"unknown key {key!r}")
+        kind, default = declared[key]
+        try:
+            values[kind][key] = _parse_value(text, default)
+        except ValueError as exc:
+            raise AnnotationError(path, line_no, f"{key}: {exc}") from None
+    return tuple(kind(**values[kind]) for kind in kinds)
+
+
+def write_config(path, *instances):
+    """Every field `load_config` can set, in dataclass field order."""
+    lines = []
+    for inst in instances:
+        for f in dataclasses.fields(inst):
+            value = getattr(inst, f.name)
+            if isinstance(value, bool):
+                value = "true" if value else "false"
+            elif not isinstance(value, (int, float, str)):
+                continue
+            lines.append(f"{f.name} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -184,13 +278,7 @@ def save_manifest(path, manifest: DatasetManifest):
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     split, classes, entries = "train", [], []
-    for line_no, line in enumerate(path.read_text().splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise AnnotationError(path, line_no, f"expected key = value, got {stripped!r}")
-        key, value = (s.strip() for s in stripped.split("=", 1))
+    for line_no, key, value in _config_lines(path):
         if key == "split":
             split = value
         elif key == "classes":
@@ -262,6 +350,16 @@ def generate_toy_scene(seed, image_size=64, num_classes=2, num_objects=2,
         gts.append(GroundTruth(cls, box, "0"))
     np.clip(img, 0.0, 1.0, out=img)
     return Tensor4(img), gts
+
+
+@dataclass(frozen=True)
+class ToyData:
+    """Config keys for the synthetic training set that `train-toy` writes."""
+
+    toy_images: int = 20
+    image_size: int = 64
+    min_objects: int = 1
+    max_objects: int = 3
 
 
 def generate_toy_dataset(out_dir, seed=0, n_images=20, image_size=64, num_classes=2,

@@ -38,18 +38,6 @@ class DroiConfig:
         if self.w_max < self.w0:
             raise DomainError("droi", f"w_max {self.w_max} < base width {self.w0}")
 
-    @classmethod
-    def from_dict(cls, raw: dict):
-        kwargs = {}
-        floats = ("w0", "k1", "k2", "k3", "theta_straight", "theta_moderate",
-                  "w_max", "lane_center")
-        for key, value in raw.items():
-            if key in floats:
-                kwargs[key] = float(value)
-            elif key == "deadband":
-                kwargs[key] = str(value).strip().lower() in ("1", "true", "yes", "on")
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class DroiResult:

@@ -135,16 +135,6 @@ class C3Block(Module):
         return self.cv3.forward(concat_channels([a, b], tape), tape)
 
 
-def c3ghost_block(x, spec: C3GhostSpec, params: C3Block, tape=None):
-    """Functional wrapper: run a prebuilt C3 block on x."""
-    return params.forward(x, tape)
-
-
-def ghost_conv(x, spec: GhostSpec, params: GhostConv, tape=None):
-    """Functional wrapper: run a prebuilt ghost conv on x."""
-    return params.forward(x, tape)
-
-
 # ---------------------------------------------------------------------------
 # closed-form parameter / FLOP accounting
 #
@@ -160,13 +150,14 @@ def _conv_cost(c_in, c_out, k, g, h_out, w_out, bias=False, bn=False):
     return params, flops
 
 
-def count_params_flops(spec, h, w, include_bn=False):
+def count_params_flops(spec, h, w, include_bn=False, ghost=True):
     """Exact parameter and FLOP counts for a block spec at spatial dims (h, w).
 
     Accepts ConvSpec (bare conv), GhostSpec, or C3GhostSpec (same-padding
     stride-1 assumed for the composite blocks, so spatial dims carry
     through). For a ghost conv the default count is
-    (c_out/r)*c_in*k^2 + (r-1)*(c_out/r)*d^2.
+    (c_out/r)*c_in*k^2 + (r-1)*(c_out/r)*d^2. For a C3GhostSpec, ghost=False
+    counts the plain-bottleneck block, as C3Block(ghost=False) builds it.
     """
     if isinstance(spec, ConvSpec):
         ho, wo = spec.out_hw(h, w)
@@ -180,34 +171,14 @@ def count_params_flops(spec, h, w, include_bn=False):
         return p1 + p2, f1 + f2
     if isinstance(spec, C3GhostSpec):
         hch = spec.hidden
-        params, flops = 0, 0
-        for c_in, c_out, k in ((spec.c_in, hch, 1), (spec.c_in, hch, 1),
-                               (2 * hch, spec.c_out, 1)):
-            p, f = _conv_cost(c_in, c_out, k, 1, h, w, bn=include_bn)
-            params += p
-            flops += f
+        costs = [_conv_cost(c_in, c_out, 1, 1, h, w, bn=include_bn)
+                 for c_in, c_out in ((spec.c_in, hch), (spec.c_in, hch), (2 * hch, spec.c_out))]
         for _ in range(spec.n):
-            for gs in (GhostSpec(hch, 2 * hch, activation=spec.activation),
-                       GhostSpec(2 * hch, hch, activation=spec.activation)):
-                p, f = count_params_flops(gs, h, w, include_bn=include_bn)
-                params += p
-                flops += f
-        return params, flops
+            if ghost:
+                costs += [count_params_flops(gs, h, w, include_bn=include_bn)
+                          for gs in (GhostSpec(hch, 2 * hch, activation=spec.activation),
+                                     GhostSpec(2 * hch, hch, activation=spec.activation))]
+            else:  # PlainBottleneck: 1x1 then 3x3, both hch -> hch
+                costs += [_conv_cost(hch, hch, k, 1, h, w, bn=include_bn) for k in (1, 3)]
+        return sum(p for p, _ in costs), sum(f for _, f in costs)
     raise ShapeError("count_params_flops", f"unsupported spec type {type(spec).__name__}")
-
-
-def count_c3_plain(spec: C3GhostSpec, h, w, include_bn=False):
-    """Counts for the plain-bottleneck C3 with the same outer geometry."""
-    hch = spec.hidden
-    params, flops = 0, 0
-    for c_in, c_out, k in ((spec.c_in, hch, 1), (spec.c_in, hch, 1),
-                           (2 * hch, spec.c_out, 1)):
-        p, f = _conv_cost(c_in, c_out, k, 1, h, w, bn=include_bn)
-        params += p
-        flops += f
-    for _ in range(spec.n):
-        for c_in, c_out, k in ((hch, hch, 1), (hch, hch, 3)):
-            p, f = _conv_cost(c_in, c_out, k, 1, h, w, bn=include_bn)
-            params += p
-            flops += f
-    return params, flops

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DomainError, GradTape, Tensor4
+from .tensor import DomainError, GradTape, Tensor4, _stable_sigmoid
 
 
 @dataclass(frozen=True)
@@ -187,25 +187,12 @@ def _ciou(pred: Box, gt: Box, alpha_override: float | None = None):
     ])
 
     grad = -diou + ddist + alpha * dv
-    return loss, grad, alpha
+    return loss, grad, (iou_val, rho2 / c2, v, alpha)
 
 
 def ciou_terms(pred: Box, gt: Box):
     """(iou, rho2/c2, v, alpha) for inspection and range checks."""
-    pred.validate()
-    gt.validate()
-    iou_val = iou(pred, gt)
-    px1, py1, px2, py2 = pred.corners()
-    gx1, gy1, gx2, gy2 = gt.corners()
-    rho2 = (pred.cx - gt.cx) ** 2 + (pred.cy - gt.cy) ** 2
-    cw = max(px2, gx2) - min(px1, gx1)
-    ch = max(py2, gy2) - min(py1, gy1)
-    c2 = cw * cw + ch * ch
-    delta = math.atan2(gt.w, gt.h) - math.atan2(pred.w, pred.h)
-    v = (4.0 / math.pi**2) * delta * delta
-    denom = (1.0 - iou_val) + v
-    alpha = 0.0 if denom == 0.0 else v / denom
-    return iou_val, rho2 / c2, v, alpha
+    return _ciou(pred, gt)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +255,7 @@ def bce_logits_map(logits: np.ndarray, targets: np.ndarray):
     x = np.asarray(logits, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     loss = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
-    pos = x >= 0
-    s = np.empty_like(x)
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
-    return loss, s - t
+    return loss, _stable_sigmoid(x) - t
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +415,8 @@ def _loss_and_grads(preds, gts_per_image, weights, want_grads,
                     (pdist[1] + pdist[3]) * s / img_h,
                 )
                 override = frozen_alphas[pos_idx] if frozen_alphas is not None else None
-                closs, cgrad, alpha = _ciou(pred_box, gt_box, alpha_override=override)
+                closs, cgrad, (_, _, _, alpha) = _ciou(pred_box, gt_box,
+                                                       alpha_override=override)
                 if want_alphas:
                     alphas.append(alpha)
                 pos_idx += 1

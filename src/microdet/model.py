@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .activations import ACTIVATION_KINDS
+from .dataio import _MAX_HEADER, _read_exact, _read_t4_record, _write_t4_record
 from .ghost import C3Block, C3GhostSpec
 from .losses import Box, iou
 from .metrics import Detection
@@ -30,9 +32,6 @@ from .tensor import (
     conv2d,
     _stable_sigmoid,
 )
-
-_BOOL_KEYS = ("use_simsppf", "use_simam", "use_igd", "use_c3ghost")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -63,6 +62,9 @@ class ModelConfig:
             raise DomainError("model_config", f"igd_passes must be 1 or 2, got {self.igd_passes}")
         if min(self.sppf_c_mid, self.sppf_c_out, self.igd_c_g) < 0:
             raise DomainError("model_config", "channel overrides must be non-negative")
+        if self.activation not in ACTIVATION_KINDS:
+            raise DomainError("model_config", f"activation {self.activation!r} not in "
+                                              f"{ACTIVATION_KINDS}")
 
     def scaled(self, base):
         c = int(round(base * self.width))
@@ -79,43 +81,6 @@ class ModelConfig:
     def repeats(self):
         n = max(1, int(round(2 * self.depth)))
         return (n, n, n)
-
-    def to_dict(self):
-        d = {
-            "num_classes": self.num_classes,
-            "width": self.width,
-            "depth": self.depth,
-            "reg_max": self.reg_max,
-            "activation": self.activation,
-            "simam_lambda": self.simam_lambda,
-            "conf_threshold": self.conf_threshold,
-            "nms_iou": self.nms_iou,
-            "sppf_c_mid": self.sppf_c_mid,
-            "sppf_c_out": self.sppf_c_out,
-            "igd_c_g": self.igd_c_g,
-            "igd_passes": self.igd_passes,
-        }
-        for k in _BOOL_KEYS:
-            d[k] = getattr(self, k)
-        return d
-
-    @classmethod
-    def from_dict(cls, raw: dict):
-        kwargs = {}
-        parsers = {
-            "num_classes": int, "reg_max": int,
-            "sppf_c_mid": int, "sppf_c_out": int, "igd_c_g": int, "igd_passes": int,
-            "width": float, "depth": float, "simam_lambda": float,
-            "conf_threshold": float, "nms_iou": float,
-            "activation": str,
-        }
-        for key, value in raw.items():
-            if key in parsers:
-                kwargs[key] = parsers[key](value)
-            elif key in _BOOL_KEYS:
-                kwargs[key] = str(value).strip().lower() in ("1", "true", "yes", "on")
-            # other keys (training hyperparameters etc.) belong to other consumers
-        return cls(**kwargs)
 
 
 @dataclass
@@ -229,9 +194,6 @@ class MicroDetector(Module):
     def set_inference(self):
         self.set_training(False)
 
-    def registry(self):
-        return dict(self.named_params())
-
 
 def build_model(cfg: ModelConfig, rng_seed: int = 0) -> MicroDetector:
     """Deterministic build: same config and seed give bit-identical weights."""
@@ -316,41 +278,39 @@ def save_weights(model: MicroDetector, path):
             raw = name.encode()
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-            n, c, h, w = arr.shape
-            fh.write(f"T4 {n} {c} {h} {w}\n".encode())
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            _write_t4_record(fh, arr)
 
 
 def load_weights(model: MicroDetector, path):
-    """Fill the registry in place; unknown or missing names are errors."""
+    """Fill the registry in place; unknown, missing or malformed records are errors."""
     params = dict(model.named_params())
     buffers = dict(model.named_buffers())
     seen = set()
     with open(path, "rb") as fh:
-        header = fh.readline().decode()
+        header = fh.readline(_MAX_HEADER)
         parts = header.split()
-        if len(parts) != 2 or parts[0] != "W1":
-            raise DomainError("weights", f"bad W1 header {header!r}")
-        count = int(parts[1])
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode()
-            t4_header = fh.readline().decode().split()
-            if len(t4_header) != 5 or t4_header[0] != "T4":
-                raise DomainError("weights", f"bad T4 header for record {name!r}")
-            shape = tuple(int(v) for v in t4_header[1:])
-            numel = int(np.prod(shape))
-            arr = np.frombuffer(fh.read(8 * numel), dtype="<f8").reshape(shape)
+        if len(parts) != 2 or parts[0] != b"W1" or not parts[1].isdigit():
+            raise DomainError("weights", f"{path}: bad W1 header {header!r}")
+        for i in range(int(parts[1])):
+            where = f"{path}: record {i}"
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, f"{where} name length"))
+            name = _read_exact(fh, name_len, f"{where} name").decode(errors="replace")
+            arr = _read_t4_record(fh, f"{path}: record {name!r}")
             if name in params:
-                if params[name].shape != shape:
-                    raise ShapeError("weights", f"{name}: file shape {shape} != "
+                if params[name].shape != arr.shape:
+                    raise ShapeError("weights", f"{name}: file shape {arr.shape} != "
                                                 f"model shape {params[name].shape}")
-                params[name].data = arr.astype(np.float64).copy()
+                params[name].data = arr.copy()
             elif name in buffers:
+                if buffers[name].size != arr.size:
+                    raise ShapeError("weights", f"{name}: file holds {arr.size} values, "
+                                                f"buffer {buffers[name].size}")
                 buffers[name][:] = arr.reshape(-1)
             else:
                 raise DomainError("weights", f"unknown record {name!r}")
             seen.add(name)
+        if fh.read(1):
+            raise DomainError("weights", f"{path}: bytes after the last record")
     missing = (set(params) | set(buffers)) - seen
     if missing:
         raise DomainError("weights", f"missing records: {sorted(missing)[:4]}")

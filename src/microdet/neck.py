@@ -141,13 +141,3 @@ class IgdNeck(Module):
         if self.passes == 1:
             return mid
         return self.bottom_up.forward(mid, tape)
-
-
-def gather(feats: PyramidFeatures, pass_params: _GatherPass, tape=None) -> Tensor4:
-    """Functional view of one pass's gather stage."""
-    return pass_params.gather(feats, tape)
-
-
-def inject(level: Tensor4, fused: Tensor4, params: _Inject, tape=None) -> Tensor4:
-    """Functional view of one gated injection."""
-    return params.forward(level, fused, tape)

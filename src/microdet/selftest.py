@@ -12,7 +12,7 @@ import numpy as np
 from .activations import mish, mish_grad_np, mish_np
 from .dataio import generate_toy_scene
 from .droi import DroiConfig, critical_width
-from .ghost import C3GhostSpec, ConvSpec, GhostSpec, count_c3_plain, count_params_flops
+from .ghost import C3GhostSpec, ConvSpec, GhostSpec, count_params_flops
 from .losses import Box, DflTarget, bce_logits, ciou_loss, dfl_loss, iou
 from .metrics import Detection, GroundTruth, average_precision
 from .model import ModelConfig, build_model
@@ -242,7 +242,7 @@ def suite_model_structure():
         if not np.array_equal(l1.cls.data, l2.cls.data):
             return "repeated forward is not bit-identical"
     gp, gf = count_params_flops(C3GhostSpec(16, 16), 8, 8)
-    pp, pf = count_c3_plain(C3GhostSpec(16, 16), 8, 8)
+    pp, pf = count_params_flops(C3GhostSpec(16, 16), 8, 8, ghost=False)
     if not (gp < pp and gf < pf):
         return "C3 ghost counting shows no economy"
     if count_params_flops(GhostSpec(64, 64), 8, 8)[0] != 2336:

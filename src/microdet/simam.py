@@ -109,34 +109,13 @@ def simam_forward(x: Tensor4, cfg: SimamConfig, tape: GradTape | None = None) ->
 
     if tape is not None:
         def back(up):
-            x.grad += _attention_grad(xd, d, sigma2 + lam, s, m, up)
+            # through the weights AND the statistics they depend on;
+            # sum(d) == 0 per slice kills the mean-path term of dsigma2
+            a = up * xd * s * (1.0 - s)
+            a1 = (a * d).sum(axis=(2, 3), keepdims=True)
+            a2 = (a * d * d).sum(axis=(2, 3), keepdims=True)
+            x.grad += (up * s + a * d / (2.0 * v) - a1 / (2.0 * v * m)
+                       - d * a2 / (2.0 * v * v * (m - 1)))
 
         tape.record((x,), out, back)
     return out
-
-
-def _attention_grad(xd, d, v, s, m, up):
-    # through the weights AND the statistics they depend on;
-    # sum(d) == 0 per slice kills the mean-path term of dsigma2
-    a = up * xd * s * (1.0 - s)
-    a1 = (a * d).sum(axis=(2, 3), keepdims=True)
-    a2 = (a * d * d).sum(axis=(2, 3), keepdims=True)
-    return (up * s + a * d / (2.0 * v) - a1 / (2.0 * v * m)
-            - d * a2 / (2.0 * v * v * (m - 1)))
-
-
-def simam_backward(x: Tensor4, cfg: SimamConfig, upstream: Tensor4) -> Tensor4:
-    """Gradient of simam_forward w.r.t. x, statistics included, times upstream."""
-    if x.shape != upstream.shape:
-        raise ShapeError("simam_backward", f"shape mismatch {x.shape} vs {upstream.shape}")
-    n, c, h, w = x.shape
-    m = h * w
-    if m < 2:
-        raise ShapeError("simam", f"spatial size {h}x{w} < 2, variance undefined")
-    xd = x.data
-    mu = xd.mean(axis=(2, 3), keepdims=True)
-    d = xd - mu
-    sigma2 = (d * d).sum(axis=(2, 3), keepdims=True) / (m - 1)
-    v = sigma2 + cfg.lam
-    s = _stable_sigmoid(d * d / (4.0 * v) + 0.5)
-    return Tensor4(_attention_grad(xd, d, v, s, m, upstream.data))

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataio import DatasetManifest
+from .dataio import DatasetManifest, ToyData, load_config
 from .losses import LossWeights, detection_loss
 from .metrics import Detection, GroundTruth
 from .model import MicroDetector, ModelConfig, build_model, decode
@@ -30,24 +30,23 @@ class TrainParams:
     lambda_box: float = 7.5
     lambda_dfl: float = 1.5
 
-    @classmethod
-    def from_dict(cls, raw: dict):
-        kwargs = {}
-        parsers = {
-            "lr": float, "weight_decay": float, "momentum": float, "beta2": float,
-            "eps": float, "lr_final_frac": float,
-            "lambda_cls": float, "lambda_box": float, "lambda_dfl": float,
-            "steps": int, "batch_size": int, "warmup_steps": int, "seed": int,
-        }
-        for key, value in raw.items():
-            if key in parsers:
-                kwargs[key] = parsers[key](value)
-        if "APD_SEED" in os.environ:
-            kwargs["seed"] = int(os.environ["APD_SEED"])
-        return cls(**kwargs)
-
     def loss_weights(self):
         return LossWeights(self.lambda_cls, self.lambda_box, self.lambda_dfl)
+
+
+def load_run_config(path=None):
+    """(ModelConfig, TrainParams, ToyData) from one config file, defaults without one.
+
+    The environment variable APD_SEED, when set, overrides the configured seed.
+    """
+    model_cfg, params, data = load_config(path, ModelConfig, TrainParams, ToyData)
+    if "APD_SEED" in os.environ:
+        try:
+            params = replace(params, seed=int(os.environ["APD_SEED"]))
+        except ValueError:
+            raise DomainError("train", f"APD_SEED={os.environ['APD_SEED']!r} "
+                                       f"is not an integer") from None
+    return model_cfg, params, data
 
 
 @dataclass

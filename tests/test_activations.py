@@ -6,7 +6,6 @@ import pytest
 from microdet.activations import (
     apply_activation,
     mish,
-    mish_backward,
     mish_grad_np,
     mish_np,
     relu,
@@ -16,7 +15,7 @@ from microdet.activations import (
     silu_grad_np,
     silu_np,
 )
-from microdet.tensor import DomainError, Tensor4, grad_check
+from microdet.tensor import DomainError, GradTape, Tensor4, backward, grad_check
 
 
 class TestMishValues:
@@ -67,13 +66,10 @@ class TestMishBackward:
 
     def test_applies_upstream(self):
         x = Tensor4(np.zeros((1, 1, 1, 2)))
-        up = Tensor4(np.array([[[[2.0, -3.0]]]]))
-        out = mish_backward(x, up)
-        np.testing.assert_allclose(out.data.reshape(-1), [1.2, -1.8])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            mish_backward(Tensor4.zeros(1, 1, 1, 2), Tensor4.zeros(1, 1, 1, 3))
+        tape = GradTape()
+        mish(x, tape)
+        backward(tape, Tensor4(np.array([[[[2.0, -3.0]]]])))
+        np.testing.assert_allclose(x.grad.reshape(-1), [1.2, -1.8])
 
 
 class TestSiluRelu:

@@ -3,7 +3,10 @@
 import pytest
 
 from microdet.cli import main
-from microdet.dataio import load_predictions, write_config
+from microdet.dataio import ToyData, load_predictions, write_config
+from microdet.droi import DroiConfig
+from microdet.model import ModelConfig
+from microdet.train import TrainParams, load_run_config
 
 
 def run_cli(capsys, *argv):
@@ -21,7 +24,7 @@ class TestDroiCommands:
 
     def test_config_override(self, capsys, tmp_path):
         cfg = tmp_path / "droi.cfg"
-        write_config(cfg, {"w0": 5.0, "deadband": "false"})
+        write_config(cfg, DroiConfig(w0=5.0, deadband=False))
         code, out, _ = run_cli(capsys, "droi", "--theta", "10", "--speed", "0",
                                "--config", str(cfg))
         assert code == 0
@@ -104,7 +107,8 @@ def trained_run(tmp_path_factory):
     """A short CLI training run shared by the pipeline tests."""
     root = tmp_path_factory.mktemp("cli_train")
     cfg = root / "toy.cfg"
-    write_config(cfg, {"num_classes": 2, "steps": 8, "seed": 5, "toy_images": 4})
+    write_config(cfg, ModelConfig(num_classes=2), TrainParams(steps=8, seed=5),
+                 ToyData(toy_images=4))
     code = main(["train-toy", "--config", str(cfg), "--out", str(root / "run")])
     assert code == 0
     return root
@@ -118,6 +122,11 @@ class TestTrainForwardEval:
         curve = (run / "loss_curve.csv").read_text().splitlines()
         assert curve[0] == "step,lr,total,cls,box,dfl"
         assert len(curve) == 9
+
+    def test_model_cfg_reads_back(self, trained_run):
+        echoed = load_run_config(trained_run / "run" / "model.cfg")
+        assert echoed == load_run_config(trained_run / "toy.cfg")
+        assert echoed[1].steps == 8 and echoed[2].toy_images == 4
 
     def test_forward_writes_predictions(self, trained_run, capsys):
         run = trained_run / "run"

@@ -6,9 +6,11 @@ import pytest
 from microdet.dataio import (
     AnnotationError,
     DatasetManifest,
+    ToyData,
     generate_toy_dataset,
     generate_toy_scene,
     load_annotations,
+    load_config,
     load_manifest,
     load_predictions,
     parse_config,
@@ -19,9 +21,12 @@ from microdet.dataio import (
     write_config,
     write_t4,
 )
+from microdet.droi import DroiConfig
 from microdet.losses import Box
 from microdet.metrics import Detection, GroundTruth
+from microdet.model import ModelConfig
 from microdet.tensor import DomainError, Tensor4
+from microdet.train import TrainParams
 
 
 class TestT4:
@@ -49,6 +54,38 @@ class TestT4:
         path = tmp_path / "bad.t4"
         path.write_bytes(b"nope\n")
         with pytest.raises(DomainError, match="header"):
+            read_t4(path)
+
+    @pytest.mark.parametrize("header, detail", [
+        (b"T4 -1 3 64 64\n", ">= 1"),
+        (b"T4 0 3 8 8\n", ">= 1"),
+        (b"T4 a b c d\n", "header"),
+        (b"T4 1 3 8\n", "header"),
+        (b"T4 1 1 1 1 1\n", "header"),
+        (b"\xff\xfe1 1 1 1\n", "header"),
+        (b"", "header"),
+    ])
+    def test_rejects_malformed_header(self, tmp_path, header, detail):
+        path = tmp_path / "bad.t4"
+        path.write_bytes(header + b"\x00" * 64)
+        with pytest.raises(DomainError, match=detail):
+            read_t4(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_payload(self, tmp_path, value):
+        arr = np.zeros((1, 1, 2, 2))
+        arr[0, 0, 1, 0] = value
+        path = tmp_path / "bad.t4"
+        write_t4(path, arr)
+        with pytest.raises(DomainError, match="non-finite"):
+            read_t4(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "bad.t4"
+        write_t4(path, Tensor4.zeros(1, 1, 2, 2))
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(DomainError, match="after the payload"):
             read_t4(path)
 
 
@@ -110,8 +147,53 @@ class TestConfig:
 
     def test_write_then_parse(self, tmp_path):
         path = tmp_path / "m.cfg"
-        write_config(path, {"a": 1, "b": "mish"})
-        assert parse_config(path) == {"a": "1", "b": "mish"}
+        write_config(path, ModelConfig(num_classes=3, activation="silu", use_igd=False))
+        raw = parse_config(path)
+        assert list(raw)[:2] == ["num_classes", "width"]  # dataclass field order
+        assert raw["num_classes"] == "3"
+        assert raw["activation"] == "silu"
+        assert raw["use_igd"] == "false"
+        assert "strides" not in raw  # tuple fields cannot be set
+
+    def test_load_defaults_without_path(self):
+        assert load_config(None, ModelConfig, TrainParams) == (ModelConfig(), TrainParams())
+
+    def test_load_splits_keys_by_kind(self, tmp_path):
+        path = tmp_path / "m.cfg"
+        path.write_text("num_classes = 4\nlr = 0.5\nuse_simam = off\ntoy_images = 3\n")
+        model, params, data = load_config(path, ModelConfig, TrainParams, ToyData)
+        assert (model.num_classes, model.use_simam) == (4, False)
+        assert params.lr == 0.5
+        assert data == ToyData(toy_images=3)
+
+    @pytest.mark.parametrize("text", ["1", "true", "Yes", "ON", "0", "false", "no", "Off"])
+    def test_strict_booleans_accepted(self, tmp_path, text):
+        path = tmp_path / "m.cfg"
+        path.write_text(f"deadband = {text}\n")
+        (cfg,) = load_config(path, DroiConfig)
+        assert cfg.deadband is (text.lower() in ("1", "true", "yes", "on"))
+
+    @pytest.mark.parametrize("line, detail", [
+        ("num_clases = 5", "unknown key"),
+        ("use_simam = flase", "not a boolean"),
+        ("steps = 1.5", "steps"),
+        ("lr = nan", "not finite"),
+        ("width = wide", "width"),
+        ("strides = 8,16,32", "cannot be set"),
+    ])
+    def test_load_rejects_bad_lines(self, tmp_path, line, detail):
+        path = tmp_path / "m.cfg"
+        path.write_text(f"# header\nnum_classes = 2\n{line}\n")
+        with pytest.raises(AnnotationError, match=detail) as err:
+            load_config(path, ModelConfig, TrainParams)
+        assert err.value.line_no == 3
+
+    def test_non_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "m.cfg"
+        path.write_bytes(b"num_classes = 2\nactivation = mi\xffsh\n")
+        with pytest.raises(AnnotationError, match="UTF-8") as err:
+            load_config(path, ModelConfig)
+        assert err.value.line_no == 2
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "m.cfg"

@@ -11,7 +11,6 @@ from microdet.ghost import (
     GhostBottleneck,
     GhostConv,
     GhostSpec,
-    count_c3_plain,
     count_params_flops,
 )
 from microdet.tensor import ConvSpec, ShapeError, Tensor4, grad_check
@@ -151,7 +150,7 @@ class TestCounting:
                 for e in (0.5, 1.0):
                     spec = C3GhostSpec(c_in, c_out, n=n, expansion=e)
                     gp, gf = count_params_flops(spec, 8, 8)
-                    pp, pf = count_c3_plain(spec, 8, 8)
+                    pp, pf = count_params_flops(spec, 8, 8, ghost=False)
                     assert gp < pp, (spec, gp, pp)
                     assert gf < pf, (spec, gf, pf)
 
@@ -166,7 +165,7 @@ class TestCounting:
             assert registry == closed, spec
             plain = C3Block(spec, ghost=False, rng=rng)
             registry_plain = sum(p.numel for _, p in plain.named_params())
-            closed_plain, _ = count_c3_plain(spec, 8, 8, include_bn=True)
+            closed_plain, _ = count_params_flops(spec, 8, 8, include_bn=True, ghost=False)
             assert registry_plain == closed_plain, spec
             assert registry < registry_plain
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from microdet.dataio import load_config, write_config
 from microdet.losses import (
     Box,
     LossWeights,
@@ -53,10 +54,15 @@ class TestConfig:
         with pytest.raises(DomainError):
             ModelConfig(reg_max=1)
 
-    def test_dict_round_trip(self):
-        cfg = ModelConfig(num_classes=3, width=0.5, activation="silu", use_igd=False)
-        back = ModelConfig.from_dict({k: str(v) for k, v in cfg.to_dict().items()})
-        assert back == cfg
+    def test_config_file_round_trip(self, tmp_path):
+        cfg = ModelConfig(num_classes=3, width=0.5, activation="silu", use_igd=False,
+                          simam_lambda=1.25e-5, igd_passes=1)
+        write_config(tmp_path / "m.cfg", cfg)
+        assert load_config(tmp_path / "m.cfg", ModelConfig) == (cfg,)
+
+    def test_rejects_unknown_activation(self):
+        with pytest.raises(DomainError, match="activation"):
+            ModelConfig(activation="bogus")
 
     def test_zero_width_error(self):
         with pytest.raises(DomainError, match="channels"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from microdet.neck import IgdNeck, PyramidFeatures, gather, inject
+from microdet.neck import IgdNeck, PyramidFeatures
 from microdet.tensor import GradTape, ShapeError, Tensor4, backward, grad_check
 
 
@@ -35,7 +35,7 @@ class TestGather:
     def test_fused_at_p4_resolution(self):
         rng = np.random.default_rng(3)
         neck = IgdNeck((4, 8, 12), rng=rng)
-        fused = gather(make_pyramid(rng), neck.top_down)
+        fused = neck.top_down.gather(make_pyramid(rng))
         assert fused.shape == (1, 8, 4, 4)
 
     def test_zero_input_gives_constant_channels(self):
@@ -43,7 +43,7 @@ class TestGather:
         neck = IgdNeck((4, 8, 12), rng=rng)
         zeros = PyramidFeatures(Tensor4.zeros(1, 4, 8, 8), Tensor4.zeros(1, 8, 4, 4),
                                 Tensor4.zeros(1, 12, 2, 2))
-        fused = gather(zeros, neck.top_down)
+        fused = neck.top_down.gather(zeros)
         for c in range(fused.shape[1]):
             vals = fused.data[0, c]
             assert np.ptp(vals) == 0.0
@@ -52,13 +52,13 @@ class TestGather:
         rng = np.random.default_rng(5)
         neck = IgdNeck((4, 8, 12), rng=rng)
         feats = make_pyramid(rng)
-        base = gather(feats, neck.top_down).data
+        base = neck.top_down.gather(feats).data
         for name in ("p3", "p4", "p5"):
             pert = make_pyramid(rng)
             for other in ("p3", "p4", "p5"):
                 getattr(pert, other).data[:] = getattr(feats, other).data
             getattr(pert, name).data[0, 0, 0, 0] += 0.5
-            moved = gather(pert, neck.top_down).data
+            moved = neck.top_down.gather(pert).data
             assert np.abs(moved - base).max() > 0, name
 
 
@@ -70,7 +70,7 @@ class TestInject:
         inj.proj_weight = Tensor4(np.zeros_like(inj.proj_weight.data))
         level = Tensor4(rng.normal(size=(1, 4, 8, 8)))
         fused = Tensor4(rng.normal(size=(1, 8, 4, 4)))
-        out = inject(level, fused, inj)
+        out = inj.forward(level, fused)
         np.testing.assert_array_equal(out.data, level.data)
 
     def test_gate_strictly_inside_unit_interval(self):
@@ -78,8 +78,8 @@ class TestInject:
         neck = IgdNeck((4, 8, 12), rng=rng)
         inj = neck.top_down.inject4
         tape = GradTape()
-        inject(Tensor4(rng.normal(size=(1, 8, 4, 4))),
-               Tensor4(rng.normal(size=(1, 8, 4, 4))), inj, tape)
+        inj.forward(Tensor4(rng.normal(size=(1, 8, 4, 4))),
+                    Tensor4(rng.normal(size=(1, 8, 4, 4))), tape)
         gates = [e.output for e in tape._entries][-3]  # sigmoid before mul/add
         assert (gates.data > 0).all() and (gates.data < 1).all()
 
@@ -90,12 +90,12 @@ class TestInject:
         level = Tensor4(rng.normal(size=(1, 4, 8, 8)))
         fused = Tensor4(rng.normal(size=(1, 8, 4, 4)))
         tape = GradTape()
-        inject(level, fused, inj, tape)
+        inj.forward(level, fused, tape)
         backward(tape)
         assert np.abs(level.grad).max() > 0
         assert np.abs(fused.grad).max() > 0
 
-        rep = grad_check(lambda t, tape: inject(level, t, inj, tape), fused, tol=1e-4)
+        rep = grad_check(lambda t, tape: inj.forward(level, t, tape), fused, tol=1e-4)
         assert rep.passed, rep
 
 

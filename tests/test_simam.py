@@ -7,7 +7,6 @@ from microdet.simam import (
     SimamConfig,
     channel_stats,
     energy_numeric_oracle,
-    simam_backward,
     simam_energy_min,
     simam_forward,
 )
@@ -157,18 +156,3 @@ class TestBackward:
         assert len(tape) == 1
         backward(tape)
         assert x.grad is not None
-
-    def test_standalone_backward_matches_tape(self):
-        rng = np.random.default_rng(6)
-        x = Tensor4(rng.normal(size=(2, 2, 3, 4)))
-        up = Tensor4(rng.normal(size=(2, 2, 3, 4)))
-        tape = GradTape()
-        simam_forward(x, SimamConfig(), tape)
-        backward(tape, up)
-        direct = simam_backward(x, SimamConfig(), up)
-        np.testing.assert_allclose(direct.data, x.grad, rtol=1e-12)
-
-    def test_standalone_backward_shape_check(self):
-        with pytest.raises(ShapeError):
-            simam_backward(Tensor4.zeros(1, 1, 2, 2), SimamConfig(),
-                           Tensor4.zeros(1, 1, 2, 3))

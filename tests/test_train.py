@@ -5,7 +5,14 @@ import pytest
 
 from microdet.dataio import generate_toy_dataset, load_manifest
 from microdet.model import ModelConfig, build_model
-from microdet.train import LrSchedule, TrainParams, TrainState, adamw_step, train_toy
+from microdet.train import (
+    LrSchedule,
+    TrainParams,
+    TrainState,
+    adamw_step,
+    load_run_config,
+    train_toy,
+)
 from microdet.tensor import DomainError
 
 
@@ -90,9 +97,11 @@ class TestTrainToy:
         _, curve = train_toy(toy_manifest, ModelConfig(), params)
         assert curve[-1][2] < curve[0][2]
 
-    def test_env_seed_override(self, monkeypatch):
+    def test_env_seed_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("APD_SEED", "777")
-        params = TrainParams.from_dict({"seed": "1", "steps": "5"})
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\nsteps = 5\n")
+        _, params, _ = load_run_config(path)
         assert params.seed == 777
         assert params.steps == 5
 
