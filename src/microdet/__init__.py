@@ -40,7 +40,7 @@ from .losses import (
     dfl_loss,
     detection_loss,
     iou,
-    total_loss,
+    loss_and_grads,
 )
 from .metrics import Detection, EvalReport, GroundTruth, average_precision, evaluate
 from .droi import DroiConfig, DroiResult, critical_width, replay_trajectory

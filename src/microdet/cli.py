@@ -18,6 +18,7 @@ from . import __version__
 from .activations import mish, relu, silu
 from .dataio import (
     AnnotationError,
+    _read_lines,
     generate_toy_dataset,
     load_annotations,
     load_config,
@@ -326,8 +327,7 @@ def _cmd_forward(args):
 
 
 def _cmd_eval(args):
-    classes = [line.strip() for line in Path(args.classes).read_text().splitlines()
-               if line.strip()]
+    classes = [line.strip() for _, line in _read_lines(args.classes) if line.strip()]
     gt_dir, pred_dir = Path(args.gt), Path(args.pred)
     gts, dets = [], []
     for gt_file in sorted(gt_dir.glob("*.txt")):
@@ -460,7 +460,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ShapeError, DomainError, AnnotationError, OSError, UnicodeDecodeError) as exc:
+    except (ShapeError, DomainError, AnnotationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -168,16 +168,25 @@ def save_predictions(path, dets):
 # config files
 
 
-def _config_lines(path):
-    """(line_no, key, value) per `key = value` line; `#` starts a comment."""
+def _config_lines(path, repeatable=()):
+    """(line_no, key, value) per `key = value` line; `#` starts a comment.
+
+    A key given twice is an error naming the second line, unless it is one
+    of `repeatable`.
+    """
+    first_line = {}
     for line_no, line in _read_lines(path):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise AnnotationError(path, line_no, f"expected key = value, got {stripped!r}")
-        key, value = stripped.split("=", 1)
-        yield line_no, key.strip(), value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in first_line and key not in repeatable:
+            raise AnnotationError(path, line_no, f"duplicate key {key!r} "
+                                                 f"(first set on line {first_line[key]})")
+        first_line.setdefault(key, line_no)
+        yield line_no, key, value
 
 
 def parse_config(path) -> dict:
@@ -247,14 +256,16 @@ class DatasetManifest:
     entries: list[tuple[str, str]]  # (image tensor path, annotation path)
     split: str = "train"
     root: Path = field(default_factory=Path)
+    # entry index -> its parsed annotation file; each file is read once
+    _gts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self):
         for img, ann in self.entries:
             for p in (self.root / img, self.root / ann):
                 if not p.exists():
                     raise DomainError("manifest", f"referenced file missing: {p}")
-        for _, ann in self.entries:
-            for g in load_annotations(self.root / ann):
+        for idx, (_, ann) in enumerate(self.entries):
+            for g in self.load_gts(idx):
                 if g.class_id >= len(self.classes):
                     raise DomainError(
                         "manifest",
@@ -265,7 +276,10 @@ class DatasetManifest:
         return read_t4(self.root / self.entries[idx][0])
 
     def load_gts(self, idx) -> list[GroundTruth]:
-        return load_annotations(self.root / self.entries[idx][1])
+        """The ground truths of entry idx, parsed on first use; a fresh list per call."""
+        if idx not in self._gts:
+            self._gts[idx] = load_annotations(self.root / self.entries[idx][1])
+        return list(self._gts[idx])
 
 
 def save_manifest(path, manifest: DatasetManifest):
@@ -278,7 +292,7 @@ def save_manifest(path, manifest: DatasetManifest):
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     split, classes, entries = "train", [], []
-    for line_no, key, value in _config_lines(path):
+    for line_no, key, value in _config_lines(path, repeatable=("image",)):
         if key == "split":
             split = value
         elif key == "classes":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dataio import _read_lines
 from .tensor import DomainError
 
 
@@ -121,20 +122,19 @@ def replay_trajectory(log, cfg: DroiConfig, horizon_band=DEFAULT_HORIZON_BAND):
 def load_trajectory_csv(path):
     """CSV `t,theta_deg,speed_mps`; a non-numeric first line is a header."""
     rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise DomainError("droi", f"{path}:{line_no}: expected t,theta_deg,speed_mps")
-            try:
-                rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError:
-                if line_no == 1:
-                    continue  # header
-                raise DomainError("droi", f"{path}:{line_no}: unparsable row {line!r}") from None
+    for line_no, line in _read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            raise DomainError("droi", f"{path}:{line_no}: expected t,theta_deg,speed_mps")
+        try:
+            rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
+        except ValueError:
+            if line_no == 1:
+                continue  # header
+            raise DomainError("droi", f"{path}:{line_no}: unparsable row {line!r}") from None
     return rows
 
 

@@ -9,6 +9,7 @@ is one tape op.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -269,6 +270,25 @@ class LevelGrid:
     w: int
 
 
+@functools.lru_cache(maxsize=None)
+def _cell_squares(g: LevelGrid, img_w: int, img_h: int):
+    """Cell centres in pixels and the corners of each cell's stride-sized square.
+
+    Returns (cyc, cxc, ax1, ax2, ay1, ay2, area): rows carry y, columns x;
+    the corners are normalized exactly as `Box(...).corners()` computes them.
+    """
+    s = g.stride
+    cyc = (np.arange(g.h) + 0.5) * s
+    cxc = (np.arange(g.w) + 0.5) * s
+    ccx, ccy, cw, ch = cxc / img_w, cyc / img_h, s / img_w, s / img_h
+    ax1, ax2 = ccx - cw / 2, ccx + cw / 2
+    ay1, ay2 = (ccy - ch / 2)[:, None], (ccy + ch / 2)[:, None]
+    out = (cyc[:, None], cxc, ax1, ax2, ay1, ay2, (ax2 - ax1) * (ay2 - ay1))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def assign_targets(gts, grids: list[LevelGrid]):
     """Center-inside + best-scale-match assignment.
 
@@ -277,71 +297,262 @@ def assign_targets(gts, grids: list[LevelGrid]):
     center falls inside the box is positive. A cell contested by several
     ground truths takes the one with the highest IoU against the cell's
     stride-sized square, ties to the smaller index. Returns, per level, a
-    list of (cell_i, cell_j, gt_index).
+    sorted list of (cell_i, cell_j, gt_index).
+
+    All ground truths of a level are tested against all its cells at once.
+    The cell IoU repeats the float operations of `iou`, so contests resolve
+    exactly as the scalar function would.
     """
     img_h = grids[0].h * grids[0].stride
     img_w = grids[0].w * grids[0].stride
-    per_level = [dict() for _ in grids]  # (i,j) -> (metric, gt_idx)
-    for gi, gt in enumerate(gts):
-        box = gt.box
-        x1 = (box.cx - box.w / 2) * img_w
-        x2 = (box.cx + box.w / 2) * img_w
-        y1 = (box.cy - box.h / 2) * img_h
-        y2 = (box.cy + box.h / 2) * img_h
-        max_side = max(x2 - x1, y2 - y1)
-        best_level = min(range(len(grids)),
-                         key=lambda l: (abs(max_side - 4 * grids[l].stride), l))
-        g = grids[best_level]
-        s = g.stride
-        for ci in range(g.h):
-            cyc = (ci + 0.5) * s
-            if not y1 <= cyc <= y2:
-                continue
-            for cj in range(g.w):
-                cxc = (cj + 0.5) * s
-                if not x1 <= cxc <= x2:
-                    continue
-                cell = Box(cxc / img_w, cyc / img_h, s / img_w, s / img_h)
-                metric = iou(cell, box)
-                cur = per_level[best_level].get((ci, cj))
-                if cur is None or metric > cur[0]:
-                    per_level[best_level][(ci, cj)] = (metric, gi)
-    return [
-        sorted((i, j, gi) for (i, j), (_, gi) in lvl.items())
-        for lvl in per_level
-    ]
+    boxes = np.array([(g.box.cx, g.box.cy, g.box.w, g.box.h) for g in gts],
+                     dtype=np.float64).reshape(-1, 4)
+    # per ground truth: normalized corners (x1, y1, x2, y2), then the same in pixels
+    half = boxes[:, 2:] / 2
+    corners = np.concatenate([boxes[:, :2] - half, boxes[:, :2] + half], axis=1)
+    pixels = corners * np.array([img_w, img_h, img_w, img_h], dtype=np.float64)
+    max_side = np.maximum(pixels[:, 2] - pixels[:, 0], pixels[:, 3] - pixels[:, 1])
+    strides = np.array([g.stride for g in grids])
+    # argmin keeps the first of equal distances: ties go to the finer level
+    level = np.abs(max_side[:, None] - 4 * strides).argmin(axis=1)
+
+    out = []
+    for li, g in enumerate(grids):
+        sel = np.flatnonzero(level == li)
+        if not sel.size:
+            out.append([])
+            continue
+        cyc, cxc, ax1, ax2, ay1, ay2, area = _cell_squares(g, img_w, img_h)
+        # axes (ground truth, row, column)
+        bx1, by1, bx2, by2 = corners[sel].T[:, :, None, None]
+        x1, y1, x2, y2 = pixels[sel].T[:, :, None, None]
+        inside = (y1 <= cyc) & (cyc <= y2) & (x1 <= cxc) & (cxc <= x2)
+        for gi in sel[inside.any(axis=(1, 2))]:
+            gts[gi].box.validate()
+        # iou(cell, box), one float operation at a time
+        iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+        ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+        inter = iw * ih
+        union = area + (bx2 - bx1) * (by2 - by1) - inter
+        # only where iou() would divide: apart, iw * ih > 0 can cancel the union
+        metric = np.divide(inter, union, out=np.zeros(inter.shape),
+                           where=~((iw <= 0) | (ih <= 0)))
+        # the first maximum wins: a tie goes to the smaller ground-truth index
+        owner = sel[np.where(inside, metric, -np.inf).argmax(axis=0)]
+        ii, jj = np.nonzero(inside.any(axis=0))
+        out.append(list(zip(ii.tolist(), jj.tolist(), owner[ii, jj].tolist())))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the combined loss
 
 
-def total_loss(preds, gts_per_image, weights: LossWeights, frozen_alphas=None):
-    """Scalar loss and per-term breakdown; pure evaluation, no gradients.
+def _ciou_many(pred, gt, alpha_override=None):
+    """`_ciou` over P box pairs at once; pred, gt are (P, 4) arrays of (cx, cy, w, h).
+
+    Returns (loss (P,), dloss/dpred (P, 4), alpha (P,)). The edge cases of
+    the scalar version become masks: the intersection gradient is zero for
+    disjoint pairs, and alpha is 0 where its denominator is 0.
+    """
+    pcx, pcy, pw, ph = pred.T
+    gcx, gcy, gw, gh = gt.T
+    px1, py1, px2, py2 = pcx - pw / 2, pcy - ph / 2, pcx + pw / 2, pcy + ph / 2
+    gx1, gy1, gx2, gy2 = gcx - gw / 2, gcy - gh / 2, gcx + gw / 2, gcy + gh / 2
+
+    iw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
+    ih = np.minimum(py2, gy2) - np.maximum(py1, gy1)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
+    iou_val = inter / union
+
+    rho2 = (pcx - gcx) ** 2 + (pcy - gcy) ** 2
+    cw = np.maximum(px2, gx2) - np.minimum(px1, gx1)
+    ch = np.maximum(py2, gy2) - np.minimum(py1, gy1)
+    c2 = cw * cw + ch * ch
+
+    delta = np.arctan2(gw, gh) - np.arctan2(pw, ph)
+    v = (4.0 / math.pi**2) * delta * delta
+    if alpha_override is None:
+        denom = (1.0 - iou_val) + v
+        alpha = np.divide(v, denom, out=np.zeros_like(v), where=denom != 0.0)
+    else:
+        alpha = alpha_override
+
+    loss = 1.0 - iou_val + rho2 / c2 + alpha * v
+
+    # which pred edge attains the intersection's min/max (in) or the hull's (out)
+    f = np.float64
+    r_in, l_in = (px2 < gx2).astype(f), (px1 > gx1).astype(f)
+    b_in, t_in = (py2 < gy2).astype(f), (py1 > gy1).astype(f)
+    r_out, l_out = (px2 > gx2).astype(f), (px1 < gx1).astype(f)
+    b_out, t_out = (py2 > gy2).astype(f), (py1 < gy1).astype(f)
+    zero = np.zeros_like(pw)
+
+    overlap = ((iw > 0) & (ih > 0))[:, None]
+    dinter = np.where(overlap, np.stack([
+        (r_in - l_in) * ih, (b_in - t_in) * iw,
+        (r_in * 0.5 + l_in * 0.5) * ih, (b_in * 0.5 + t_in * 0.5) * iw,
+    ], axis=1), 0.0)
+    darea = np.stack([zero, zero, ph, pw], axis=1)
+    dunion = darea - dinter
+    diou = (dinter * union[:, None] - inter[:, None] * dunion) / (union * union)[:, None]
+
+    drho2 = np.stack([2 * (pcx - gcx), 2 * (pcy - gcy), zero, zero], axis=1)
+    dc2 = np.stack([
+        2 * cw * (r_out - l_out), 2 * ch * (b_out - t_out),
+        2 * cw * (r_out * 0.5 + l_out * 0.5), 2 * ch * (b_out * 0.5 + t_out * 0.5),
+    ], axis=1)
+    ddist = (drho2 * c2[:, None] - rho2[:, None] * dc2) / (c2 * c2)[:, None]
+
+    wh2 = pw**2 + ph**2
+    dv = np.stack([
+        zero, zero,
+        -(8.0 / math.pi**2) * delta * ph / wh2,
+        (8.0 / math.pi**2) * delta * pw / wh2,
+    ], axis=1)
+
+    grad = -diou + ddist + alpha[:, None] * dv
+    return loss, grad, alpha
+
+
+def _box_terms(zs, gt, cxc, cyc, s, img_w, img_h, weights, alpha_override):
+    """CIoU and DFL over the P positives of one level.
+
+    zs is (P, 4, reg_max) side logits (left, top, right, bottom), gt the
+    (P, 4) matched boxes, (cxc, cyc) the cell centres in pixels. Returns the
+    per-positive CIoU and side-averaged DFL losses, the unnormalised
+    gradient of lambda_box * CIoU + lambda_dfl * DFL w.r.t. zs, and the
+    CIoU alphas.
+    """
+    reg_max = zs.shape[-1]
+    if reg_max < 2:
+        raise DomainError("dfl", f"reg_max must be >= 2, got {reg_max}")
+    gx1, gy1 = gt[:, 0] - gt[:, 2] / 2, gt[:, 1] - gt[:, 3] / 2
+    gx2, gy2 = gt[:, 0] + gt[:, 2] / 2, gt[:, 1] + gt[:, 3] / 2
+    tdist = np.stack([
+        cxc - gx1 * img_w, cyc - gy1 * img_h, gx2 * img_w - cxc, gy2 * img_h - cyc,
+    ], axis=1) / s
+    tdist = np.clip(tdist, 0.0, reg_max - 1.0)
+
+    e = np.exp(zs - zs.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    bins = np.arange(reg_max, dtype=np.float64)
+    pdist = (p * bins).sum(axis=-1)
+
+    pred = np.stack([
+        (cxc + (pdist[:, 2] - pdist[:, 0]) * s / 2) / img_w,
+        (cyc + (pdist[:, 3] - pdist[:, 1]) * s / 2) / img_h,
+        (pdist[:, 0] + pdist[:, 2]) * s / img_w,
+        (pdist[:, 1] + pdist[:, 3]) * s / img_h,
+    ], axis=1)
+    bad = np.flatnonzero((pred[:, 2] <= 0) | (pred[:, 3] <= 0))
+    if bad.size:
+        w, h = pred[bad[0], 2:]
+        raise DomainError("box", f"degenerate extents w={w}, h={h}")
+    closs, cgrad, alpha = _ciou_many(pred, gt, alpha_override)
+
+    # d(box params)/d(dist): cx <- (r - l), w <- (l + r), per axis
+    sx, sy = s / img_w, s / img_h
+    ddist = np.stack([
+        -cgrad[:, 0] * sx / 2 + cgrad[:, 2] * sx,
+        -cgrad[:, 1] * sy / 2 + cgrad[:, 3] * sy,
+        cgrad[:, 0] * sx / 2 + cgrad[:, 2] * sx,
+        cgrad[:, 1] * sy / 2 + cgrad[:, 3] * sy,
+    ], axis=1)
+
+    # DFL against the bracketing bins y_l = min(floor(y), reg_max - 2), y_r = y_l + 1
+    y_l = np.minimum(np.floor(tdist), reg_max - 2.0)
+    y_r = y_l + 1.0
+    w_l, w_r = y_r - tdist, tdist - y_l
+    p_l = np.take_along_axis(p, y_l.astype(np.intp)[..., None], axis=-1)[..., 0]
+    p_r = np.take_along_axis(p, y_r.astype(np.intp)[..., None], axis=-1)[..., 0]
+    dloss = -(w_l * np.log(p_l) + w_r * np.log(p_r))
+    dgrad = (p * (w_l + w_r)[..., None] - w_l[..., None] * (bins == y_l[..., None])
+             - w_r[..., None] * (bins == y_r[..., None]))
+
+    # DFL on the distribution, plus CIoU chained through the expectation decode
+    dz = (dgrad / 4.0 * weights.lambda_dfl
+          + ddist[..., None] * p * (bins - pdist[..., None]) * weights.lambda_box)
+    return closs, (dloss / 4.0).sum(axis=1), dz, alpha
+
+
+def loss_and_grads(preds, gts_per_image, weights: LossWeights, frozen_alphas=None):
+    """The weighted detection loss with its gradients, one pass per pyramid level.
 
     preds carries per-level (cls, box) tensors plus strides (see
     model.RawPredictions); gts_per_image is one GroundTruth list per batch
-    element. frozen_alphas, when given (a list collected by collect_alphas),
-    pins the CIoU alpha of every positive cell so the evaluation is exactly
-    the map the analytic backward differentiates.
+    element. Returns (total, breakdown, grads, alphas): breakdown holds the
+    unweighted cls/box/dfl terms and the total, grads one (dcls, dbox)
+    array pair per level, and alphas the CIoU alpha of every positive cell,
+    level-major (level, then batch element, then cell in `assign_targets`
+    order). Passing those alphas back as frozen_alphas pins them, so the
+    evaluation is exactly the map the analytic gradients differentiate.
     """
-    total, breakdown, _, _ = _loss_and_grads(preds, gts_per_image, weights,
-                                             want_grads=False,
-                                             frozen_alphas=frozen_alphas)
-    return total, breakdown
+    reg_max = preds.reg_max
+    batch = preds.levels[0].cls.shape[0]
+    if len(gts_per_image) != batch:
+        raise DomainError("loss", f"{len(gts_per_image)} gt lists for batch of {batch}")
+    grids = [LevelGrid(lv.stride, lv.cls.shape[2], lv.cls.shape[3]) for lv in preds.levels]
+    img_h = grids[0].h * grids[0].stride
+    img_w = grids[0].w * grids[0].stride
+    cls_den = batch * sum(g.h * g.w for g in grids) * preds.num_classes
 
+    assignments = [assign_targets(gts, grids) for gts in gts_per_image]
+    n_pos = sum(len(lvl) for asn in assignments for lvl in asn)
+    if frozen_alphas is not None:
+        frozen_alphas = np.asarray(frozen_alphas, dtype=np.float64)
+        if frozen_alphas.shape != (n_pos,):
+            raise DomainError("loss", f"{frozen_alphas.size} frozen alphas "
+                                      f"for {n_pos} positive cells")
 
-def collect_alphas(preds, gts_per_image, weights: LossWeights):
-    """The per-positive-cell CIoU alphas, in deterministic traversal order."""
-    _, _, _, alphas = _loss_and_grads(preds, gts_per_image, weights,
-                                      want_grads=False, want_alphas=True)
-    return alphas
+    # every ground truth of the batch as one table; first_gt[b] is image b's first row
+    flat = [g for gts in gts_per_image for g in gts]
+    gt_cls = np.array([g.class_id for g in flat], dtype=np.intp)
+    gt_box = np.array([(g.box.cx, g.box.cy, g.box.w, g.box.h) for g in flat],
+                      dtype=np.float64).reshape(-1, 4)
+    first_gt = np.cumsum([0] + [len(gts) for gts in gts_per_image])[:-1]
+
+    cls_sum = box_sum = dfl_sum = 0.0
+    grads, alphas = [], []
+    for li, lv in enumerate(preds.levels):
+        cells = [np.asarray(asn[li], dtype=np.intp).reshape(-1, 3) for asn in assignments]
+        b = np.repeat(np.arange(batch), [len(c) for c in cells])
+        i, j, gi = np.concatenate(cells).T
+        k = first_gt[b] + gi
+
+        targets = np.zeros_like(lv.cls.data)
+        targets[b, gt_cls[k], i, j] = 1.0
+        loss_map, grad_map = bce_logits_map(lv.cls.data, targets)
+        cls_sum += loss_map.sum()
+        dbox = np.zeros_like(lv.box.data)
+        grads.append((grad_map * (weights.lambda_cls / cls_den), dbox))
+        if not b.size:
+            continue
+
+        s = lv.stride
+        zs = lv.box.data[b, :, i, j].reshape(-1, 4, reg_max)
+        done = sum(a.size for a in alphas)  # positives of the finer levels
+        override = None if frozen_alphas is None else frozen_alphas[done:done + b.size]
+        closs, dloss, dz, alpha = _box_terms(zs, gt_box[k], (j + 0.5) * s, (i + 0.5) * s,
+                                             s, img_w, img_h, weights, override)
+        box_sum += closs.sum()
+        dfl_sum += dloss.sum()
+        dbox[b, :, i, j] = dz.reshape(b.size, -1) / n_pos
+        alphas.append(alpha)
+
+    cls_term = float(cls_sum) / cls_den
+    box_term = float(box_sum) / n_pos if n_pos else 0.0
+    dfl_term = float(dfl_sum) / n_pos if n_pos else 0.0
+    total = (weights.lambda_cls * cls_term + weights.lambda_box * box_term
+             + weights.lambda_dfl * dfl_term)
+    breakdown = {"cls": cls_term, "box": box_term, "dfl": dfl_term, "total": total}
+    return total, breakdown, grads, np.concatenate(alphas) if alphas else np.zeros(0)
 
 
 def detection_loss(preds, gts_per_image, weights: LossWeights, tape: GradTape | None = None):
     """Tape-recorded loss: backward writes analytic grads into the head tensors."""
-    total, breakdown, grads, _ = _loss_and_grads(preds, gts_per_image, weights,
-                                                 want_grads=True)
+    total, breakdown, grads, _ = loss_and_grads(preds, gts_per_image, weights)
     out = Tensor4.scalar(total)
     if tape is not None:
         inputs = []
@@ -356,105 +567,3 @@ def detection_loss(preds, gts_per_image, weights: LossWeights, tape: GradTape | 
 
         tape.record(tuple(inputs), out, back)
     return out, breakdown
-
-
-def _loss_and_grads(preds, gts_per_image, weights, want_grads,
-                    frozen_alphas=None, want_alphas=False):
-    reg_max = preds.reg_max
-    nc = preds.num_classes
-    batch = preds.levels[0].cls.shape[0]
-    if len(gts_per_image) != batch:
-        raise DomainError("loss", f"{len(gts_per_image)} gt lists for batch of {batch}")
-    grids = [LevelGrid(lv.stride, lv.cls.shape[2], lv.cls.shape[3]) for lv in preds.levels]
-    img_h = grids[0].h * grids[0].stride
-    img_w = grids[0].w * grids[0].stride
-    n_cells = sum(g.h * g.w for g in grids)
-
-    cls_sum = 0.0
-    box_sum = 0.0
-    dfl_sum = 0.0
-    grads = [(np.zeros_like(lv.cls.data), np.zeros_like(lv.box.data))
-             for lv in preds.levels]
-
-    assignments = [assign_targets(gts, grids) for gts in gts_per_image]
-    n_pos = sum(len(lvl) for asn in assignments for lvl in asn)
-    alphas = []
-    pos_idx = 0
-
-    for b in range(batch):
-        gts = gts_per_image[b]
-        asn = assignments[b]
-        for li, lv in enumerate(preds.levels):
-            g = grids[li]
-            targets = np.zeros((nc, g.h, g.w))
-            for ci, cj, gi in asn[li]:
-                targets[gts[gi].class_id, ci, cj] = 1.0
-            loss_map, grad_map = bce_logits_map(lv.cls.data[b], targets)
-            cls_sum += loss_map.sum()
-            if want_grads:
-                grads[li][0][b] += grad_map
-
-            for ci, cj, gi in asn[li]:
-                gt_box = gts[gi].box
-                gx1, gy1, gx2, gy2 = gt_box.corners()
-                s = g.stride
-                cxc, cyc = (cj + 0.5) * s, (ci + 0.5) * s
-                tdist = np.array([
-                    cxc - gx1 * img_w, cyc - gy1 * img_h,
-                    gx2 * img_w - cxc, gy2 * img_h - cyc,
-                ]) / s
-                tdist = np.clip(tdist, 0.0, reg_max - 1.0)
-
-                zs = lv.box.data[b, :, ci, cj].reshape(4, reg_max)
-                pdist = np.array([expected_bin(zs[k]) for k in range(4)])
-
-                pred_box = Box(
-                    (cxc + (pdist[2] - pdist[0]) * s / 2) / img_w,
-                    (cyc + (pdist[3] - pdist[1]) * s / 2) / img_h,
-                    (pdist[0] + pdist[2]) * s / img_w,
-                    (pdist[1] + pdist[3]) * s / img_h,
-                )
-                override = frozen_alphas[pos_idx] if frozen_alphas is not None else None
-                closs, cgrad, (_, _, _, alpha) = _ciou(pred_box, gt_box,
-                                                       alpha_override=override)
-                if want_alphas:
-                    alphas.append(alpha)
-                pos_idx += 1
-                box_sum += closs
-
-                # d(box params)/d(dist): cx <- (r - l), w <- (l + r), per axis
-                sx, sy = s / img_w, s / img_h
-                ddist = np.array([
-                    -cgrad[0] * sx / 2 + cgrad[2] * sx,
-                    -cgrad[1] * sy / 2 + cgrad[3] * sy,
-                    cgrad[0] * sx / 2 + cgrad[2] * sx,
-                    cgrad[1] * sy / 2 + cgrad[3] * sy,
-                ])
-
-                dz = np.zeros((4, reg_max))
-                for k in range(4):
-                    tgt = DflTarget.for_value(float(tdist[k]), reg_max)
-                    dloss, dgrad = dfl_loss_grad(zs[k], tgt)
-                    dfl_sum += dloss / 4.0
-                    if want_grads:
-                        dz[k] += dgrad / 4.0 * weights.lambda_dfl
-                        # chain CIoU through the expectation decode
-                        p = _softmax(zs[k])
-                        bins = np.arange(reg_max, dtype=np.float64)
-                        dz[k] += ddist[k] * p * (bins - (p * bins).sum()) * weights.lambda_box
-                if want_grads:
-                    grads[li][1][b, :, ci, cj] += dz.reshape(-1)
-
-    cls_den = batch * n_cells * nc
-    cls_term = cls_sum / cls_den
-    box_term = box_sum / n_pos if n_pos else 0.0
-    dfl_term = dfl_sum / n_pos if n_pos else 0.0
-    total = (weights.lambda_cls * cls_term + weights.lambda_box * box_term
-             + weights.lambda_dfl * dfl_term)
-    if want_grads:
-        for li in range(len(preds.levels)):
-            grads[li][0][:] *= weights.lambda_cls / cls_den
-            if n_pos:
-                grads[li][1][:] /= n_pos
-    breakdown = {"cls": cls_term, "box": box_term, "dfl": dfl_term, "total": total}
-    return total, breakdown, grads, alphas

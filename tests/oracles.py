@@ -1,10 +1,26 @@
 """Independent brute-force reference implementations shared by the test suite.
 
 Everything here is deliberately slow and written from the definitions, with
-no code shared with the package paths it checks.
+no code shared with the package paths it checks. The loss oracles are the
+exception: they loop over positive cells and call the package's scalar
+CIoU/DFL/IoU functions, which are themselves checked against definitions
+and finite differences in test_losses.py.
 """
 
 import numpy as np
+
+from microdet.losses import (
+    Box,
+    DflTarget,
+    LevelGrid,
+    _ciou,
+    _softmax,
+    bce_logits_map,
+    dfl_loss_grad,
+    expected_bin,
+    iou,
+)
+from microdet.tensor import DomainError
 
 
 def conv2d_scalar_oracle(x, w, s, p, g=1, bias=None):
@@ -138,3 +154,137 @@ def ap_exhaustive_oracle(dets, gts, iou_t):
     for i in range(1, len(recalls)):
         area += (recalls[i] - recalls[i - 1]) * env[i]
     return float(area)
+
+
+def assign_targets_loop_oracle(gts, grids):
+    """`losses.assign_targets` as one scalar `iou` call per (ground truth, cell)."""
+    img_h = grids[0].h * grids[0].stride
+    img_w = grids[0].w * grids[0].stride
+    per_level = [dict() for _ in grids]  # (i,j) -> (metric, gt_idx)
+    for gi, gt in enumerate(gts):
+        box = gt.box
+        x1 = (box.cx - box.w / 2) * img_w
+        x2 = (box.cx + box.w / 2) * img_w
+        y1 = (box.cy - box.h / 2) * img_h
+        y2 = (box.cy + box.h / 2) * img_h
+        max_side = max(x2 - x1, y2 - y1)
+        best_level = min(range(len(grids)),
+                         key=lambda l: (abs(max_side - 4 * grids[l].stride), l))
+        g = grids[best_level]
+        s = g.stride
+        for ci in range(g.h):
+            cyc = (ci + 0.5) * s
+            if not y1 <= cyc <= y2:
+                continue
+            for cj in range(g.w):
+                cxc = (cj + 0.5) * s
+                if not x1 <= cxc <= x2:
+                    continue
+                cell = Box(cxc / img_w, cyc / img_h, s / img_w, s / img_h)
+                metric = iou(cell, box)
+                cur = per_level[best_level].get((ci, cj))
+                if cur is None or metric > cur[0]:
+                    per_level[best_level][(ci, cj)] = (metric, gi)
+    return [
+        sorted((i, j, gi) for (i, j), (_, gi) in lvl.items())
+        for lvl in per_level
+    ]
+
+
+def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
+    """`losses.loss_and_grads` as one scalar CIoU and four scalar DFL calls per positive.
+
+    Same contract and the same level-major alpha order: (total, breakdown,
+    grads, alphas).
+    """
+    reg_max = preds.reg_max
+    nc = preds.num_classes
+    batch = preds.levels[0].cls.shape[0]
+    if len(gts_per_image) != batch:
+        raise DomainError("loss", f"{len(gts_per_image)} gt lists for batch of {batch}")
+    grids = [LevelGrid(lv.stride, lv.cls.shape[2], lv.cls.shape[3]) for lv in preds.levels]
+    img_h = grids[0].h * grids[0].stride
+    img_w = grids[0].w * grids[0].stride
+    n_cells = sum(g.h * g.w for g in grids)
+
+    cls_sum = 0.0
+    box_sum = 0.0
+    dfl_sum = 0.0
+    grads = [(np.zeros_like(lv.cls.data), np.zeros_like(lv.box.data))
+             for lv in preds.levels]
+
+    assignments = [assign_targets_loop_oracle(gts, grids) for gts in gts_per_image]
+    n_pos = sum(len(lvl) for asn in assignments for lvl in asn)
+    alphas = []
+
+    for li, lv in enumerate(preds.levels):
+        g = grids[li]
+        for b in range(batch):
+            gts = gts_per_image[b]
+            asn = assignments[b]
+            targets = np.zeros((nc, g.h, g.w))
+            for ci, cj, gi in asn[li]:
+                targets[gts[gi].class_id, ci, cj] = 1.0
+            loss_map, grad_map = bce_logits_map(lv.cls.data[b], targets)
+            cls_sum += loss_map.sum()
+            grads[li][0][b] += grad_map
+
+            for ci, cj, gi in asn[li]:
+                gt_box = gts[gi].box
+                gx1, gy1, gx2, gy2 = gt_box.corners()
+                s = g.stride
+                cxc, cyc = (cj + 0.5) * s, (ci + 0.5) * s
+                tdist = np.array([
+                    cxc - gx1 * img_w, cyc - gy1 * img_h,
+                    gx2 * img_w - cxc, gy2 * img_h - cyc,
+                ]) / s
+                tdist = np.clip(tdist, 0.0, reg_max - 1.0)
+
+                zs = lv.box.data[b, :, ci, cj].reshape(4, reg_max)
+                pdist = np.array([expected_bin(zs[k]) for k in range(4)])
+
+                pred_box = Box(
+                    (cxc + (pdist[2] - pdist[0]) * s / 2) / img_w,
+                    (cyc + (pdist[3] - pdist[1]) * s / 2) / img_h,
+                    (pdist[0] + pdist[2]) * s / img_w,
+                    (pdist[1] + pdist[3]) * s / img_h,
+                )
+                override = frozen_alphas[len(alphas)] if frozen_alphas is not None else None
+                closs, cgrad, (_, _, _, alpha) = _ciou(pred_box, gt_box,
+                                                       alpha_override=override)
+                alphas.append(alpha)
+                box_sum += closs
+
+                # d(box params)/d(dist): cx <- (r - l), w <- (l + r), per axis
+                sx, sy = s / img_w, s / img_h
+                ddist = np.array([
+                    -cgrad[0] * sx / 2 + cgrad[2] * sx,
+                    -cgrad[1] * sy / 2 + cgrad[3] * sy,
+                    cgrad[0] * sx / 2 + cgrad[2] * sx,
+                    cgrad[1] * sy / 2 + cgrad[3] * sy,
+                ])
+
+                dz = np.zeros((4, reg_max))
+                for k in range(4):
+                    tgt = DflTarget.for_value(float(tdist[k]), reg_max)
+                    dloss, dgrad = dfl_loss_grad(zs[k], tgt)
+                    dfl_sum += dloss / 4.0
+                    dz[k] += dgrad / 4.0 * weights.lambda_dfl
+                    # chain CIoU through the expectation decode
+                    p = _softmax(zs[k])
+                    bins = np.arange(reg_max, dtype=np.float64)
+                    dz[k] += ddist[k] * p * (bins - (p * bins).sum()) * weights.lambda_box
+                grads[li][1][b, :, ci, cj] += dz.reshape(-1)
+
+    cls_den = batch * n_cells * nc
+    cls_term = cls_sum / cls_den
+    box_term = box_sum / n_pos if n_pos else 0.0
+    dfl_term = dfl_sum / n_pos if n_pos else 0.0
+    total = (weights.lambda_cls * cls_term + weights.lambda_box * box_term
+             + weights.lambda_dfl * dfl_term)
+    for li in range(len(preds.levels)):
+        grads[li][0][:] *= weights.lambda_cls / cls_den
+        if n_pos:
+            grads[li][1][:] /= n_pos
+    breakdown = {"cls": cls_term, "box": box_term, "dfl": dfl_term, "total": total}
+    return total, breakdown, grads, alphas

@@ -1,4 +1,5 @@
-"""Malformed T4/W1 files and configs: exit 1 with one `error:` line, never a traceback."""
+"""Malformed T4/W1 files, configs and text inputs: exit 1 with one `error:` line,
+never a traceback."""
 
 import struct
 
@@ -139,3 +140,28 @@ class TestConfigs:
         err = expect_one_error(capsys, ["droi", "--theta", "0", "--speed", "0",
                                         "--config", str(cfg)])
         assert "deadband" in err
+
+    def test_duplicate_key(self, tmp_path, capsys):
+        cfg = tmp_path / "droi.cfg"
+        cfg.write_text("w0 = 5\nw0 = 7\n")
+        err = expect_one_error(capsys, ["droi", "--theta", "0", "--speed", "0",
+                                        "--config", str(cfg)])
+        assert f"{cfg}:2:" in err and "duplicate key 'w0'" in err
+
+
+class TestNonUtf8Text:
+    def test_droi_replay_log(self, tmp_path, capsys):
+        log = tmp_path / "traj.csv"
+        log.write_bytes(b"t,theta_deg,speed_mps\n0,\xff,1\n")
+        err = expect_one_error(capsys, ["droi-replay", "--log", str(log)])
+        assert f"{log}:2:" in err and "UTF-8" in err
+
+    def test_eval_classes(self, tmp_path, capsys):
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "pred").mkdir()
+        classes = tmp_path / "classes.txt"
+        classes.write_bytes(b"class0\ncl\xffass1\n")
+        err = expect_one_error(capsys, ["eval", "--gt", str(tmp_path / "gt"),
+                                        "--pred", str(tmp_path / "pred"),
+                                        "--classes", str(classes)])
+        assert f"{classes}:2:" in err and "UTF-8" in err

@@ -201,6 +201,14 @@ class TestConfig:
         with pytest.raises(AnnotationError):
             parse_config(path)
 
+    @pytest.mark.parametrize("read", [parse_config, lambda p: load_config(p, DroiConfig)])
+    def test_duplicate_key_names_second_line(self, tmp_path, read):
+        path = tmp_path / "droi.cfg"
+        path.write_text("w0 = 5\n# again\nw0 = 7\n")
+        with pytest.raises(AnnotationError, match="duplicate key 'w0'.*line 1") as err:
+            read(path)
+        assert err.value.line_no == 3
+
 
 class TestToyScene:
     def test_deterministic_per_seed(self):
@@ -284,6 +292,29 @@ class TestManifest:
         text = (tmp_path / "m.txt").read_text()
         assert "split = val" in text
         assert "classes = a,b" in text
+
+    @pytest.mark.parametrize("key", ["split", "classes"])
+    def test_duplicate_key_rejected(self, tmp_path, key):
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"split = train\nclasses = a\n{key} = b\n")
+        with pytest.raises(AnnotationError, match=f"duplicate key '{key}'") as err:
+            load_manifest(path)
+        assert err.value.line_no == 3
+
+    def test_each_annotation_file_parsed_once(self, tmp_path, monkeypatch):
+        import microdet.dataio as dataio
+
+        mpath = generate_toy_dataset(tmp_path, seed=0, n_images=2)
+        parsed = []
+        real = dataio.load_annotations
+        monkeypatch.setattr(dataio, "load_annotations",
+                            lambda path: parsed.append(path) or real(path))
+        man = load_manifest(mpath)
+        first = [man.load_gts(i) for i in range(2)]
+        assert len(parsed) == 2
+        first[0].clear()  # callers get their own list
+        assert man.load_gts(0) == real(tmp_path / man.entries[0][1])
+        assert len(parsed) == 2
 
     def test_class_id_out_of_range_in_labels(self, tmp_path):
         mpath = generate_toy_dataset(tmp_path, seed=0, n_images=1)

@@ -24,6 +24,7 @@ from microdet.losses import (
     dfl_loss_grad,
     expected_bin,
     iou,
+    loss_and_grads,
 )
 from microdet.tensor import DomainError
 
@@ -331,38 +332,30 @@ def _preds(nc=2, reg_max=8, grids=((8, 8), (4, 4), (2, 2)), strides=(8, 16, 32))
 class TestTotalLoss:
     def test_cls_only_weights(self):
         """Weights (1,0,0) reduce the total to the classification term."""
-        from microdet.losses import total_loss
-
         preds = _preds()
         gts = [[_Gt(0, Box(0.5, 0.5, 0.4, 0.4))]]
-        total, breakdown = total_loss(preds, gts, LossWeights(1.0, 0.0, 0.0))
+        total, breakdown, _, _ = loss_and_grads(preds, gts, LossWeights(1.0, 0.0, 0.0))
         assert total == pytest.approx(breakdown["cls"], abs=1e-15)
         assert breakdown["box"] > 0  # term still reported, just unweighted
 
     def test_no_gts_zero_box_and_dfl(self):
-        from microdet.losses import total_loss
-
-        total, breakdown = total_loss(_preds(), [[]], LossWeights())
+        total, breakdown, _, _ = loss_and_grads(_preds(), [[]], LossWeights())
         assert breakdown["box"] == 0.0
         assert breakdown["dfl"] == 0.0
         assert breakdown["cls"] > 0.0
 
     def test_doubling_box_weight_doubles_its_contribution(self):
-        from microdet.losses import total_loss
-
         preds = _preds()
         gts = [[_Gt(1, Box(0.5, 0.5, 0.3, 0.3))]]
         w1 = LossWeights(0.5, 7.5, 1.5)
         w2 = LossWeights(0.5, 15.0, 1.5)
-        t1, b1 = total_loss(preds, gts, w1)
-        t2, b2 = total_loss(preds, gts, w2)
+        t1, b1, _, _ = loss_and_grads(preds, gts, w1)
+        t2, b2, _, _ = loss_and_grads(preds, gts, w2)
         assert b1["box"] == b2["box"]  # raw term unchanged
         assert t2 - t1 == pytest.approx(7.5 * b1["box"], rel=1e-12)
 
     def test_constructed_optimum_is_essentially_zero(self):
         """Perfect logits and point-mass distributions on an aligned one-GT scene."""
-        from microdet.losses import assign_targets, total_loss
-
         reg_max = 8
         preds = _preds(reg_max=reg_max)
         # corners at 4 and 36 px of a 64-px image: every covered stride-8 cell
@@ -389,25 +382,23 @@ class TestTotalLoss:
                 for k, d in enumerate(dists):
                     assert d == pytest.approx(round(d), abs=1e-12)
                     box[k, int(round(d))] = 40.0
-        total, breakdown = total_loss(preds, gts, LossWeights())
+        total, breakdown, _, _ = loss_and_grads(preds, gts, LossWeights())
         assert total <= 1e-6, breakdown
 
     def test_all_terms_non_negative(self):
-        from microdet.losses import total_loss
-
         rng = np.random.default_rng(8)
         preds = _preds()
         for lv in preds.levels:
             lv.cls.data[:] = rng.normal(size=lv.cls.shape)
             lv.box.data[:] = rng.normal(size=lv.box.shape)
         gts = [[_Gt(0, Box(0.4, 0.4, 0.3, 0.25)), _Gt(1, Box(0.7, 0.7, 0.2, 0.2))]]
-        total, breakdown = total_loss(preds, gts, LossWeights())
+        total, breakdown, _, _ = loss_and_grads(preds, gts, LossWeights())
         for term in ("cls", "box", "dfl", "total"):
             assert breakdown[term] >= 0.0
 
     def test_tape_op_gradients_match_finite_differences(self):
         """detection_loss grads on the raw head tensors vs frozen-alpha FD."""
-        from microdet.losses import collect_alphas, detection_loss, total_loss
+        from microdet.losses import detection_loss
         from microdet.tensor import GradTape, backward
 
         rng = np.random.default_rng(9)
@@ -420,7 +411,7 @@ class TestTotalLoss:
         tape = GradTape()
         detection_loss(preds, gts, weights, tape)
         backward(tape)
-        alphas = collect_alphas(preds, gts, weights)
+        alphas = loss_and_grads(preds, gts, weights)[3]
 
         h = 1e-6
         for lv in preds.levels[:1]:
@@ -430,9 +421,9 @@ class TestTotalLoss:
                     coord = np.unravel_index(int(idx), tensor.shape)
                     base = tensor.data[coord]
                     tensor.data[coord] = base + h
-                    up, _ = total_loss(preds, gts, weights, frozen_alphas=alphas)
+                    up = loss_and_grads(preds, gts, weights, frozen_alphas=alphas)[0]
                     tensor.data[coord] = base - h
-                    dn, _ = total_loss(preds, gts, weights, frozen_alphas=alphas)
+                    dn = loss_and_grads(preds, gts, weights, frozen_alphas=alphas)[0]
                     tensor.data[coord] = base
                     num = (up - dn) / (2 * h)
                     ana = tensor.grad[coord]

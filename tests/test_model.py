@@ -9,9 +9,8 @@ from microdet.dataio import load_config, write_config
 from microdet.losses import (
     Box,
     LossWeights,
-    collect_alphas,
     detection_loss,
-    total_loss,
+    loss_and_grads,
 )
 from microdet.metrics import GroundTruth
 from microdet.model import (
@@ -174,7 +173,7 @@ class TestEndToEndGradients:
         assert rep.passed, rep
 
     def test_loss_gradient_wrt_parameter(self):
-        """d(total_loss)/d(stem weight) against central differences.
+        """d(loss)/d(stem weight) against central differences.
 
         The CIoU alphas are collected once and pinned during the FD
         evaluations, since the analytic backward holds them constant.
@@ -191,11 +190,11 @@ class TestEndToEndGradients:
         preds = model.forward(img, tape)
         detection_loss(preds, gts, weights, tape)
         backward(tape)
-        alphas = collect_alphas(preds, gts, weights)
+        alphas = loss_and_grads(preds, gts, weights)[3]
 
         def frozen_eval():
-            return total_loss(model.forward(img), gts, weights,
-                              frozen_alphas=alphas)[0]
+            return loss_and_grads(model.forward(img), gts, weights,
+                                  frozen_alphas=alphas)[0]
 
         w = model.stem1.weight
         analytic = w.grad.copy()
