@@ -9,7 +9,6 @@ is one tape op.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -270,25 +269,6 @@ class LevelGrid:
     w: int
 
 
-@functools.lru_cache(maxsize=None)
-def _cell_squares(g: LevelGrid, img_w: int, img_h: int):
-    """Cell centres in pixels and the corners of each cell's stride-sized square.
-
-    Returns (cyc, cxc, ax1, ax2, ay1, ay2, area): rows carry y, columns x;
-    the corners are normalized exactly as `Box(...).corners()` computes them.
-    """
-    s = g.stride
-    cyc = (np.arange(g.h) + 0.5) * s
-    cxc = (np.arange(g.w) + 0.5) * s
-    ccx, ccy, cw, ch = cxc / img_w, cyc / img_h, s / img_w, s / img_h
-    ax1, ax2 = ccx - cw / 2, ccx + cw / 2
-    ay1, ay2 = (ccy - ch / 2)[:, None], (ccy + ch / 2)[:, None]
-    out = (cyc[:, None], cxc, ax1, ax2, ay1, ay2, (ax2 - ax1) * (ay2 - ay1))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 def assign_targets(gts, grids: list[LevelGrid]):
     """Center-inside + best-scale-match assignment.
 
@@ -297,51 +277,39 @@ def assign_targets(gts, grids: list[LevelGrid]):
     center falls inside the box is positive. A cell contested by several
     ground truths takes the one with the highest IoU against the cell's
     stride-sized square, ties to the smaller index. Returns, per level, a
-    sorted list of (cell_i, cell_j, gt_index).
-
-    All ground truths of a level are tested against all its cells at once.
-    The cell IoU repeats the float operations of `iou`, so contests resolve
-    exactly as the scalar function would.
+    list of (cell_i, cell_j, gt_index).
     """
     img_h = grids[0].h * grids[0].stride
     img_w = grids[0].w * grids[0].stride
-    boxes = np.array([(g.box.cx, g.box.cy, g.box.w, g.box.h) for g in gts],
-                     dtype=np.float64).reshape(-1, 4)
-    # per ground truth: normalized corners (x1, y1, x2, y2), then the same in pixels
-    half = boxes[:, 2:] / 2
-    corners = np.concatenate([boxes[:, :2] - half, boxes[:, :2] + half], axis=1)
-    pixels = corners * np.array([img_w, img_h, img_w, img_h], dtype=np.float64)
-    max_side = np.maximum(pixels[:, 2] - pixels[:, 0], pixels[:, 3] - pixels[:, 1])
-    strides = np.array([g.stride for g in grids])
-    # argmin keeps the first of equal distances: ties go to the finer level
-    level = np.abs(max_side[:, None] - 4 * strides).argmin(axis=1)
-
-    out = []
-    for li, g in enumerate(grids):
-        sel = np.flatnonzero(level == li)
-        if not sel.size:
-            out.append([])
-            continue
-        cyc, cxc, ax1, ax2, ay1, ay2, area = _cell_squares(g, img_w, img_h)
-        # axes (ground truth, row, column)
-        bx1, by1, bx2, by2 = corners[sel].T[:, :, None, None]
-        x1, y1, x2, y2 = pixels[sel].T[:, :, None, None]
-        inside = (y1 <= cyc) & (cyc <= y2) & (x1 <= cxc) & (cxc <= x2)
-        for gi in sel[inside.any(axis=(1, 2))]:
-            gts[gi].box.validate()
-        # iou(cell, box), one float operation at a time
-        iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-        ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-        inter = iw * ih
-        union = area + (bx2 - bx1) * (by2 - by1) - inter
-        # only where iou() would divide: apart, iw * ih > 0 can cancel the union
-        metric = np.divide(inter, union, out=np.zeros(inter.shape),
-                           where=~((iw <= 0) | (ih <= 0)))
-        # the first maximum wins: a tie goes to the smaller ground-truth index
-        owner = sel[np.where(inside, metric, -np.inf).argmax(axis=0)]
-        ii, jj = np.nonzero(inside.any(axis=0))
-        out.append(list(zip(ii.tolist(), jj.tolist(), owner[ii, jj].tolist())))
-    return out
+    per_level = [dict() for _ in grids]  # (i,j) -> (metric, gt_idx)
+    for gi, gt in enumerate(gts):
+        box = gt.box
+        x1 = (box.cx - box.w / 2) * img_w
+        x2 = (box.cx + box.w / 2) * img_w
+        y1 = (box.cy - box.h / 2) * img_h
+        y2 = (box.cy + box.h / 2) * img_h
+        max_side = max(x2 - x1, y2 - y1)
+        best_level = min(range(len(grids)),
+                         key=lambda l: (abs(max_side - 4 * grids[l].stride), l))
+        g = grids[best_level]
+        s = g.stride
+        for ci in range(g.h):
+            cyc = (ci + 0.5) * s
+            if not y1 <= cyc <= y2:
+                continue
+            for cj in range(g.w):
+                cxc = (cj + 0.5) * s
+                if not x1 <= cxc <= x2:
+                    continue
+                cell = Box(cxc / img_w, cyc / img_h, s / img_w, s / img_h)
+                metric = iou(cell, box)
+                cur = per_level[best_level].get((ci, cj))
+                if cur is None or metric > cur[0]:
+                    per_level[best_level][(ci, cj)] = (metric, gi)
+    return [
+        sorted((i, j, gi) for (i, j), (_, gi) in lvl.items())
+        for lvl in per_level
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +403,7 @@ def _box_terms(zs, gt, cxc, cyc, s, img_w, img_h, weights, alpha_override):
     ], axis=1) / s
     tdist = np.clip(tdist, 0.0, reg_max - 1.0)
 
-    e = np.exp(zs - zs.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(zs)
     bins = np.arange(reg_max, dtype=np.float64)
     pdist = (p * bins).sum(axis=-1)
 

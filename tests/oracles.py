@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations shared by the test suite.
 
 Everything here is deliberately slow and written from the definitions, with
-no code shared with the package paths it checks. The loss oracles are the
-exception: they loop over positive cells and call the package's scalar
-CIoU/DFL/IoU functions, which are themselves checked against definitions
-and finite differences in test_losses.py.
+no code shared with the package paths it checks. The loss oracle is the
+exception: it loops over positive cells, takes them from the package's
+`assign_targets` and calls its scalar CIoU/DFL functions, which are
+themselves checked against definitions and finite differences in
+test_losses.py.
 """
 
 import numpy as np
@@ -15,10 +16,10 @@ from microdet.losses import (
     LevelGrid,
     _ciou,
     _softmax,
+    assign_targets,
     bce_logits_map,
     dfl_loss_grad,
     expected_bin,
-    iou,
 )
 from microdet.tensor import DomainError
 
@@ -156,41 +157,6 @@ def ap_exhaustive_oracle(dets, gts, iou_t):
     return float(area)
 
 
-def assign_targets_loop_oracle(gts, grids):
-    """`losses.assign_targets` as one scalar `iou` call per (ground truth, cell)."""
-    img_h = grids[0].h * grids[0].stride
-    img_w = grids[0].w * grids[0].stride
-    per_level = [dict() for _ in grids]  # (i,j) -> (metric, gt_idx)
-    for gi, gt in enumerate(gts):
-        box = gt.box
-        x1 = (box.cx - box.w / 2) * img_w
-        x2 = (box.cx + box.w / 2) * img_w
-        y1 = (box.cy - box.h / 2) * img_h
-        y2 = (box.cy + box.h / 2) * img_h
-        max_side = max(x2 - x1, y2 - y1)
-        best_level = min(range(len(grids)),
-                         key=lambda l: (abs(max_side - 4 * grids[l].stride), l))
-        g = grids[best_level]
-        s = g.stride
-        for ci in range(g.h):
-            cyc = (ci + 0.5) * s
-            if not y1 <= cyc <= y2:
-                continue
-            for cj in range(g.w):
-                cxc = (cj + 0.5) * s
-                if not x1 <= cxc <= x2:
-                    continue
-                cell = Box(cxc / img_w, cyc / img_h, s / img_w, s / img_h)
-                metric = iou(cell, box)
-                cur = per_level[best_level].get((ci, cj))
-                if cur is None or metric > cur[0]:
-                    per_level[best_level][(ci, cj)] = (metric, gi)
-    return [
-        sorted((i, j, gi) for (i, j), (_, gi) in lvl.items())
-        for lvl in per_level
-    ]
-
-
 def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
     """`losses.loss_and_grads` as one scalar CIoU and four scalar DFL calls per positive.
 
@@ -213,7 +179,7 @@ def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
     grads = [(np.zeros_like(lv.cls.data), np.zeros_like(lv.box.data))
              for lv in preds.levels]
 
-    assignments = [assign_targets_loop_oracle(gts, grids) for gts in gts_per_image]
+    assignments = [assign_targets(gts, grids) for gts in gts_per_image]
     n_pos = sum(len(lvl) for asn in assignments for lvl in asn)
     alphas = []
 

@@ -1,16 +1,15 @@
-"""The level-wise loss and the broadcast assigner against their per-cell loops.
+"""The level-wise loss against its per-cell loop.
 
 `loss_and_grads` must match `oracles.loss_per_cell_oracle` to 1e-12
 relative on the total, every breakdown term, every gradient array and the
-CIoU alphas; `assign_targets` must equal `oracles.assign_targets_loop_oracle`
-exactly. Gradient arrays are compared elementwise against 1e-12 of the
+CIoU alphas. Gradient arrays are compared elementwise against 1e-12 of the
 array's largest magnitude, since single entries can cancel to near zero.
 """
 
 import numpy as np
 import pytest
 
-from oracles import assign_targets_loop_oracle, loss_per_cell_oracle
+from oracles import loss_per_cell_oracle
 
 from microdet.dataio import generate_toy_dataset, load_manifest
 from microdet.losses import (
@@ -57,8 +56,6 @@ def assert_close(got, want, what):
 
 
 def assert_matches_oracle(preds, gts, weights=LossWeights(), frozen_alphas=None):
-    for per_image in gts:
-        assert assign_targets(per_image, GRIDS) == assign_targets_loop_oracle(per_image, GRIDS)
     total, breakdown, grads, alphas = loss_and_grads(preds, gts, weights, frozen_alphas)
     o_total, o_breakdown, o_grads, o_alphas = loss_per_cell_oracle(preds, gts, weights,
                                                                    frozen_alphas)
@@ -196,6 +193,15 @@ class TestLossMatchesPerCellLoop:
         assert np.array_equal(returned, frozen)
         assert total != loss_and_grads(preds, gts, LossWeights())[0]
 
+    def test_bench_toy_set(self, tmp_path):
+        """The 20 two-object scenes of the benchmark's `train` set at seed 11."""
+        manifest = load_manifest(generate_toy_dataset(tmp_path, seed=11, n_images=20,
+                                                      min_objects=2, max_objects=2))
+        gts = [manifest.load_gts(idx) for idx in range(len(manifest.entries))]
+        preds = make_preds(np.random.default_rng(11), batch=len(gts), nc=2)
+        _, _, _, alphas = assert_matches_oracle(preds, gts)
+        assert alphas.size == n_positives(gts) > 0
+
     def test_weights_scale_each_term(self):
         rng = np.random.default_rng(10)
         preds = make_preds(rng, batch=1)
@@ -229,38 +235,14 @@ class TestChecks:
         with pytest.raises(DomainError, match="reg_max"):
             loss_and_grads(preds, [[_Gt(0, px_box(4, 4, 20, 20))]], LossWeights())
 
+    def test_one_alpha_per_positive(self):
+        gts = [[_Gt(0, px_box(6, 8, 24, 30))], [_Gt(0, px_box(2, 2, 62, 60))]]
+        alphas = loss_and_grads(make_preds(np.random.default_rng(0), batch=2), gts,
+                                LossWeights())[3]
+        assert alphas.size == n_positives(gts)
+
     def test_frozen_alpha_count(self):
         preds = make_preds(np.random.default_rng(0), batch=1)
         gts = [[_Gt(0, px_box(4, 4, 20, 20))]]
         with pytest.raises(DomainError, match="frozen alphas"):
             loss_and_grads(preds, gts, LossWeights(), frozen_alphas=[0.5])
-
-
-class TestAssignMatchesLoop:
-    def test_bench_toy_set(self, tmp_path):
-        """The 20 two-object scenes of the benchmark's `train` set at seed 11."""
-        manifest = load_manifest(generate_toy_dataset(tmp_path, seed=11, n_images=20,
-                                                      min_objects=2, max_objects=2))
-        for idx in range(len(manifest.entries)):
-            gts = manifest.load_gts(idx)
-            got = assign_targets(gts, GRIDS)
-            assert got == assign_targets_loop_oracle(gts, GRIDS)
-            assert sum(map(len, got)) > 0
-
-    def test_random_crowded_scenes(self):
-        """Many overlapping boxes, some on the level boundary sizes 48 and 96 px."""
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            gts = []
-            for gi in range(int(rng.integers(0, 8))):
-                side = rng.choice([float(rng.uniform(2, 64)), 48.0, 96.0])
-                x1, y1 = rng.uniform(-8, 60, size=2)
-                gts.append(_Gt(gi % 3, px_box(x1, y1, x1 + side * rng.uniform(0.3, 1),
-                                              y1 + side)))
-            assert assign_targets(gts, GRIDS) == assign_targets_loop_oracle(gts, GRIDS)
-
-    def test_matches_counted_positives(self):
-        gts = [[_Gt(0, px_box(6, 8, 24, 30))], [_Gt(0, px_box(2, 2, 62, 60))]]
-        alphas = loss_and_grads(make_preds(np.random.default_rng(0), batch=2), gts,
-                                LossWeights())[3]
-        assert alphas.size == n_positives(gts)
