@@ -32,13 +32,12 @@ from .model import (
 )
 from .losses import (
     Box,
-    DflTarget,
     LossWeights,
     assign_targets,
     bce_logits,
-    ciou_loss,
-    dfl_loss,
+    ciou,
     detection_loss,
+    dfl,
     iou,
     loss_and_grads,
 )

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .activations import mish, relu, silu
 from .dataio import (
     AnnotationError,
     _read_lines,
@@ -35,24 +34,7 @@ from .droi import (
     replay_to_csv_rows,
     replay_trajectory,
 )
-from .ghost import (
-    C3Block,
-    C3GhostSpec,
-    GhostConv,
-    GhostSpec,
-    count_params_flops,
-)
-from .losses import (
-    Box,
-    DflTarget,
-    bce_logits,
-    bce_logits_grad,
-    ciou_loss_frozen_alpha,
-    ciou_loss_grad,
-    ciou_terms,
-    dfl_loss,
-    dfl_loss_grad,
-)
+from .ghost import C3GhostSpec, GhostSpec, count_params_flops
 from .metrics import DEFAULT_IOU_THRESHOLDS, evaluate, pr_curve_rows
 from .model import (
     ModelConfig,
@@ -61,177 +43,9 @@ from .model import (
     load_weights,
     save_weights,
 )
-from .neck import IgdNeck, PyramidFeatures
-from .selftest import run_selftest
-from .simam import SimamConfig, simam_forward
-from .sppf import SimConv, SimSppf, SimSppfSpec
-from .tensor import (
-    ConvSpec,
-    DomainError,
-    ShapeError,
-    Tensor4,
-    add,
-    grad_check,
-    sum_all,
-)
+from .selftest import gradcheck_module, run_selftest
+from .tensor import ConvSpec, DomainError, ShapeError, Tensor4
 from .train import load_run_config, train_toy
-
-
-# ---------------------------------------------------------------------------
-# gradcheck
-
-
-def _loss_fd_rows(seeds):
-    """Scalar finite-difference checks for the loss kernels."""
-    rows = []
-    h = 1e-6
-    worst_ciou = worst_dfl = worst_bce = 0.0
-    for seed in seeds:
-        rng = np.random.default_rng(1000 + seed)
-        for _ in range(10):
-            pred = Box(*rng.uniform(0.35, 0.65, size=2), *rng.uniform(0.1, 0.3, size=2))
-            gt = Box(*rng.uniform(0.35, 0.65, size=2), *rng.uniform(0.1, 0.3, size=2))
-            alpha = ciou_terms(pred, gt)[3]
-            _, grad = ciou_loss_grad(pred, gt)
-            for k in range(4):
-                vals = [pred.cx, pred.cy, pred.w, pred.h]
-                vals[k] += h
-                up = ciou_loss_frozen_alpha(Box(*vals), gt, alpha)
-                vals[k] -= 2 * h
-                dn = ciou_loss_frozen_alpha(Box(*vals), gt, alpha)
-                num = (up - dn) / (2 * h)
-                rel = abs(num - grad[k]) / max(abs(num), abs(grad[k]), 1e-8)
-                worst_ciou = max(worst_ciou, rel)
-            z = rng.normal(size=8)
-            tgt = DflTarget.for_value(float(rng.uniform(0, 7)), 8)
-            _, dgrad = dfl_loss_grad(z, tgt)
-            for k in range(8):
-                zp, zm = z.copy(), z.copy()
-                zp[k] += h
-                zm[k] -= h
-                num = (dfl_loss(zp, tgt) - dfl_loss(zm, tgt)) / (2 * h)
-                rel = abs(num - dgrad[k]) / max(abs(num), abs(dgrad[k]), 1e-8)
-                worst_dfl = max(worst_dfl, rel)
-            x, t = float(rng.normal()), float(rng.uniform())
-            _, bg = bce_logits_grad(x, t)
-            num = (bce_logits(x + h, t) - bce_logits(x - h, t)) / (2 * h)
-            worst_bce = max(worst_bce, abs(num - bg) / max(abs(num), abs(bg), 1e-8))
-    rows.append(("ciou_loss", worst_ciou, worst_ciou <= 1e-4))
-    rows.append(("dfl_loss", worst_dfl, worst_dfl <= 1e-4))
-    rows.append(("bce_logits", worst_bce, worst_bce <= 1e-4))
-    return rows
-
-
-def gradcheck_module(module: str, seeds=range(5), tol=1e-4):
-    """Returns rows of (op name, max relative error, passed)."""
-    rows = []
-
-    def run(name, make_f, shape, per_seed_tol=tol):
-        worst, ok = 0.0, True
-        for seed in seeds:
-            rng = np.random.default_rng(9000 + seed)
-            f = make_f(rng)
-            rep = grad_check(f, Tensor4(rng.normal(size=shape)), tol=per_seed_tol,
-                             seed=seed)
-            worst = max(worst, rep.max_rel_err)
-            ok = ok and rep.passed
-        rows.append((name, worst, ok))
-
-    if module in ("tensor", "all"):
-        from .tensor import BatchNormState, batchnorm2d, conv2d, maxpool2d, resize_nearest
-
-        def conv_f(rng):
-            spec = ConvSpec(3, 4, k=3, s=2, p=1)
-            w = Tensor4(rng.normal(size=(4, 3, 3, 3)))
-            return lambda t, tape: conv2d(t, spec, w, tape=tape)
-
-        def bn_f(rng):
-            st = BatchNormState.create(3)
-            st.track_stats = False
-            return lambda t, tape: batchnorm2d(t, st, tape)
-
-        run("conv2d", conv_f, (2, 3, 6, 6))
-        run("batchnorm2d", bn_f, (2, 3, 5, 5))
-        run("maxpool2d", lambda rng: (lambda t, tape: maxpool2d(t, 3, 1, 1, tape)),
-            (1, 2, 6, 6))
-        run("resize_nearest", lambda rng: (lambda t, tape: resize_nearest(t, 9, 4, tape)),
-            (1, 2, 3, 4))
-    if module in ("activations", "all"):
-        run("mish", lambda rng: mish, (2, 2, 4, 4))
-        run("silu", lambda rng: silu, (2, 2, 4, 4))
-
-        def relu_away_from_kink(rng):
-            return lambda t, tape: relu(t, tape)
-
-        run("relu", relu_away_from_kink, (2, 2, 4, 4))
-    if module in ("simam", "all"):
-        run("simam_forward",
-            lambda rng: (lambda t, tape: simam_forward(t, SimamConfig(), tape)),
-            (2, 3, 4, 4))
-    if module in ("ghost", "all"):
-        def ghost_f(rng):
-            gc = GhostConv(GhostSpec(3, 8), rng=rng)
-            gc.set_training(True, track_stats=False)
-            return gc.forward
-
-        def c3_f(rng):
-            blk = C3Block(C3GhostSpec(4, 4, n=1), rng=rng)
-            blk.set_training(True, track_stats=False)
-            return blk.forward
-
-        run("ghost_conv", ghost_f, (2, 3, 4, 4))
-        run("c3ghost_block", c3_f, (1, 4, 4, 4))
-    if module in ("sppf", "all"):
-        def simconv_f(rng):
-            conv = SimConv(3, 4, k=3, rng=rng)
-            conv.bn.track_stats = False
-            return conv.forward
-
-        def sppf_f(rng):
-            block = SimSppf(SimSppfSpec(4), rng=rng)
-            block.set_training(True, track_stats=False)
-            return block.forward
-
-        run("sim_conv", simconv_f, (2, 3, 5, 5))
-        run("simsppf_forward", sppf_f, (1, 4, 5, 5))
-    if module in ("neck", "all"):
-        def neck_f(rng):
-            neck = IgdNeck((2, 4, 6), rng=rng)
-            neck.set_training(True, track_stats=False)
-            p4 = Tensor4(rng.normal(size=(1, 4, 4, 4)))
-            p5 = Tensor4(rng.normal(size=(1, 6, 2, 2)))
-
-            def f(t, tape):
-                out = neck.forward(PyramidFeatures(t, p4, p5), tape)
-                s = sum_all(out.p3, tape)
-                s = add(s, sum_all(out.p4, tape), tape)
-                return add(s, sum_all(out.p5, tape), tape)
-
-            return f
-
-        run("igd_neck_forward", neck_f, (1, 2, 8, 8))
-    if module in ("losses", "all"):
-        rows.extend(_loss_fd_rows(seeds))
-    if module in ("model", "all"):
-        def model_f(rng):
-            model = build_model(ModelConfig(), int(rng.integers(1 << 16)))
-            model.set_training(True, track_stats=False)
-
-            def f(t, tape):
-                preds = model.forward(t, tape)
-                acc = None
-                for lv in preds.levels:
-                    for tensor in (lv.cls, lv.box):
-                        s = sum_all(tensor, tape)
-                        acc = s if acc is None else add(acc, s, tape)
-                return acc
-
-            return f
-
-        run("model_end_to_end", model_f, (1, 3, 32, 32), per_seed_tol=1e-3)
-    if not rows:
-        raise DomainError("gradcheck", f"unknown module {module!r}")
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ each box side; the distance is decoded as the distribution's expectation.
 CIoU acts on the decoded box, DFL on the distribution itself, and both
 gradients are chained analytically back to the raw logits so the whole loss
 is one tape op.
+
+Each term has one array kernel returning the loss with its analytic
+gradient: `ciou` over box pairs, `dfl` over bin distributions and
+`bce_logits` elementwise. `loss_and_grads` applies them level by level to
+all positive cells of a batch.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DomainError, GradTape, Tensor4, _stable_sigmoid
+from .tensor import DomainError, GradTape, ShapeError, Tensor4, _stable_sigmoid
 
 
 @dataclass(frozen=True)
@@ -52,24 +57,6 @@ class LossWeights:
             raise DomainError("loss_weights", "at least one weight must be positive")
 
 
-@dataclass(frozen=True)
-class DflTarget:
-    """Continuous bin target y with its bracketing unit-spaced bins."""
-
-    y: float
-    y_l: int
-    y_r: int
-
-    @classmethod
-    def for_value(cls, y: float, reg_max: int):
-        if reg_max < 2:
-            raise DomainError("dfl", f"reg_max must be >= 2, got {reg_max}")
-        if not 0.0 <= y <= reg_max - 1:
-            raise DomainError("dfl", f"target {y} outside [0, {reg_max - 1}]")
-        y_l = min(int(math.floor(y)), reg_max - 2)
-        return cls(float(y), y_l, y_l + 1)
-
-
 # ---------------------------------------------------------------------------
 # box geometry
 
@@ -89,110 +76,79 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def ciou_loss(pred: Box, gt: Box) -> float:
-    """1 - IoU + center-distance/diagonal ratio + aspect consistency term."""
-    return _ciou(pred, gt)[0]
+def ciou(pred, gt, alpha=None):
+    """CIoU loss of P box pairs: 1 - IoU + rho^2/c^2 + alpha * v (Zheng et al. 2020).
 
-
-def ciou_loss_grad(pred: Box, gt: Box):
-    """Returns (loss, dloss/d(cx,cy,w,h) of pred); alpha is held constant.
-
-    Freezing alpha matches the convention of mainstream CIoU backward
-    passes; finite-difference checks must therefore evaluate the loss with
-    alpha pinned (see ciou_loss_frozen_alpha).
+    pred and gt are (P, 4) arrays of (cx, cy, w, h). Returns (loss (P,),
+    dloss/dpred (P, 4), terms), terms being the (P,) arrays (iou, rho2/c2, v,
+    alpha). The gradient holds alpha constant, the convention of mainstream
+    CIoU backward passes; passing the returned alpha back as `alpha` pins it,
+    which gives the map the gradient differentiates. alpha is 0 where its
+    denominator 1 - IoU + v is 0, and the intersection gradient is 0 for
+    disjoint pairs.
     """
-    loss, grad, _ = _ciou(pred, gt)
-    return loss, grad
+    for boxes in (pred, gt):
+        bad = np.flatnonzero((boxes[:, 2] <= 0) | (boxes[:, 3] <= 0))
+        if bad.size:
+            w, h = boxes[bad[0], 2:]
+            raise DomainError("box", f"degenerate extents w={w}, h={h}")
+    pcx, pcy, pw, ph = pred.T
+    gcx, gcy, gw, gh = gt.T
+    px1, py1, px2, py2 = pcx - pw / 2, pcy - ph / 2, pcx + pw / 2, pcy + ph / 2
+    gx1, gy1, gx2, gy2 = gcx - gw / 2, gcy - gh / 2, gcx + gw / 2, gcy + gh / 2
 
-
-def ciou_loss_frozen_alpha(pred: Box, gt: Box, alpha: float) -> float:
-    """The loss with alpha pinned to a given value: the map the backward differentiates."""
-    return _ciou(pred, gt, alpha_override=alpha)[0]
-
-
-def _ciou(pred: Box, gt: Box, alpha_override: float | None = None):
-    pred.validate()
-    gt.validate()
-    px1, py1, px2, py2 = pred.corners()
-    gx1, gy1, gx2, gy2 = gt.corners()
-
-    iw = min(px2, gx2) - max(px1, gx1)
-    ih = min(py2, gy2) - max(py1, gy1)
-    inter = max(iw, 0.0) * max(ih, 0.0)
+    iw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
+    ih = np.minimum(py2, gy2) - np.maximum(py1, gy1)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
     iou_val = inter / union
 
-    rho2 = (pred.cx - gt.cx) ** 2 + (pred.cy - gt.cy) ** 2
-    cw = max(px2, gx2) - min(px1, gx1)
-    ch = max(py2, gy2) - min(py1, gy1)
+    rho2 = (pcx - gcx) ** 2 + (pcy - gcy) ** 2
+    cw = np.maximum(px2, gx2) - np.minimum(px1, gx1)
+    ch = np.maximum(py2, gy2) - np.minimum(py1, gy1)
     c2 = cw * cw + ch * ch
 
-    delta = math.atan2(gt.w, gt.h) - math.atan2(pred.w, pred.h)
+    delta = np.arctan2(gw, gh) - np.arctan2(pw, ph)
     v = (4.0 / math.pi**2) * delta * delta
-    if alpha_override is None:
+    if alpha is None:
         denom = (1.0 - iou_val) + v
-        alpha = 0.0 if denom == 0.0 else v / denom
-    else:
-        alpha = alpha_override
+        alpha = np.divide(v, denom, out=np.zeros_like(v), where=denom != 0.0)
 
     loss = 1.0 - iou_val + rho2 / c2 + alpha * v
 
-    # gradients w.r.t. pred (cx, cy, w, h); intersection term is zero when disjoint
-    if iw > 0 and ih > 0:
-        diw = np.zeros(4)
-        dih = np.zeros(4)
-        if px2 < gx2:     # min attained by pred's right edge
-            diw[0] += 1.0
-            diw[2] += 0.5
-        if px1 > gx1:     # max attained by pred's left edge
-            diw[0] -= 1.0
-            diw[2] += 0.5
-        if py2 < gy2:
-            dih[1] += 1.0
-            dih[3] += 0.5
-        if py1 > gy1:
-            dih[1] -= 1.0
-            dih[3] += 0.5
-        dinter = diw * ih + dih * iw
-    else:
-        dinter = np.zeros(4)
-    darea = np.array([0.0, 0.0, pred.h, pred.w])
+    # which pred edge attains the intersection's min/max (in) or the hull's (out)
+    f = np.float64
+    r_in, l_in = (px2 < gx2).astype(f), (px1 > gx1).astype(f)
+    b_in, t_in = (py2 < gy2).astype(f), (py1 > gy1).astype(f)
+    r_out, l_out = (px2 > gx2).astype(f), (px1 < gx1).astype(f)
+    b_out, t_out = (py2 > gy2).astype(f), (py1 < gy1).astype(f)
+    zero = np.zeros_like(pw)
+
+    overlap = ((iw > 0) & (ih > 0))[:, None]
+    dinter = np.where(overlap, np.stack([
+        (r_in - l_in) * ih, (b_in - t_in) * iw,
+        (r_in * 0.5 + l_in * 0.5) * ih, (b_in * 0.5 + t_in * 0.5) * iw,
+    ], axis=1), 0.0)
+    darea = np.stack([zero, zero, ph, pw], axis=1)
     dunion = darea - dinter
-    diou = (dinter * union - inter * dunion) / (union * union)
+    diou = (dinter * union[:, None] - inter[:, None] * dunion) / (union * union)[:, None]
 
-    drho2 = np.array([2 * (pred.cx - gt.cx), 2 * (pred.cy - gt.cy), 0.0, 0.0])
-    dcw = np.zeros(4)
-    dch = np.zeros(4)
-    if px2 > gx2:
-        dcw[0] += 1.0
-        dcw[2] += 0.5
-    if px1 < gx1:
-        dcw[0] -= 1.0
-        dcw[2] += 0.5
-    if py2 > gy2:
-        dch[1] += 1.0
-        dch[3] += 0.5
-    if py1 < gy1:
-        dch[1] -= 1.0
-        dch[3] += 0.5
-    dc2 = 2 * cw * dcw + 2 * ch * dch
-    ddist = (drho2 * c2 - rho2 * dc2) / (c2 * c2)
+    drho2 = np.stack([2 * (pcx - gcx), 2 * (pcy - gcy), zero, zero], axis=1)
+    dc2 = np.stack([
+        2 * cw * (r_out - l_out), 2 * ch * (b_out - t_out),
+        2 * cw * (r_out * 0.5 + l_out * 0.5), 2 * ch * (b_out * 0.5 + t_out * 0.5),
+    ], axis=1)
+    ddist = (drho2 * c2[:, None] - rho2[:, None] * dc2) / (c2 * c2)[:, None]
 
-    wh2 = pred.w**2 + pred.h**2
-    dv = np.array([
-        0.0,
-        0.0,
-        -(8.0 / math.pi**2) * delta * pred.h / wh2,
-        (8.0 / math.pi**2) * delta * pred.w / wh2,
-    ])
+    wh2 = pw**2 + ph**2
+    dv = np.stack([
+        zero, zero,
+        -(8.0 / math.pi**2) * delta * ph / wh2,
+        (8.0 / math.pi**2) * delta * pw / wh2,
+    ], axis=1)
 
-    grad = -diou + ddist + alpha * dv
+    grad = -diou + ddist + alpha[:, None] * dv
     return loss, grad, (iou_val, rho2 / c2, v, alpha)
-
-
-def ciou_terms(pred: Box, gt: Box):
-    """(iou, rho2/c2, v, alpha) for inspection and range checks."""
-    return _ciou(pred, gt)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -204,56 +160,49 @@ def _softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def dfl_loss(logits: np.ndarray, target: DflTarget) -> float:
-    """-( (y_r - y) log p[y_l] + (y - y_l) log p[y_r] ) with p = softmax(logits)."""
-    return dfl_loss_grad(logits, target)[0]
+def dfl(logits, y):
+    """Distribution focal loss (Li et al. 2020) of bin distributions against continuous targets.
 
-
-def dfl_loss_grad(logits: np.ndarray, target: DflTarget):
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size < 2:
-        raise DomainError("dfl", f"logits must be a reg_max vector, got shape {z.shape}")
-    if target.y_r > z.size - 1:
-        raise DomainError("dfl", f"target bins ({target.y_l},{target.y_r}) exceed "
-                                 f"reg_max-1 = {z.size - 1}")
-    p = _softmax(z)
-    w_l = target.y_r - target.y
-    w_r = target.y - target.y_l
-    loss = -(w_l * math.log(p[target.y_l]) + w_r * math.log(p[target.y_r]))
-    grad = p * (w_l + w_r)
-    grad[target.y_l] -= w_l
-    grad[target.y_r] -= w_r
+    logits are (..., reg_max), y the (...) targets in [0, reg_max - 1]. With
+    p = softmax(logits) and the bracketing bins y_l = min(floor(y), reg_max - 2),
+    y_r = y_l + 1, the loss is -((y_r - y) log p[y_l] + (y - y_l) log p[y_r]).
+    Returns (loss (...), dloss/dlogits (..., reg_max)).
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    reg_max = logits.shape[-1]
+    if reg_max < 2:
+        raise DomainError("dfl", f"reg_max must be >= 2, got {reg_max}")
+    if y.shape != logits.shape[:-1]:
+        raise ShapeError("dfl", f"targets {y.shape} do not match logits {logits.shape}")
+    outside = ~((y >= 0.0) & (y <= reg_max - 1.0))
+    if outside.any():
+        raise DomainError("dfl", f"target {y[outside][0]} outside [0, {reg_max - 1}]")
+    p = _softmax(logits)
+    bins = np.arange(reg_max, dtype=np.float64)
+    y_l = np.minimum(np.floor(y), reg_max - 2.0)
+    y_r = y_l + 1.0
+    w_l, w_r = y_r - y, y - y_l
+    p_l = np.take_along_axis(p, y_l.astype(np.intp)[..., None], axis=-1)[..., 0]
+    p_r = np.take_along_axis(p, y_r.astype(np.intp)[..., None], axis=-1)[..., 0]
+    loss = -(w_l * np.log(p_l) + w_r * np.log(p_r))
+    grad = (p * (w_l + w_r)[..., None] - w_l[..., None] * (bins == y_l[..., None])
+            - w_r[..., None] * (bins == y_r[..., None]))
     return loss, grad
-
-
-def expected_bin(logits: np.ndarray):
-    """Expectation decode of a bin distribution: sum_i i * softmax(logits)_i."""
-    p = _softmax(np.asarray(logits, dtype=np.float64))
-    bins = np.arange(p.shape[-1], dtype=np.float64)
-    return float((p * bins).sum()) if p.ndim == 1 else (p * bins).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # binary cross entropy with logits
 
 
-def bce_logits(logit, target) -> float:
-    """Numerically stable max(x,0) - x t + log(1 + e^{-|x|})."""
-    x = float(logit)
-    t = float(target)
-    return max(x, 0.0) - x * t + math.log1p(math.exp(-abs(x)))
+def bce_logits(x, t):
+    """Elementwise stable BCE with logits and its gradient.
 
-
-def bce_logits_grad(logit, target):
-    x = float(logit)
-    s = 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
-    return bce_logits(logit, target), s - float(target)
-
-
-def bce_logits_map(logits: np.ndarray, targets: np.ndarray):
-    """Elementwise stable BCE and its gradient over arrays."""
-    x = np.asarray(logits, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
+    The loss is max(x, 0) - x t + log(1 + e^{-|x|}), the gradient sigmoid(x) - t.
+    Returns (loss, dloss/dx), both shaped like x.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
     loss = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     return loss, _stable_sigmoid(x) - t
 
@@ -316,74 +265,6 @@ def assign_targets(gts, grids: list[LevelGrid]):
 # the combined loss
 
 
-def _ciou_many(pred, gt, alpha_override=None):
-    """`_ciou` over P box pairs at once; pred, gt are (P, 4) arrays of (cx, cy, w, h).
-
-    Returns (loss (P,), dloss/dpred (P, 4), alpha (P,)). The edge cases of
-    the scalar version become masks: the intersection gradient is zero for
-    disjoint pairs, and alpha is 0 where its denominator is 0.
-    """
-    pcx, pcy, pw, ph = pred.T
-    gcx, gcy, gw, gh = gt.T
-    px1, py1, px2, py2 = pcx - pw / 2, pcy - ph / 2, pcx + pw / 2, pcy + ph / 2
-    gx1, gy1, gx2, gy2 = gcx - gw / 2, gcy - gh / 2, gcx + gw / 2, gcy + gh / 2
-
-    iw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
-    ih = np.minimum(py2, gy2) - np.maximum(py1, gy1)
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
-    iou_val = inter / union
-
-    rho2 = (pcx - gcx) ** 2 + (pcy - gcy) ** 2
-    cw = np.maximum(px2, gx2) - np.minimum(px1, gx1)
-    ch = np.maximum(py2, gy2) - np.minimum(py1, gy1)
-    c2 = cw * cw + ch * ch
-
-    delta = np.arctan2(gw, gh) - np.arctan2(pw, ph)
-    v = (4.0 / math.pi**2) * delta * delta
-    if alpha_override is None:
-        denom = (1.0 - iou_val) + v
-        alpha = np.divide(v, denom, out=np.zeros_like(v), where=denom != 0.0)
-    else:
-        alpha = alpha_override
-
-    loss = 1.0 - iou_val + rho2 / c2 + alpha * v
-
-    # which pred edge attains the intersection's min/max (in) or the hull's (out)
-    f = np.float64
-    r_in, l_in = (px2 < gx2).astype(f), (px1 > gx1).astype(f)
-    b_in, t_in = (py2 < gy2).astype(f), (py1 > gy1).astype(f)
-    r_out, l_out = (px2 > gx2).astype(f), (px1 < gx1).astype(f)
-    b_out, t_out = (py2 > gy2).astype(f), (py1 < gy1).astype(f)
-    zero = np.zeros_like(pw)
-
-    overlap = ((iw > 0) & (ih > 0))[:, None]
-    dinter = np.where(overlap, np.stack([
-        (r_in - l_in) * ih, (b_in - t_in) * iw,
-        (r_in * 0.5 + l_in * 0.5) * ih, (b_in * 0.5 + t_in * 0.5) * iw,
-    ], axis=1), 0.0)
-    darea = np.stack([zero, zero, ph, pw], axis=1)
-    dunion = darea - dinter
-    diou = (dinter * union[:, None] - inter[:, None] * dunion) / (union * union)[:, None]
-
-    drho2 = np.stack([2 * (pcx - gcx), 2 * (pcy - gcy), zero, zero], axis=1)
-    dc2 = np.stack([
-        2 * cw * (r_out - l_out), 2 * ch * (b_out - t_out),
-        2 * cw * (r_out * 0.5 + l_out * 0.5), 2 * ch * (b_out * 0.5 + t_out * 0.5),
-    ], axis=1)
-    ddist = (drho2 * c2[:, None] - rho2[:, None] * dc2) / (c2 * c2)[:, None]
-
-    wh2 = pw**2 + ph**2
-    dv = np.stack([
-        zero, zero,
-        -(8.0 / math.pi**2) * delta * ph / wh2,
-        (8.0 / math.pi**2) * delta * pw / wh2,
-    ], axis=1)
-
-    grad = -diou + ddist + alpha[:, None] * dv
-    return loss, grad, alpha
-
-
 def _box_terms(zs, gt, cxc, cyc, s, img_w, img_h, weights, alpha_override):
     """CIoU and DFL over the P positives of one level.
 
@@ -394,14 +275,14 @@ def _box_terms(zs, gt, cxc, cyc, s, img_w, img_h, weights, alpha_override):
     CIoU alphas.
     """
     reg_max = zs.shape[-1]
-    if reg_max < 2:
-        raise DomainError("dfl", f"reg_max must be >= 2, got {reg_max}")
     gx1, gy1 = gt[:, 0] - gt[:, 2] / 2, gt[:, 1] - gt[:, 3] / 2
     gx2, gy2 = gt[:, 0] + gt[:, 2] / 2, gt[:, 1] + gt[:, 3] / 2
     tdist = np.stack([
         cxc - gx1 * img_w, cyc - gy1 * img_h, gx2 * img_w - cxc, gy2 * img_h - cyc,
     ], axis=1) / s
     tdist = np.clip(tdist, 0.0, reg_max - 1.0)
+    # first, so a reg_max below 2 is reported before any box check
+    dloss, dgrad = dfl(zs, tdist)
 
     p = _softmax(zs)
     bins = np.arange(reg_max, dtype=np.float64)
@@ -413,11 +294,7 @@ def _box_terms(zs, gt, cxc, cyc, s, img_w, img_h, weights, alpha_override):
         (pdist[:, 0] + pdist[:, 2]) * s / img_w,
         (pdist[:, 1] + pdist[:, 3]) * s / img_h,
     ], axis=1)
-    bad = np.flatnonzero((pred[:, 2] <= 0) | (pred[:, 3] <= 0))
-    if bad.size:
-        w, h = pred[bad[0], 2:]
-        raise DomainError("box", f"degenerate extents w={w}, h={h}")
-    closs, cgrad, alpha = _ciou_many(pred, gt, alpha_override)
+    closs, cgrad, (_, _, _, alpha) = ciou(pred, gt, alpha_override)
 
     # d(box params)/d(dist): cx <- (r - l), w <- (l + r), per axis
     sx, sy = s / img_w, s / img_h
@@ -427,16 +304,6 @@ def _box_terms(zs, gt, cxc, cyc, s, img_w, img_h, weights, alpha_override):
         cgrad[:, 0] * sx / 2 + cgrad[:, 2] * sx,
         cgrad[:, 1] * sy / 2 + cgrad[:, 3] * sy,
     ], axis=1)
-
-    # DFL against the bracketing bins y_l = min(floor(y), reg_max - 2), y_r = y_l + 1
-    y_l = np.minimum(np.floor(tdist), reg_max - 2.0)
-    y_r = y_l + 1.0
-    w_l, w_r = y_r - tdist, tdist - y_l
-    p_l = np.take_along_axis(p, y_l.astype(np.intp)[..., None], axis=-1)[..., 0]
-    p_r = np.take_along_axis(p, y_r.astype(np.intp)[..., None], axis=-1)[..., 0]
-    dloss = -(w_l * np.log(p_l) + w_r * np.log(p_r))
-    dgrad = (p * (w_l + w_r)[..., None] - w_l[..., None] * (bins == y_l[..., None])
-             - w_r[..., None] * (bins == y_r[..., None]))
 
     # DFL on the distribution, plus CIoU chained through the expectation decode
     dz = (dgrad / 4.0 * weights.lambda_dfl
@@ -490,7 +357,7 @@ def loss_and_grads(preds, gts_per_image, weights: LossWeights, frozen_alphas=Non
 
         targets = np.zeros_like(lv.cls.data)
         targets[b, gt_cls[k], i, j] = 1.0
-        loss_map, grad_map = bce_logits_map(lv.cls.data, targets)
+        loss_map, grad_map = bce_logits(lv.cls.data, targets)
         cls_sum += loss_map.sum()
         dbox = np.zeros_like(lv.box.data)
         grads.append((grad_map * (weights.lambda_cls / cls_den), dbox))

@@ -1,53 +1,134 @@
-"""Self-contained invariant suites for the CLI, one deterministic line per suite.
+"""Self-contained invariant suites for the CLI, one deterministic line per suite,
+and the finite-difference gradient registry behind `microdet gradcheck`.
 
-The brute-force references embedded here (scalar convolution, exhaustive AP
-sweep) are intentionally separate from the package's fast paths so each
-check still runs two independent routes.
+The brute-force references here (scalar convolution, exhaustive AP sweep with
+its own corner IoU) are intentionally separate from the package's fast paths
+so each check still runs two independent routes; the test suite uses the
+same references.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .activations import mish, mish_grad_np, mish_np
+from .activations import mish, mish_grad_np, mish_np, relu, silu
 from .dataio import generate_toy_scene
 from .droi import DroiConfig, critical_width
-from .ghost import C3GhostSpec, ConvSpec, GhostSpec, count_params_flops
-from .losses import Box, DflTarget, bce_logits, ciou_loss, dfl_loss, iou
+from .ghost import C3Block, C3GhostSpec, ConvSpec, GhostConv, GhostSpec, count_params_flops
+from .losses import Box, bce_logits, ciou, dfl
 from .metrics import Detection, GroundTruth, average_precision
 from .model import ModelConfig, build_model
+from .neck import IgdNeck, PyramidFeatures
 from .simam import SimamConfig, energy_numeric_oracle, simam_energy_min, simam_forward
-from .sppf import SimSppf, SimSppfSpec
+from .sppf import SimConv, SimSppf, SimSppfSpec
 from .tensor import (
     BatchNormState,
+    DomainError,
     GradTape,
     Tensor4,
+    add,
     batchnorm2d,
     conv2d,
     grad_check,
     maxpool2d,
+    resize_nearest,
+    sum_all,
 )
 
 
-def _conv_scalar(x, w, s, p):
+# ---------------------------------------------------------------------------
+# brute-force references
+
+
+def conv2d_scalar_oracle(x, w, s, p, g=1, bias=None):
+    """Quadruple-loop cross-correlation over explicit indices."""
     n, c_in, h, wd = x.shape
-    c_out, _, k, _ = w.shape
+    c_out, cg, k, _ = w.shape
     ho = (h + 2 * p - k) // s + 1
     wo = (wd + 2 * p - k) // s + 1
     out = np.zeros((n, c_out, ho, wo))
     for ni in range(n):
         for oc in range(c_out):
+            gi = oc // (c_out // g)
             for oi in range(ho):
                 for oj in range(wo):
                     acc = 0.0
-                    for ci in range(c_in):
+                    for ci in range(cg):
+                        ic = gi * cg + ci
                         for ki in range(k):
                             for kj in range(k):
-                                ii, jj = oi * s + ki - p, oj * s + kj - p
+                                ii = oi * s + ki - p
+                                jj = oj * s + kj - p
                                 if 0 <= ii < h and 0 <= jj < wd:
-                                    acc += x[ni, ci, ii, jj] * w[oc, ci, ki, kj]
+                                    acc += x[ni, ic, ii, jj] * w[oc, ci, ki, kj]
+                    if bias is not None:
+                        acc += bias[oc]
                     out[ni, oc, oi, oj] = acc
     return out
+
+
+def iou_corner_oracle(a, b):
+    """IoU of two (x1,y1,x2,y2) boxes from the definition."""
+    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
+    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
+    inter = ix * iy
+    ua = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    return inter / ua if ua > 0 else 0.0
+
+
+def ap_exhaustive_oracle(dets, gts, iou_t):
+    """Exhaustive threshold-sweep AP for one class, rematched per threshold.
+
+    dets: list of (confidence, corners, image_id); gts: list of
+    (corners, image_id), both already filtered to the class. For every
+    distinct confidence the kept subset is matched greedily from scratch
+    (confidence order, best IoU >= iou_t, per image); the resulting PR
+    points are integrated under the monotone envelope.
+    """
+    n_gt = len(gts)
+    if n_gt == 0 or not dets:
+        return 0.0
+
+    def match_subset(thr):
+        kept = [d for d in dets if d[0] >= thr]
+        kept = [kept[i] for i in sorted(range(len(kept)),
+                                        key=lambda i: (-kept[i][0], i))]
+        used = [False] * len(gts)
+        tp = 0
+        for conf, corners, img in kept:
+            best_iou, best_gi = iou_t, -1
+            for gi, (gcorners, gimg) in enumerate(gts):
+                if used[gi] or gimg != img:
+                    continue
+                val = iou_corner_oracle(corners, gcorners)
+                if val <= 0:
+                    continue
+                if val > best_iou or (val == best_iou and best_gi == -1):
+                    best_iou, best_gi = val, gi
+            if best_gi >= 0:
+                used[best_gi] = True
+                tp += 1
+        return tp, len(kept)
+
+    points = []
+    for thr in sorted({c for c, _, _ in dets}, reverse=True):
+        tp, n_det = match_subset(thr)
+        recall = tp / n_gt
+        precision = tp / n_det if n_det else 0.0
+        points.append((recall, precision))
+    points.sort(key=lambda rp: rp[0])
+    points = [(0.0, 1.0)] + points
+    recalls = np.array([r for r, _ in points])
+    precs = np.array([p for _, p in points])
+    env = np.maximum.accumulate(precs[::-1])[::-1]
+    area = 0.0
+    for i in range(1, len(recalls)):
+        area += (recalls[i] - recalls[i - 1]) * env[i]
+    return float(area)
+
+
+# ---------------------------------------------------------------------------
+# invariant suites
 
 
 def suite_conv_oracle():
@@ -56,7 +137,7 @@ def suite_conv_oracle():
     w = rng.integers(-3, 4, size=(4, 3, 3, 3)).astype(float)
     spec = ConvSpec(3, 4, k=3, s=2, p=1)
     fast = conv2d(Tensor4(x), spec, Tensor4(w)).data
-    if not np.array_equal(fast, _conv_scalar(x, w, 2, 1)):
+    if not np.array_equal(fast, conv2d_scalar_oracle(x, w, 2, 1)):
         return "conv2d disagrees with the scalar quadruple loop"
     again = conv2d(Tensor4(x), spec, Tensor4(w)).data
     if not np.array_equal(fast, again):
@@ -140,51 +221,21 @@ def suite_sppf():
 
 
 def suite_losses():
-    b = Box(0.5, 0.5, 0.25, 0.25)
-    if ciou_loss(b, b) > 1e-12:
+    b = np.array([[0.5, 0.5, 0.25, 0.25]])
+    if ciou(b, b)[0][0] > 1e-12:
         return "ciou(b, b) != 0"
-    pred = Box(1 / 8, 1 / 8, 2 / 8, 2 / 8)
-    gt = Box(3 / 8, 1 / 8, 2 / 8, 2 / 8)
-    if abs(ciou_loss(pred, gt) - 1.2) > 1e-9:
+    pred = np.array([[1 / 8, 1 / 8, 2 / 8, 2 / 8]])
+    gt = np.array([[3 / 8, 1 / 8, 2 / 8, 2 / 8]])
+    if abs(ciou(pred, gt)[0][0] - 1.2) > 1e-9:
         return "disjoint hand case != 1.2"
     logits = np.full(8, -40.0)
     logits[2] = 10.0
     logits[3] = 10.0
-    if abs(dfl_loss(logits, DflTarget.for_value(2.5, 8)) - np.log(2)) > 1e-9:
+    if abs(dfl(logits, 2.5)[0] - np.log(2)) > 1e-9:
         return "midpoint dfl != ln 2"
-    if abs(bce_logits(0.0, 1.0) - np.log(2)) > 1e-12 or bce_logits(100.0, 1.0) > 1e-12:
+    if abs(bce_logits(0.0, 1.0)[0] - np.log(2)) > 1e-12 or bce_logits(100.0, 1.0)[0] > 1e-12:
         return "bce values wrong"
     return None
-
-
-def _ap_bruteforce(dets, gts, iou_t):
-    if not gts:
-        return 0.0
-    points = [(0.0, 1.0)]
-    for thr in sorted({d.confidence for d in dets}, reverse=True):
-        kept = sorted([d for d in dets if d.confidence >= thr],
-                      key=lambda d: -d.confidence)
-        used = [False] * len(gts)
-        tp = 0
-        for d in kept:
-            best, bi = iou_t, -1
-            for gi, g in enumerate(gts):
-                if used[gi] or g.image_id != d.image_id:
-                    continue
-                val = iou(d.box, g.box)
-                if val <= 0:
-                    continue
-                if val > best or (val == best and bi == -1):
-                    best, bi = val, gi
-            if bi >= 0:
-                used[bi] = True
-                tp += 1
-        points.append((tp / len(gts), tp / len(kept) if kept else 0.0))
-    points.sort(key=lambda rp: rp[0])
-    rc = np.array([r for r, _ in points])
-    pr = np.array([p for _, p in points])
-    env = np.maximum.accumulate(pr[::-1])[::-1]
-    return float(((rc[1:] - rc[:-1]) * env[1:]).sum())
 
 
 def suite_metrics():
@@ -204,7 +255,9 @@ def suite_metrics():
                 dets.append(Detection(0, float(rng.uniform(0.2, 1.0)),
                                       Box(*rng.uniform(0.3, 0.6, size=2), 0.1, 0.1), img))
         fast = average_precision(dets, gts, 0, 0.5)
-        slow = _ap_bruteforce(dets, gts, 0.5)
+        slow = ap_exhaustive_oracle(
+            [(d.confidence, d.box.corners(), d.image_id) for d in dets],
+            [(g.box.corners(), g.image_id) for g in gts], 0.5)
         if abs(fast - slow) > 1e-9:
             return f"AP {fast} != brute force {slow}"
     return None
@@ -276,3 +329,162 @@ def run_selftest(out=print):
             out(f"FAIL {name}: {detail}")
     out(f"{len(SUITES) - failures}/{len(SUITES)} suites passed")
     return failures
+
+
+# ---------------------------------------------------------------------------
+# gradcheck
+
+
+def _loss_fd_rows(seeds):
+    """Finite-difference checks of the loss kernels training runs.
+
+    CIoU is differentiated with alpha pinned at its base value, the map its
+    analytic gradient differentiates.
+    """
+    rows = []
+    h = 1e-6
+    worst_ciou = worst_dfl = worst_bce = 0.0
+    for seed in seeds:
+        rng = np.random.default_rng(1000 + seed)
+        for _ in range(10):
+            pred = np.concatenate([rng.uniform(0.35, 0.65, size=2),
+                                   rng.uniform(0.1, 0.3, size=2)])[None]
+            gt = np.concatenate([rng.uniform(0.35, 0.65, size=2),
+                                 rng.uniform(0.1, 0.3, size=2)])[None]
+            _, grad, (_, _, _, alpha) = ciou(pred, gt)
+            for k in range(4):
+                step = np.zeros((1, 4))
+                step[0, k] = h
+                up = ciou(pred + step, gt, alpha)[0][0]
+                dn = ciou(pred - step, gt, alpha)[0][0]
+                num = (up - dn) / (2 * h)
+                rel = abs(num - grad[0, k]) / max(abs(num), abs(grad[0, k]), 1e-8)
+                worst_ciou = max(worst_ciou, rel)
+            z = rng.normal(size=8)
+            y = float(rng.uniform(0, 7))
+            _, dgrad = dfl(z, y)
+            for k in range(8):
+                zp, zm = z.copy(), z.copy()
+                zp[k] += h
+                zm[k] -= h
+                num = (dfl(zp, y)[0] - dfl(zm, y)[0]) / (2 * h)
+                rel = abs(num - dgrad[k]) / max(abs(num), abs(dgrad[k]), 1e-8)
+                worst_dfl = max(worst_dfl, rel)
+            x, t = float(rng.normal()), float(rng.uniform())
+            _, bg = bce_logits(x, t)
+            num = (bce_logits(x + h, t)[0] - bce_logits(x - h, t)[0]) / (2 * h)
+            worst_bce = max(worst_bce, abs(num - bg) / max(abs(num), abs(bg), 1e-8))
+    rows.append(("ciou_loss", worst_ciou, worst_ciou <= 1e-4))
+    rows.append(("dfl_loss", worst_dfl, worst_dfl <= 1e-4))
+    rows.append(("bce_logits", worst_bce, worst_bce <= 1e-4))
+    return rows
+
+
+def gradcheck_module(module: str, seeds=range(5), tol=1e-4):
+    """Returns rows of (op name, max relative error, passed)."""
+    rows = []
+
+    def run(name, make_f, shape, per_seed_tol=tol):
+        worst, ok = 0.0, True
+        for seed in seeds:
+            rng = np.random.default_rng(9000 + seed)
+            f = make_f(rng)
+            rep = grad_check(f, Tensor4(rng.normal(size=shape)), tol=per_seed_tol,
+                             seed=seed)
+            worst = max(worst, rep.max_rel_err)
+            ok = ok and rep.passed
+        rows.append((name, worst, ok))
+
+    if module in ("tensor", "all"):
+        def conv_f(rng):
+            spec = ConvSpec(3, 4, k=3, s=2, p=1)
+            w = Tensor4(rng.normal(size=(4, 3, 3, 3)))
+            return lambda t, tape: conv2d(t, spec, w, tape=tape)
+
+        def bn_f(rng):
+            st = BatchNormState.create(3)
+            st.track_stats = False
+            return lambda t, tape: batchnorm2d(t, st, tape)
+
+        run("conv2d", conv_f, (2, 3, 6, 6))
+        run("batchnorm2d", bn_f, (2, 3, 5, 5))
+        run("maxpool2d", lambda rng: (lambda t, tape: maxpool2d(t, 3, 1, 1, tape)),
+            (1, 2, 6, 6))
+        run("resize_nearest", lambda rng: (lambda t, tape: resize_nearest(t, 9, 4, tape)),
+            (1, 2, 3, 4))
+    if module in ("activations", "all"):
+        run("mish", lambda rng: mish, (2, 2, 4, 4))
+        run("silu", lambda rng: silu, (2, 2, 4, 4))
+
+        def relu_away_from_kink(rng):
+            return lambda t, tape: relu(t, tape)
+
+        run("relu", relu_away_from_kink, (2, 2, 4, 4))
+    if module in ("simam", "all"):
+        run("simam_forward",
+            lambda rng: (lambda t, tape: simam_forward(t, SimamConfig(), tape)),
+            (2, 3, 4, 4))
+    if module in ("ghost", "all"):
+        def ghost_f(rng):
+            gc = GhostConv(GhostSpec(3, 8), rng=rng)
+            gc.set_training(True, track_stats=False)
+            return gc.forward
+
+        def c3_f(rng):
+            blk = C3Block(C3GhostSpec(4, 4, n=1), rng=rng)
+            blk.set_training(True, track_stats=False)
+            return blk.forward
+
+        run("ghost_conv", ghost_f, (2, 3, 4, 4))
+        run("c3ghost_block", c3_f, (1, 4, 4, 4))
+    if module in ("sppf", "all"):
+        def simconv_f(rng):
+            conv = SimConv(3, 4, k=3, rng=rng)
+            conv.bn.track_stats = False
+            return conv.forward
+
+        def sppf_f(rng):
+            block = SimSppf(SimSppfSpec(4), rng=rng)
+            block.set_training(True, track_stats=False)
+            return block.forward
+
+        run("sim_conv", simconv_f, (2, 3, 5, 5))
+        run("simsppf_forward", sppf_f, (1, 4, 5, 5))
+    if module in ("neck", "all"):
+        def neck_f(rng):
+            neck = IgdNeck((2, 4, 6), rng=rng)
+            neck.set_training(True, track_stats=False)
+            p4 = Tensor4(rng.normal(size=(1, 4, 4, 4)))
+            p5 = Tensor4(rng.normal(size=(1, 6, 2, 2)))
+
+            def f(t, tape):
+                out = neck.forward(PyramidFeatures(t, p4, p5), tape)
+                s = sum_all(out.p3, tape)
+                s = add(s, sum_all(out.p4, tape), tape)
+                return add(s, sum_all(out.p5, tape), tape)
+
+            return f
+
+        run("igd_neck_forward", neck_f, (1, 2, 8, 8))
+    if module in ("losses", "all"):
+        rows.extend(_loss_fd_rows(seeds))
+    if module in ("model", "all"):
+        def model_f(rng):
+            model = build_model(ModelConfig(), int(rng.integers(1 << 16)))
+            model.set_training(True, track_stats=False)
+
+            def f(t, tape):
+                preds = model.forward(t, tape)
+                acc = None
+                for lv in preds.levels:
+                    for tensor in (lv.cls, lv.box):
+                        s = sum_all(tensor, tape)
+                        acc = s if acc is None else add(acc, s, tape)
+                return acc
+
+            return f
+
+        run("model_end_to_end", model_f, (1, 3, 32, 32), per_seed_tol=1e-3)
+    if not rows:
+        raise DomainError("gradcheck", f"unknown module {module!r}")
+    return rows

@@ -25,25 +25,6 @@ class SimamConfig:
             raise DomainError("simam", f"lambda must be positive, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class EnergyStats:
-    """Spatial mean/variance of one (sample, channel) slice and its neuron count."""
-
-    mu_hat: float
-    sigma2_hat: float
-    m: int
-
-
-def channel_stats(sl: np.ndarray) -> EnergyStats:
-    """Shared statistics over all M spatial positions; variance divisor M-1."""
-    m = sl.size
-    if m < 2:
-        raise ShapeError("simam", f"spatial size {m} < 2, variance undefined")
-    mu = float(sl.mean())
-    sigma2 = float(((sl - mu) ** 2).sum() / (m - 1))
-    return EnergyStats(mu, sigma2, m)
-
-
 def simam_energy_min(t: float, mu: float, sigma2: float, lam: float) -> float:
     """Closed-form minimum energy for one neuron: 4(s2+l) / ((t-mu)^2 + 2 s2 + 2 l)."""
     if lam <= 0:

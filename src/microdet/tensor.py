@@ -48,10 +48,6 @@ class Tensor4:
         return cls(np.zeros((n, c, h, w)))
 
     @classmethod
-    def full(cls, shape, value):
-        return cls(np.full(shape, float(value)))
-
-    @classmethod
     def scalar(cls, value):
         return cls(np.full((1, 1, 1, 1), float(value)))
 
@@ -67,11 +63,6 @@ class Tensor4:
         if self.data.size != 1:
             raise ShapeError("item", f"needs a single element, shape is {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def ensure_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
 
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)

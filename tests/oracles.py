@@ -1,54 +1,20 @@
 """Independent brute-force reference implementations shared by the test suite.
 
 Everything here is deliberately slow and written from the definitions, with
-no code shared with the package paths it checks. The loss oracle is the
-exception: it loops over positive cells, takes them from the package's
-`assign_targets` and calls its scalar CIoU/DFL functions, which are
-themselves checked against definitions and finite differences in
-test_losses.py.
+no code shared with the package paths it checks. The scalar convolution and
+the exhaustive AP sweep (with its corner IoU) live in `microdet.selftest`,
+since the CLI selftest runs them too, and are re-exported here. The loss
+oracle loops over positive cells with the scalar CIoU, DFL and BCE below; it
+shares only `assign_targets` with the package.
 """
+
+import math
 
 import numpy as np
 
-from microdet.losses import (
-    Box,
-    DflTarget,
-    LevelGrid,
-    _ciou,
-    _softmax,
-    assign_targets,
-    bce_logits_map,
-    dfl_loss_grad,
-    expected_bin,
-)
+from microdet.losses import LevelGrid, assign_targets
+from microdet.selftest import ap_exhaustive_oracle, conv2d_scalar_oracle  # re-exported
 from microdet.tensor import DomainError
-
-
-def conv2d_scalar_oracle(x, w, s, p, g=1, bias=None):
-    """Quadruple-loop cross-correlation over explicit indices."""
-    n, c_in, h, wd = x.shape
-    c_out, cg, k, _ = w.shape
-    ho = (h + 2 * p - k) // s + 1
-    wo = (wd + 2 * p - k) // s + 1
-    out = np.zeros((n, c_out, ho, wo))
-    for ni in range(n):
-        for oc in range(c_out):
-            gi = oc // (c_out // g)
-            for oi in range(ho):
-                for oj in range(wo):
-                    acc = 0.0
-                    for ci in range(cg):
-                        ic = gi * cg + ci
-                        for ki in range(k):
-                            for kj in range(k):
-                                ii = oi * s + ki - p
-                                jj = oj * s + kj - p
-                                if 0 <= ii < h and 0 <= jj < wd:
-                                    acc += x[ni, ic, ii, jj] * w[oc, ci, ki, kj]
-                    if bias is not None:
-                        acc += bias[oc]
-                    out[ni, oc, oi, oj] = acc
-    return out
 
 
 def maxpool_scalar_oracle(x, k, s, p):
@@ -82,15 +48,6 @@ def mish_scalar(x):
     return x * np.tanh(np.logaddexp(0.0, x))
 
 
-def iou_corner_oracle(a, b):
-    """IoU of two (x1,y1,x2,y2) boxes from the definition."""
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    ua = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    return inter / ua if ua > 0 else 0.0
-
-
 def iou_raster_oracle(a, b, cells=2000):
     """Rasterized IoU estimate on a cells x cells grid over [0,1]^2."""
     xs = (np.arange(cells) + 0.5) / cells
@@ -106,59 +63,121 @@ def iou_raster_oracle(a, b, cells=2000):
     return inter / union if union else 0.0
 
 
-def ap_exhaustive_oracle(dets, gts, iou_t):
-    """Exhaustive threshold-sweep AP for one class, rematched per threshold.
+def ciou_oracle(pred, gt, alpha=None):
+    """CIoU of one (cx, cy, w, h) box pair with its gradient w.r.t. pred.
 
-    dets: list of (confidence, corners, image_id); gts: list of
-    (corners, image_id), both already filtered to the class. For every
-    distinct confidence the kept subset is matched greedily from scratch
-    (confidence order, best IoU >= iou_t, per image); the resulting PR
-    points are integrated under the monotone envelope.
+    Branches on which edge attains each min/max of the intersection and the
+    enclosing hull. alpha is held constant in the gradient; a given alpha
+    pins it. Returns (loss, grad (4,), (iou, rho2/c2, v, alpha)).
     """
-    n_gt = len(gts)
-    if n_gt == 0 or not dets:
-        return 0.0
+    pcx, pcy, pw, ph = pred
+    gcx, gcy, gw, gh = gt
+    px1, py1, px2, py2 = pcx - pw / 2, pcy - ph / 2, pcx + pw / 2, pcy + ph / 2
+    gx1, gy1, gx2, gy2 = gcx - gw / 2, gcy - gh / 2, gcx + gw / 2, gcy + gh / 2
 
-    def match_subset(thr):
-        kept = [d for d in dets if d[0] >= thr]
-        kept = [kept[i] for i in sorted(range(len(kept)),
-                                        key=lambda i: (-kept[i][0], i))]
-        used = [False] * len(gts)
-        tp = 0
-        for conf, corners, img in kept:
-            best_iou, best_gi = iou_t, -1
-            for gi, (gcorners, gimg) in enumerate(gts):
-                if used[gi] or gimg != img:
-                    continue
-                val = iou_corner_oracle(corners, gcorners)
-                if val <= 0:
-                    continue
-                if val > best_iou or (val == best_iou and best_gi == -1):
-                    best_iou, best_gi = val, gi
-            if best_gi >= 0:
-                used[best_gi] = True
-                tp += 1
-        return tp, len(kept)
+    iw = min(px2, gx2) - max(px1, gx1)
+    ih = min(py2, gy2) - max(py1, gy1)
+    inter = max(iw, 0.0) * max(ih, 0.0)
+    union = (px2 - px1) * (py2 - py1) + (gx2 - gx1) * (gy2 - gy1) - inter
+    iou_val = inter / union
 
-    points = []
-    for thr in sorted({c for c, _, _ in dets}, reverse=True):
-        tp, n_det = match_subset(thr)
-        recall = tp / n_gt
-        precision = tp / n_det if n_det else 0.0
-        points.append((recall, precision))
-    points.sort(key=lambda rp: rp[0])
-    points = [(0.0, 1.0)] + points
-    recalls = np.array([r for r, _ in points])
-    precs = np.array([p for _, p in points])
-    env = np.maximum.accumulate(precs[::-1])[::-1]
-    area = 0.0
-    for i in range(1, len(recalls)):
-        area += (recalls[i] - recalls[i - 1]) * env[i]
-    return float(area)
+    rho2 = (pcx - gcx) ** 2 + (pcy - gcy) ** 2
+    cw = max(px2, gx2) - min(px1, gx1)
+    ch = max(py2, gy2) - min(py1, gy1)
+    c2 = cw * cw + ch * ch
+
+    delta = math.atan2(gw, gh) - math.atan2(pw, ph)
+    v = (4.0 / math.pi**2) * delta * delta
+    if alpha is None:
+        denom = (1.0 - iou_val) + v
+        alpha = 0.0 if denom == 0.0 else v / denom
+
+    loss = 1.0 - iou_val + rho2 / c2 + alpha * v
+
+    # the intersection term is zero when the boxes are disjoint
+    dinter = np.zeros(4)
+    if iw > 0 and ih > 0:
+        diw = np.zeros(4)
+        dih = np.zeros(4)
+        if px2 < gx2:     # min attained by pred's right edge
+            diw[0] += 1.0
+            diw[2] += 0.5
+        if px1 > gx1:     # max attained by pred's left edge
+            diw[0] -= 1.0
+            diw[2] += 0.5
+        if py2 < gy2:
+            dih[1] += 1.0
+            dih[3] += 0.5
+        if py1 > gy1:
+            dih[1] -= 1.0
+            dih[3] += 0.5
+        dinter = diw * ih + dih * iw
+    dunion = np.array([0.0, 0.0, ph, pw]) - dinter
+    diou = (dinter * union - inter * dunion) / (union * union)
+
+    drho2 = np.array([2 * (pcx - gcx), 2 * (pcy - gcy), 0.0, 0.0])
+    dcw = np.zeros(4)
+    dch = np.zeros(4)
+    if px2 > gx2:
+        dcw[0] += 1.0
+        dcw[2] += 0.5
+    if px1 < gx1:
+        dcw[0] -= 1.0
+        dcw[2] += 0.5
+    if py2 > gy2:
+        dch[1] += 1.0
+        dch[3] += 0.5
+    if py1 < gy1:
+        dch[1] -= 1.0
+        dch[3] += 0.5
+    dc2 = 2 * cw * dcw + 2 * ch * dch
+    ddist = (drho2 * c2 - rho2 * dc2) / (c2 * c2)
+
+    wh2 = pw**2 + ph**2
+    dv = np.array([0.0, 0.0, -(8.0 / math.pi**2) * delta * ph / wh2,
+                   (8.0 / math.pi**2) * delta * pw / wh2])
+
+    grad = -diou + ddist + alpha * dv
+    return loss, grad, (iou_val, rho2 / c2, v, alpha)
+
+
+def _softmax_oracle(z):
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def expected_bin_oracle(logits):
+    """Expectation of one bin distribution: sum_i i * softmax(logits)_i."""
+    z = np.asarray(logits, dtype=np.float64)
+    return float((_softmax_oracle(z) * np.arange(z.size)).sum())
+
+
+def dfl_oracle(logits, y):
+    """DFL of one bin distribution against target y, with its gradient.
+
+    -((y_r - y) log p[y_l] + (y - y_l) log p[y_r]) for p = softmax(logits)
+    and the unit-spaced bins y_l = min(floor(y), reg_max - 2), y_r = y_l + 1.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    y_l = min(int(math.floor(y)), z.size - 2)
+    y_r = y_l + 1
+    p = _softmax_oracle(z)
+    w_l, w_r = y_r - y, y - y_l
+    loss = -(w_l * math.log(p[y_l]) + w_r * math.log(p[y_r]))
+    grad = p * (w_l + w_r)
+    grad[y_l] -= w_l
+    grad[y_r] -= w_r
+    return loss, grad
+
+
+def bce_oracle(x, t):
+    """log(1 + e^x) - x t and its gradient sigmoid(x) - t, elementwise."""
+    return np.logaddexp(0.0, x) - x * t, 0.5 * (1.0 + np.tanh(x / 2)) - t
 
 
 def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
-    """`losses.loss_and_grads` as one scalar CIoU and four scalar DFL calls per positive.
+    """`losses.loss_and_grads` as a loop over positive cells, one scalar CIoU and
+    four scalar DFL calls each, with one BCE map per image and level.
 
     Same contract and the same level-major alpha order: (total, breakdown,
     grads, alphas).
@@ -191,13 +210,15 @@ def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
             targets = np.zeros((nc, g.h, g.w))
             for ci, cj, gi in asn[li]:
                 targets[gts[gi].class_id, ci, cj] = 1.0
-            loss_map, grad_map = bce_logits_map(lv.cls.data[b], targets)
+            loss_map, grad_map = bce_oracle(lv.cls.data[b], targets)
             cls_sum += loss_map.sum()
             grads[li][0][b] += grad_map
 
             for ci, cj, gi in asn[li]:
-                gt_box = gts[gi].box
-                gx1, gy1, gx2, gy2 = gt_box.corners()
+                gt = gts[gi].box
+                gt_box = (gt.cx, gt.cy, gt.w, gt.h)
+                gx1, gy1 = gt.cx - gt.w / 2, gt.cy - gt.h / 2
+                gx2, gy2 = gt.cx + gt.w / 2, gt.cy + gt.h / 2
                 s = g.stride
                 cxc, cyc = (cj + 0.5) * s, (ci + 0.5) * s
                 tdist = np.array([
@@ -207,17 +228,16 @@ def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
                 tdist = np.clip(tdist, 0.0, reg_max - 1.0)
 
                 zs = lv.box.data[b, :, ci, cj].reshape(4, reg_max)
-                pdist = np.array([expected_bin(zs[k]) for k in range(4)])
+                pdist = np.array([expected_bin_oracle(zs[k]) for k in range(4)])
 
-                pred_box = Box(
+                pred_box = (
                     (cxc + (pdist[2] - pdist[0]) * s / 2) / img_w,
                     (cyc + (pdist[3] - pdist[1]) * s / 2) / img_h,
                     (pdist[0] + pdist[2]) * s / img_w,
                     (pdist[1] + pdist[3]) * s / img_h,
                 )
                 override = frozen_alphas[len(alphas)] if frozen_alphas is not None else None
-                closs, cgrad, (_, _, _, alpha) = _ciou(pred_box, gt_box,
-                                                       alpha_override=override)
+                closs, cgrad, (_, _, _, alpha) = ciou_oracle(pred_box, gt_box, override)
                 alphas.append(alpha)
                 box_sum += closs
 
@@ -232,12 +252,11 @@ def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
 
                 dz = np.zeros((4, reg_max))
                 for k in range(4):
-                    tgt = DflTarget.for_value(float(tdist[k]), reg_max)
-                    dloss, dgrad = dfl_loss_grad(zs[k], tgt)
+                    dloss, dgrad = dfl_oracle(zs[k], float(tdist[k]))
                     dfl_sum += dloss / 4.0
                     dz[k] += dgrad / 4.0 * weights.lambda_dfl
                     # chain CIoU through the expectation decode
-                    p = _softmax(zs[k])
+                    p = _softmax_oracle(zs[k])
                     bins = np.arange(reg_max, dtype=np.float64)
                     dz[k] += ddist[k] * p * (bins - (p * bins).sum()) * weights.lambda_box
                 grads[li][1][b, :, ci, cj] += dz.reshape(-1)

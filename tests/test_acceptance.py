@@ -15,10 +15,9 @@ import pytest
 from oracles import ap_exhaustive_oracle
 
 from microdet.activations import mish_grad_np, mish_np
-from microdet.cli import gradcheck_module
 from microdet.dataio import generate_toy_dataset, load_manifest
 from microdet.droi import DroiConfig, critical_width
-from microdet.losses import Box, DflTarget, ciou_loss, ciou_terms, dfl_loss
+from microdet.losses import Box, ciou, dfl
 from microdet.metrics import average_precision, confusion_matrix, map_and_mf1
 from microdet.model import (
     ModelConfig,
@@ -27,7 +26,7 @@ from microdet.model import (
     decode,
     save_weights,
 )
-from microdet.selftest import run_selftest
+from microdet.selftest import gradcheck_module, run_selftest
 from microdet.simam import SimamConfig, energy_numeric_oracle, simam_energy_min, simam_forward
 from microdet.tensor import Tensor4, maxpool2d
 from microdet.train import TrainParams, predict_manifest, train_toy
@@ -116,21 +115,23 @@ def test_criterion_04_mish():
 def test_criterion_05_ciou():
     """Zero at identity over 100 boxes; hand case 1.2 +- 1e-9; alpha, v ranges."""
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        b = Box(*rng.uniform(0.3, 0.7, size=2), *rng.uniform(0.05, 0.3, size=2))
-        assert abs(ciou_loss(b, b)) <= 1e-12
-    pred = Box(1 / 8, 1 / 8, 2 / 8, 2 / 8)
-    gt = Box(3 / 8, 1 / 8, 2 / 8, 2 / 8)
-    hand = ciou_loss(pred, gt)
+
+    def boxes(n, lo, hi, wh_hi):
+        return np.concatenate([rng.uniform(lo, hi, size=(n, 2)),
+                               rng.uniform(0.05, wh_hi, size=(n, 2))], axis=1)
+
+    same = boxes(100, 0.3, 0.7, 0.3)
+    assert np.abs(ciou(same, same)[0]).max() <= 1e-12
+    pred = np.array([[1 / 8, 1 / 8, 2 / 8, 2 / 8]])
+    gt = np.array([[3 / 8, 1 / 8, 2 / 8, 2 / 8]])
+    hand = float(ciou(pred, gt)[0][0])
     assert abs(hand - 1.2) <= 1e-9
-    worst_v, worst_a = 0.0, 0.0
-    for _ in range(10_000):
-        a = Box(*rng.uniform(0.25, 0.75, size=2), *rng.uniform(0.05, 0.35, size=2))
-        b = Box(*rng.uniform(0.25, 0.75, size=2), *rng.uniform(0.05, 0.35, size=2))
-        _, _, v, alpha = ciou_terms(a, b)
-        assert 0.0 <= v <= 1.0
-        assert 0.0 <= alpha <= 1.0
-        worst_v, worst_a = max(worst_v, v), max(worst_a, alpha)
+    _, _, (_, _, v, alpha) = ciou(boxes(10_000, 0.25, 0.75, 0.35),
+                                  boxes(10_000, 0.25, 0.75, 0.35))
+    assert v.shape == alpha.shape == (10_000,)
+    assert np.all((0.0 <= v) & (v <= 1.0))
+    assert np.all((0.0 <= alpha) & (alpha <= 1.0))
+    worst_v, worst_a = v.max(), alpha.max()
     report(5, f"hand case {hand:.12f}, max v {worst_v:.3f}, max alpha {worst_a:.3f} "
               f"over 10^4 pairs")
 
@@ -139,19 +140,26 @@ def test_criterion_06_dfl():
     """One-hot zero; midpoint ln 2; minimizer matches the interpolation weight."""
     logits = np.full(8, -40.0)
     logits[5] = 40.0
-    assert dfl_loss(logits, DflTarget.for_value(5.0, 8)) <= 1e-12
+    assert dfl(logits, 5.0)[0] <= 1e-12
     logits = np.full(8, -40.0)
     logits[2] = 10.0
     logits[3] = 10.0
-    mid = dfl_loss(logits, DflTarget.for_value(2.5, 8))
+    mid = float(dfl(logits, 2.5)[0])
     assert abs(mid - math.log(2)) <= 1e-9
     worst = 0.0
+    ps = np.linspace(1e-9, 1 - 1e-9, 4_000_001)
     for y in (1.25, 2.5, 3.9, 6.0 + 1e-7):
-        tgt = DflTarget.for_value(y, 8)
-        ps = np.linspace(1e-9, 1 - 1e-9, 4_000_001)
-        losses = -((tgt.y_r - y) * np.log(ps) + (y - tgt.y_l) * np.log(1 - ps))
+        # the kernel over two-bin distributions p[y_l] = ps, p[y_r] = 1 - ps
+        y_l = min(math.floor(y), 6)
+        losses = np.empty(ps.size)
+        for lo in range(0, ps.size, 250_000):
+            part = ps[lo:lo + 250_000]
+            z = np.full((part.size, 8), -np.inf)
+            z[:, y_l] = np.log(part)
+            z[:, y_l + 1] = np.log1p(-part)
+            losses[lo:lo + 250_000] = dfl(z, np.full(part.size, y))[0]
         best = float(ps[losses.argmin()])
-        worst = max(worst, abs(best - (tgt.y_r - y)))
+        worst = max(worst, abs(best - (y_l + 1 - y)))
     assert worst <= 1e-6
     report(6, f"midpoint loss {mid:.12f}, minimizer deviation {worst:.2e}")
 

@@ -9,17 +9,15 @@ array's largest magnitude, since single entries can cancel to near zero.
 import numpy as np
 import pytest
 
-from oracles import loss_per_cell_oracle
+from oracles import ciou_oracle, loss_per_cell_oracle
 
 from microdet.dataio import generate_toy_dataset, load_manifest
 from microdet.losses import (
     Box,
     LevelGrid,
     LossWeights,
-    _ciou,
-    _ciou_many,
     assign_targets,
-    ciou_terms,
+    ciou,
     loss_and_grads,
 )
 from microdet.model import LevelPreds, RawPredictions
@@ -126,7 +124,7 @@ class TestLossMatchesPerCellLoop:
         assert_matches_oracle(preds, gts)
 
     def test_ciou_disjoint_and_edge_pairs(self):
-        """The masked CIoU branches agree with the scalar ones pair by pair."""
+        """The masked CIoU kernel agrees with the scalar branches pair by pair."""
         rng = np.random.default_rng(5)
         pairs = [
             (Box(0.2, 0.2, 0.1, 0.1), Box(0.8, 0.7, 0.2, 0.1)),      # disjoint
@@ -140,16 +138,18 @@ class TestLossMatchesPerCellLoop:
                   for _ in range(40)]
         pred = np.array([(p.cx, p.cy, p.w, p.h) for p, _ in pairs])
         gt = np.array([(g.cx, g.cy, g.w, g.h) for _, g in pairs])
-        assert ciou_terms(*pairs[0])[0] == 0.0
-        assert ciou_terms(*pairs[3])[3] == 0.0
         for override in (None, np.linspace(0.0, 1.0, len(pairs))):
-            loss, grad, alpha = _ciou_many(pred, gt, override)
-            for n, (p, g) in enumerate(pairs):
-                o_loss, o_grad, o_terms = _ciou(p, g, None if override is None
-                                                else override[n])
+            loss, grad, terms = ciou(pred, gt, override)
+            if override is None:
+                assert terms[0][0] == 0.0  # disjoint: IoU 0
+                assert terms[3][3] == 0.0  # identical: alpha 0/0 taken as 0
+            for n in range(len(pairs)):
+                o_loss, o_grad, o_terms = ciou_oracle(pred[n], gt[n], None if override is None
+                                                      else override[n])
                 assert abs(loss[n] - o_loss) <= TOL * abs(o_loss) + 1e-300
                 assert np.abs(grad[n] - o_grad).max() <= TOL * max(np.abs(o_grad).max(), 1e-300)
-                assert abs(alpha[n] - o_terms[3]) <= TOL * abs(o_terms[3])
+                for got, want in zip(terms, o_terms):
+                    assert abs(got[n] - want) <= TOL * abs(want), (n, got[n], want)
 
     def test_near_degenerate_boxes(self):
         """A GT 1e-9 wide around a cell centre, predicted as a near-point box."""

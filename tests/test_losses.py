@@ -1,4 +1,8 @@
-"""IoU/CIoU/DFL/BCE values, gradients vs finite differences, assignment."""
+"""IoU/CIoU/DFL/BCE values, gradients vs finite differences, assignment.
+
+The CIoU, DFL and BCE checks run the array kernels `ciou`, `dfl` and
+`bce_logits` that `loss_and_grads` applies during training.
+"""
 
 import math
 
@@ -9,30 +13,49 @@ from oracles import iou_raster_oracle
 
 from microdet.losses import (
     Box,
-    DflTarget,
     LevelGrid,
     LossWeights,
     assign_targets,
     bce_logits,
-    bce_logits_grad,
-    bce_logits_map,
-    ciou_loss,
-    ciou_loss_frozen_alpha,
-    ciou_loss_grad,
-    ciou_terms,
-    dfl_loss,
-    dfl_loss_grad,
-    expected_bin,
+    ciou,
+    dfl,
     iou,
     loss_and_grads,
 )
-from microdet.tensor import DomainError
+from microdet.tensor import DomainError, ShapeError
 
 
 def random_box(rng, lo=0.2, hi=0.8):
     cx, cy = rng.uniform(lo, hi, size=2)
     w, h = rng.uniform(0.05, 0.3, size=2)
     return Box(cx, cy, w, h)
+
+
+def as_rows(*boxes):
+    """(P, 4) array of (cx, cy, w, h) rows, the layout `ciou` takes."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes])
+
+
+def random_rows(rng, n, lo=0.2, hi=0.8):
+    return np.concatenate([rng.uniform(lo, hi, size=(n, 2)),
+                           rng.uniform(0.05, 0.3, size=(n, 2))], axis=1)
+
+
+def two_bin_dfl(y, ps, reg_max=8, chunk=250_000):
+    """`dfl` at target y over the distributions p[y_l] = ps, p[y_l + 1] = 1 - ps.
+
+    The other bins get probability 0 (logit -inf); the scan runs in chunks
+    to keep memory small.
+    """
+    y_l = min(int(math.floor(y)), reg_max - 2)
+    out = np.empty(ps.size)
+    for lo in range(0, ps.size, chunk):
+        part = ps[lo:lo + chunk]
+        z = np.full((part.size, reg_max), -np.inf)
+        z[:, y_l] = np.log(part)
+        z[:, y_l + 1] = np.log1p(-part)
+        out[lo:lo + chunk] = dfl(z, np.full(part.size, y))[0]
+    return out
 
 
 class TestIou:
@@ -71,195 +94,212 @@ class TestIou:
 
 class TestCiou:
     def test_zero_for_identical(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            b = random_box(rng)
-            assert abs(ciou_loss(b, b)) <= 1e-12
+        rows = random_rows(np.random.default_rng(2), 100)
+        assert np.abs(ciou(rows, rows)[0]).max() <= 1e-12
 
     def test_hand_case_disjoint_same_shape(self):
         """Unit-square pair two units apart in an 8-unit frame: 1 + 4/20 = 1.2."""
         pred = Box(1 / 8, 1 / 8, 2 / 8, 2 / 8)
         gt = Box(3 / 8, 1 / 8, 2 / 8, 2 / 8)
-        assert ciou_loss(pred, gt) == pytest.approx(1.2, abs=1e-9)
+        assert ciou(as_rows(pred), as_rows(gt))[0][0] == pytest.approx(1.2, abs=1e-9)
 
     def test_aspect_term_positive_for_swapped_aspect(self):
-        pred = Box(0.5, 0.5, 0.4, 0.2)
-        gt = Box(0.5, 0.5, 0.2, 0.4)
-        i, dist, v, alpha = ciou_terms(pred, gt)
+        pred = as_rows(Box(0.5, 0.5, 0.4, 0.2))
+        gt = as_rows(Box(0.5, 0.5, 0.2, 0.4))
+        loss, _, (i, dist, v, alpha) = ciou(pred, gt)
         expect_v = (4 / math.pi**2) * (math.atan(0.5) - math.atan(2.0)) ** 2
-        assert v == pytest.approx(expect_v, rel=1e-12)
-        assert v > 0
-        assert ciou_loss(pred, gt) > 1 - i
+        assert v[0] == pytest.approx(expect_v, rel=1e-12)
+        assert v[0] > 0
+        assert loss[0] > 1 - i[0]
 
     def test_alpha_v_ranges(self):
         rng = np.random.default_rng(3)
-        for _ in range(10_000):
-            a, b = random_box(rng), random_box(rng)
-            _, _, v, alpha = ciou_terms(a, b)
-            assert 0.0 <= v <= 1.0
-            assert 0.0 <= alpha <= 1.0
+        _, _, (_, _, v, alpha) = ciou(random_rows(rng, 10_000), random_rows(rng, 10_000))
+        assert v.shape == alpha.shape == (10_000,)
+        assert np.all((0.0 <= v) & (v <= 1.0))
+        assert np.all((0.0 <= alpha) & (alpha <= 1.0))
 
     def test_loss_range(self):
         rng = np.random.default_rng(4)
-        for _ in range(1000):
-            val = ciou_loss(random_box(rng), random_box(rng))
-            assert 0.0 <= val < 3.0
+        loss = ciou(random_rows(rng, 1000), random_rows(rng, 1000))[0]
+        assert np.all((0.0 <= loss) & (loss < 3.0))
+
+    def test_degenerate_box_rejected_in_either_argument(self):
+        good = as_rows(Box(0.5, 0.5, 0.1, 0.1), Box(0.4, 0.4, 0.2, 0.2))
+        for bad in (Box(0.5, 0.5, 0.0, 0.1), Box(0.5, 0.5, 0.1, -0.1)):
+            rows = good.copy()
+            rows[1] = as_rows(bad)[0]
+            with pytest.raises(DomainError, match="degenerate"):
+                ciou(rows, good)
+            with pytest.raises(DomainError, match="degenerate"):
+                ciou(good, rows)
 
     def test_gradient_matches_frozen_alpha_finite_differences(self):
         """The backward freezes alpha, so FD must pin alpha at the base point."""
         rng = np.random.default_rng(5)
         h = 1e-6
-        checked = 0
-        while checked < 50:
+        pairs = []
+        while len(pairs) < 50:
             pred, gt = random_box(rng), random_box(rng)
-            if iou(pred, gt) == 0.0:  # keep away from the touching boundary
-                continue
-            _, _, _, alpha = ciou_terms(pred, gt)
-            _, grad = ciou_loss_grad(pred, gt)
-            for k, name in enumerate(["cx", "cy", "w", "h"]):
-                vals = [pred.cx, pred.cy, pred.w, pred.h]
-                vals[k] += h
-                up = ciou_loss_frozen_alpha(Box(*vals), gt, alpha)
-                vals[k] -= 2 * h
-                dn = ciou_loss_frozen_alpha(Box(*vals), gt, alpha)
-                num = (up - dn) / (2 * h)
-                assert abs(num - grad[k]) <= 1e-5 * max(1.0, abs(num)), (name, num, grad[k])
-            checked += 1
+            if iou(pred, gt) > 0.0:  # keep away from the touching boundary
+                pairs.append((pred, gt))
+        pred = as_rows(*(p for p, _ in pairs))
+        gt = as_rows(*(g for _, g in pairs))
+        _, grad, (_, _, _, alpha) = ciou(pred, gt)
+        for k, name in enumerate(["cx", "cy", "w", "h"]):
+            step = np.zeros(4)
+            step[k] = h
+            up = ciou(pred + step, gt, alpha)[0]
+            dn = ciou(pred - step, gt, alpha)[0]
+            num = (up - dn) / (2 * h)
+            for n in range(len(pairs)):
+                assert abs(num[n] - grad[n, k]) <= 1e-5 * max(1.0, abs(num[n])), (
+                    name, n, num[n], grad[n, k])
 
     def test_raw_fd_residual_is_exactly_the_alpha_path(self):
         """FD of the raw loss differs from the analytic grad by v * d(alpha)."""
         rng = np.random.default_rng(50)
         h = 1e-6
-        checked = 0
-        while checked < 20:
+        pairs = []
+        while len(pairs) < 20:
             pred, gt = random_box(rng), random_box(rng)
-            if iou(pred, gt) == 0.0:
-                continue
-            _, _, v, alpha = ciou_terms(pred, gt)
-            _, grad = ciou_loss_grad(pred, gt)
-            for k in range(4):
-                vals = [pred.cx, pred.cy, pred.w, pred.h]
-                vals[k] += h
-                up_box = Box(*vals)
-                vals[k] -= 2 * h
-                dn_box = Box(*vals)
-                full = (ciou_loss(up_box, gt) - ciou_loss(dn_box, gt)) / (2 * h)
-                dalpha = (ciou_terms(up_box, gt)[3] - ciou_terms(dn_box, gt)[3]) / (2 * h)
-                assert full - grad[k] == pytest.approx(v * dalpha, abs=1e-4)
-            checked += 1
+            if iou(pred, gt) > 0.0:
+                pairs.append((pred, gt))
+        pred = as_rows(*(p for p, _ in pairs))
+        gt = as_rows(*(g for _, g in pairs))
+        _, grad, (_, _, v, _) = ciou(pred, gt)
+        for k in range(4):
+            step = np.zeros(4)
+            step[k] = h
+            up_loss, _, up_terms = ciou(pred + step, gt)
+            dn_loss, _, dn_terms = ciou(pred - step, gt)
+            full = (up_loss - dn_loss) / (2 * h)
+            dalpha = (up_terms[3] - dn_terms[3]) / (2 * h)
+            for n in range(len(pairs)):
+                assert full[n] - grad[n, k] == pytest.approx(v[n] * dalpha[n], abs=1e-4)
 
     def test_gradient_disjoint_case(self):
-        pred = Box(0.2, 0.2, 0.1, 0.1)
-        gt = Box(0.7, 0.7, 0.1, 0.1)
-        _, _, _, alpha = ciou_terms(pred, gt)
-        _, grad = ciou_loss_grad(pred, gt)
+        pred = as_rows(Box(0.2, 0.2, 0.1, 0.1))
+        gt = as_rows(Box(0.7, 0.7, 0.1, 0.1))
+        _, grad, (_, _, _, alpha) = ciou(pred, gt)
         h = 1e-6
         for k in range(4):
-            vals = [pred.cx, pred.cy, pred.w, pred.h]
-            vals[k] += h
-            up = ciou_loss_frozen_alpha(Box(*vals), gt, alpha)
-            vals[k] -= 2 * h
-            dn = ciou_loss_frozen_alpha(Box(*vals), gt, alpha)
-            assert (up - dn) / (2 * h) == pytest.approx(grad[k], abs=1e-5)
+            step = np.zeros(4)
+            step[k] = h
+            up = ciou(pred + step, gt, alpha)[0][0]
+            dn = ciou(pred - step, gt, alpha)[0][0]
+            assert (up - dn) / (2 * h) == pytest.approx(grad[0, k], abs=1e-5)
 
 
 class TestDfl:
     def test_one_hot_at_integer_target_is_zero(self):
         logits = np.full(8, -40.0)
         logits[3] = 40.0
-        tgt = DflTarget.for_value(3.0, 8)
-        assert dfl_loss(logits, tgt) <= 1e-12
+        assert dfl(logits, 3.0)[0] <= 1e-12
 
     def test_midpoint_uniform_pair_gives_ln2(self):
         logits = np.full(8, -40.0)
         logits[2] = 10.0
         logits[3] = 10.0
-        tgt = DflTarget.for_value(2.5, 8)
-        assert dfl_loss(logits, tgt) == pytest.approx(math.log(2), abs=1e-9)
+        assert dfl(logits, 2.5)[0] == pytest.approx(math.log(2), abs=1e-9)
 
     def test_top_edge_target_uses_last_pair(self):
-        tgt = DflTarget.for_value(7.0, 8)
-        assert (tgt.y_l, tgt.y_r) == (6, 7)
+        """y = reg_max - 1 brackets with bins (6, 7): all its weight falls on bin 7."""
         logits = np.full(8, -40.0)
         logits[7] = 40.0
-        assert dfl_loss(logits, tgt) <= 1e-12
+        loss, grad = dfl(logits, 7.0)
+        assert loss <= 1e-12
+        uniform = dfl(np.zeros(8), 7.0)[1]
+        expect = np.full(8, 1 / 8)
+        expect[7] -= 1.0
+        np.testing.assert_allclose(uniform, expect, atol=1e-15)
 
     def test_out_of_range_target(self):
         with pytest.raises(DomainError, match="outside"):
-            DflTarget.for_value(7.5, 8)
+            dfl(np.zeros(8), 7.5)
         with pytest.raises(DomainError):
-            DflTarget.for_value(-0.1, 8)
+            dfl(np.zeros(8), -0.1)
+        with pytest.raises(DomainError, match="outside"):
+            dfl(np.zeros((2, 8)), np.array([1.0, np.nan]))
+
+    def test_reg_max_and_shape_checks(self):
+        with pytest.raises(DomainError, match="reg_max"):
+            dfl(np.zeros((3, 1)), np.zeros(3))
+        with pytest.raises(ShapeError, match="targets"):
+            dfl(np.zeros((3, 8)), np.zeros(4))
 
     def test_minimizer_matches_interpolation_weight(self):
-        """1-D convex scan: optimal p[y_l] equals y_r - y to 1e-6."""
+        """1-D convex scan of `dfl`: optimal p[y_l] equals y_r - y to 1e-6."""
+        ps = np.linspace(1e-9, 1 - 1e-9, 2_000_001)
         for y in (2.2, 2.5, 2.9, 5.0 - 1e-9):
-            tgt = DflTarget.for_value(y, 8)
-
-            def two_bin_loss(pl):
-                return -((tgt.y_r - y) * math.log(pl) + (y - tgt.y_l) * math.log(1 - pl))
-
-            ps = np.linspace(1e-9, 1 - 1e-9, 2_000_001)
-            losses = -((tgt.y_r - y) * np.log(ps) + (y - tgt.y_l) * np.log(1 - ps))
-            best = ps[np.argmin(losses)]
-            assert abs(best - (tgt.y_r - y)) <= 1e-6
+            y_r = min(math.floor(y), 6) + 1
+            best = ps[np.argmin(two_bin_dfl(y, ps))]
+            assert abs(best - (y_r - y)) <= 1e-6
             # and the minimum value equals the binary entropy bound
-            a = tgt.y_r - y
+            a = y_r - y
             entropy = 0.0
             for q in (a, 1 - a):
                 if q > 0:
                     entropy -= q * math.log(q)
-            assert two_bin_loss(min(max(a, 1e-12), 1 - 1e-12)) == pytest.approx(
-                entropy, abs=1e-9
-            )
+            p_min = np.array([min(max(a, 1e-12), 1 - 1e-12)])
+            assert two_bin_dfl(y, p_min)[0] == pytest.approx(entropy, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        for _ in range(20):
-            z = rng.normal(size=8)
-            tgt = DflTarget.for_value(float(rng.uniform(0, 7)), 8)
-            _, grad = dfl_loss_grad(z, tgt)
-            h = 1e-6
-            for k in range(8):
-                zp = z.copy()
-                zp[k] += h
-                zm = z.copy()
-                zm[k] -= h
-                num = (dfl_loss(zp, tgt) - dfl_loss(zm, tgt)) / (2 * h)
-                assert num == pytest.approx(grad[k], abs=1e-5)
+        z = rng.normal(size=(20, 8))
+        y = rng.uniform(0, 7, size=20)
+        _, grad = dfl(z, y)
+        h = 1e-6
+        for k in range(8):
+            zp = z.copy()
+            zp[:, k] += h
+            zm = z.copy()
+            zm[:, k] -= h
+            num = (dfl(zp, y)[0] - dfl(zm, y)[0]) / (2 * h)
+            for n in range(20):
+                assert num[n] == pytest.approx(grad[n, k], abs=1e-5)
 
     def test_expected_bin(self):
+        """The expectation decode the loss oracle uses: sum_i i * softmax(z)_i."""
+        from oracles import expected_bin_oracle
+
         one_hot = np.full(8, -40.0)
         one_hot[3] = 40.0
-        assert expected_bin(one_hot) == pytest.approx(3.0, abs=1e-9)
-        assert expected_bin(np.zeros(8)) == pytest.approx(3.5, abs=1e-12)
+        assert expected_bin_oracle(one_hot) == pytest.approx(3.0, abs=1e-9)
+        assert expected_bin_oracle(np.zeros(8)) == pytest.approx(3.5, abs=1e-12)
 
 
 class TestBce:
     def test_logit_zero_target_one(self):
-        assert bce_logits(0.0, 1.0) == pytest.approx(math.log(2), abs=1e-12)
+        assert bce_logits(0.0, 1.0)[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_large_logit_stable(self):
-        assert bce_logits(100.0, 1.0) <= 1e-12
-        assert np.isfinite(bce_logits(-100.0, 1.0))
+        assert bce_logits(100.0, 1.0)[0] <= 1e-12
+        assert np.isfinite(bce_logits(-100.0, 1.0)[0])
 
     def test_half_target_symmetric(self):
-        assert bce_logits(0.0, 0.5) == pytest.approx(math.log(2), abs=1e-12)
+        assert bce_logits(0.0, 0.5)[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_gradient(self):
-        for x, t in ((0.3, 1.0), (-2.0, 0.0), (5.0, 0.5)):
-            _, g = bce_logits_grad(x, t)
-            h = 1e-6
-            num = (bce_logits(x + h, t) - bce_logits(x - h, t)) / (2 * h)
-            assert num == pytest.approx(g, abs=1e-6)
+        x = np.array([0.3, -2.0, 5.0])
+        t = np.array([1.0, 0.0, 0.5])
+        _, g = bce_logits(x, t)
+        h = 1e-6
+        num = (bce_logits(x + h, t)[0] - bce_logits(x - h, t)[0]) / (2 * h)
+        for n in range(3):
+            assert num[n] == pytest.approx(g[n], abs=1e-6)
 
     def test_map_matches_scalar(self):
+        """The array kernel against the scalar definition, element by element."""
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 4))
         t = rng.uniform(size=(3, 4))
-        loss, grad = bce_logits_map(x, t)
+        loss, grad = bce_logits(x, t)
         for i in range(3):
             for j in range(4):
-                l2, g2 = bce_logits_grad(x[i, j], t[i, j])
+                xi, ti = float(x[i, j]), float(t[i, j])
+                l2 = max(xi, 0.0) - xi * ti + math.log1p(math.exp(-abs(xi)))
+                g2 = 1.0 / (1.0 + math.exp(-xi)) - ti
                 assert loss[i, j] == pytest.approx(l2, abs=1e-12)
                 assert grad[i, j] == pytest.approx(g2, abs=1e-12)
 

@@ -5,7 +5,6 @@ import pytest
 
 from microdet.simam import (
     SimamConfig,
-    channel_stats,
     energy_numeric_oracle,
     simam_energy_min,
     simam_forward,
@@ -113,12 +112,6 @@ class TestForward:
     def test_config_rejects_nonpositive_lambda(self):
         with pytest.raises(DomainError):
             SimamConfig(0.0)
-
-    def test_channel_stats_helper(self):
-        st = channel_stats(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert st.m == 4
-        assert st.mu_hat == 2.5
-        assert st.sigma2_hat == pytest.approx(5.0 / 3.0)
 
 
 class TestBackward:

@@ -43,7 +43,7 @@ class TestTensor4:
     def test_data_length_matches_shape(self):
         t = Tensor4.zeros(2, 3, 4, 5)
         assert t.numel == 2 * 3 * 4 * 5
-        t.ensure_grad()
+        t.zero_grad()
         assert t.grad.size == t.numel
 
 
