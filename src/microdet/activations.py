@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DomainError, GradTape, Tensor4, _record_unary, _stable_sigmoid, _stable_softplus
+from .tensor import (
+    DomainError,
+    GradTape,
+    Tensor4,
+    _exp_neg_abs,
+    _record_unary,
+    _stable_sigmoid,
+    _stable_softplus,
+)
 
 ACTIVATION_KINDS = ("mish", "silu", "relu")
 
@@ -15,9 +23,17 @@ def mish_np(a: np.ndarray) -> np.ndarray:
 
 
 def mish_grad_np(a: np.ndarray) -> np.ndarray:
-    # d/dx [x tanh(sp(x))] = tanh(sp(x)) + x (1 - tanh^2(sp(x))) sigmoid(x)
-    t = np.tanh(_stable_softplus(a))
-    return t + a * (1.0 - t * t) * _stable_sigmoid(a)
+    # d/dx [x tanh(sp(x))] = tanh(sp(x)) + x (1 - tanh^2(sp(x))) sigmoid(x);
+    # sp and sigmoid share one e^{-|x|}, and the in-place steps keep the
+    # rounding of that left-to-right expression
+    e = _exp_neg_abs(a)
+    t = np.tanh(_stable_softplus(a, e))
+    g = t * t
+    np.subtract(1.0, g, out=g)
+    g *= a
+    g *= _stable_sigmoid(a, e)
+    g += t
+    return g
 
 
 def silu_np(a: np.ndarray) -> np.ndarray:

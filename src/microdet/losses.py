@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DomainError, GradTape, ShapeError, Tensor4, _stable_sigmoid
+from .tensor import DomainError, GradTape, ShapeError, Tensor4, _exp_neg_abs, _stable_sigmoid
 
 
 @dataclass(frozen=True)
@@ -170,22 +170,35 @@ def dfl(logits, y):
     """
     logits = np.asarray(logits, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    reg_max = logits.shape[-1]
+    _check_dfl(logits.shape, y)
+    return _dfl(_softmax(logits), y)
+
+
+def _check_dfl(shape, y):
+    """Reject a bin axis below 2, targets not shaped shape[:-1], and targets off the bins."""
+    reg_max = shape[-1]
     if reg_max < 2:
         raise DomainError("dfl", f"reg_max must be >= 2, got {reg_max}")
-    if y.shape != logits.shape[:-1]:
-        raise ShapeError("dfl", f"targets {y.shape} do not match logits {logits.shape}")
+    if y.shape != shape[:-1]:
+        raise ShapeError("dfl", f"targets {y.shape} do not match logits {shape}")
     outside = ~((y >= 0.0) & (y <= reg_max - 1.0))
     if outside.any():
         raise DomainError("dfl", f"target {y[outside][0]} outside [0, {reg_max - 1}]")
-    p = _softmax(logits)
+
+
+def _dfl(p, y):
+    """`dfl` from the bin probabilities p = softmax(logits), for checked targets y."""
+    reg_max = p.shape[-1]
     bins = np.arange(reg_max, dtype=np.float64)
     y_l = np.minimum(np.floor(y), reg_max - 2.0)
     y_r = y_l + 1.0
     w_l, w_r = y_r - y, y - y_l
     p_l = np.take_along_axis(p, y_l.astype(np.intp)[..., None], axis=-1)[..., 0]
     p_r = np.take_along_axis(p, y_r.astype(np.intp)[..., None], axis=-1)[..., 0]
-    loss = -(w_l * np.log(p_l) + w_r * np.log(p_r))
+    # a bin of zero weight adds exactly 0, even where its probability underflowed to 0
+    log_l = np.log(p_l, out=np.zeros_like(p_l), where=w_l > 0)
+    log_r = np.log(p_r, out=np.zeros_like(p_r), where=w_r > 0)
+    loss = -(w_l * log_l + w_r * log_r)
     grad = (p * (w_l + w_r)[..., None] - w_l[..., None] * (bins == y_l[..., None])
             - w_r[..., None] * (bins == y_r[..., None]))
     return loss, grad
@@ -203,8 +216,9 @@ def bce_logits(x, t):
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    loss = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
-    return loss, _stable_sigmoid(x) - t
+    e = _exp_neg_abs(x)
+    loss = np.maximum(x, 0.0) - x * t + np.log1p(e)
+    return loss, _stable_sigmoid(x, e) - t
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +296,10 @@ def _box_terms(zs, gt, cxc, cyc, s, img_w, img_h, weights, alpha_override):
     ], axis=1) / s
     tdist = np.clip(tdist, 0.0, reg_max - 1.0)
     # first, so a reg_max below 2 is reported before any box check
-    dloss, dgrad = dfl(zs, tdist)
-
+    _check_dfl(zs.shape, tdist)
     p = _softmax(zs)
+    dloss, dgrad = _dfl(p, tdist)
+
     bins = np.arange(reg_max, dtype=np.float64)
     pdist = (p * bins).sum(axis=-1)
 

@@ -223,7 +223,10 @@ def _im2col(xp, k, s, ho, wo):
 def _pad2d(a, p, value=0.0):
     if p == 0:
         return a
-    return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=value)
+    n, c, h, w = a.shape
+    out = np.full((n, c, h + 2 * p, w + 2 * p), value)
+    out[:, :, p:p + h, p:p + w] = a
+    return out
 
 
 def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = None,
@@ -285,12 +288,17 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
                 weight.grad += np.matmul(up2, col_b.transpose(0, 2, 1)).sum(axis=0).reshape(
                     weight.shape
                 )
-                dcol = np.matmul(w2b.T, up2).reshape(n, c, k, k, ho, wo)
-                dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
-                for ki in range(k):
-                    for kj in range(k):
-                        dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcol[:, :, ki, kj]
-                x.grad += dxp[:, :, p:p + h, p:p + w]
+                dcol = np.matmul(w2b.T, up2)
+                if k == 1 and s == 1 and p == 0:
+                    # the columns are the input itself, so dcol is already dx
+                    x.grad += dcol.reshape(n, c, h, w)
+                else:
+                    dcol = dcol.reshape(n, c, k, k, ho, wo)
+                    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
+                    for ki in range(k):
+                        for kj in range(k):
+                            dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcol[:, :, ki, kj]
+                    x.grad += dxp[:, :, p:p + h, p:p + w]
             else:
                 cg = c // g
                 m = spec.c_out // g
@@ -375,32 +383,42 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None)
     if state.training:
         cnt = n * h * w
         mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        d = x.data - mu.reshape(1, c, 1, 1)
+        # numpy's var to the bit (sum of squared deviations over cnt), centred once
+        var = (d * d).sum(axis=(0, 2, 3)) / cnt
         if state.track_stats:
             unbiased = var * cnt / (cnt - 1) if cnt > 1 else var
             m = state.momentum
             state.running_mean = (1 - m) * state.running_mean + m * mu
             state.running_var = (1 - m) * state.running_var + m * unbiased
     else:
-        mu = state.running_mean
+        d = x.data - state.running_mean.reshape(1, c, 1, 1)
         var = state.running_var
 
     inv = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x.data - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    out = Tensor4(gamma.data * xhat + beta.data)
+    xhat = d
+    xhat *= inv.reshape(1, c, 1, 1)
+    out_arr = gamma.data * xhat
+    out_arr += beta.data
+    out = Tensor4(out_arr)
 
     if tape is not None:
         training = state.training
 
         def back(up):
             g = gamma.data.reshape(c)
-            gamma.grad += (up * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+            t = up * xhat
+            gamma.grad += t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
             beta.grad += up.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
             if training:
+                # inv * (gu - mean_gu - xhat * mean_gux), evaluated in place in that order
                 gu = up * g.reshape(1, c, 1, 1)
                 mean_gu = gu.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                mean_gux = (gu * xhat).mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                x.grad += inv.reshape(1, c, 1, 1) * (gu - mean_gu - xhat * mean_gux)
+                mean_gux = np.multiply(gu, xhat, out=t).mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+                gu -= mean_gu
+                gu -= np.multiply(xhat, mean_gux, out=t)
+                gu *= inv.reshape(1, c, 1, 1)
+                x.grad += gu
             else:
                 x.grad += up * (g * inv).reshape(1, c, 1, 1)
 
@@ -459,18 +477,26 @@ def resize_nearest(x: Tensor4, target_h: int, target_w: int,
 # elementwise suite
 
 
-def _stable_sigmoid(a):
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+def _exp_neg_abs(a):
+    """e^{-|a|} in [0, 1]: the one exp the sigmoid and softplus below share."""
+    e = np.abs(a, out=np.empty(np.shape(a)))
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
 
 
-def _stable_softplus(a):
+def _stable_sigmoid(a, e=None):
+    # 1/(1+e^-a) for a >= 0 and e^a/(1+e^a) below, from one e = e^{-|a|} and
+    # no masks; NaN, +-inf and +-0 map as in the two-branch form
+    if e is None:
+        e = _exp_neg_abs(a)
+    return np.maximum(e, a >= 0) / (1.0 + e)
+
+
+def _stable_softplus(a, e=None):
     # max(x,0) + log1p(e^{-|x|}) never overflows
-    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+    if e is None:
+        e = _exp_neg_abs(a)
+    return np.maximum(a, 0.0) + np.log1p(e)
 
 
 def _record_unary(x, out_arr, dfn, tape):

@@ -5,7 +5,10 @@ no code shared with the package paths it checks. The scalar convolution and
 the exhaustive AP sweep (with its corner IoU) live in `microdet.selftest`,
 since the CLI selftest runs them too, and are re-exported here. The loss
 oracle loops over positive cells with the scalar CIoU, DFL and BCE below; it
-shares only `assign_targets` with the package.
+shares only `assign_targets` with the package. The masked sigmoid, the
+two-exp softplus and the gradient formulas built on them are the engine's
+earlier elementwise kernels, kept as the bit-exact reference for the
+one-exp ones.
 """
 
 import math
@@ -46,6 +49,54 @@ def batchnorm_scalar_oracle(x, gamma, beta, eps):
 
 def mish_scalar(x):
     return x * np.tanh(np.logaddexp(0.0, x))
+
+
+# The elementwise kernels as the engine first wrote them: a sigmoid split by
+# boolean masks into its two stable branches, and a separate exp for every
+# softplus and sigmoid. The one-exp kernels must reproduce them bit for bit.
+
+
+def sigmoid_masked_oracle(a):
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+def softplus_two_exp_oracle(a):
+    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+
+
+def mish_grad_two_exp_oracle(a):
+    t = np.tanh(softplus_two_exp_oracle(a))
+    return t + a * (1.0 - t * t) * sigmoid_masked_oracle(a)
+
+
+def silu_grad_masked_oracle(a):
+    s = sigmoid_masked_oracle(a)
+    return s * (1.0 + a * (1.0 - s))
+
+
+def bce_logits_two_exp_oracle(x, t):
+    loss = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
+    return loss, sigmoid_masked_oracle(x) - t
+
+
+def conv2d_scatter_dx_oracle(w, up, x_shape, s, p):
+    """dx of an ungrouped conv the general way: im2col gradient columns
+    scattered cell by cell through a zero padded buffer."""
+    n, c, h, wd = x_shape
+    c_out, _, k, _ = w.shape
+    ho, wo = up.shape[2:]
+    dcol = np.matmul(w.reshape(c_out, c * k * k).T, up.reshape(n, c_out, ho * wo))
+    dcol = dcol.reshape(n, c, k, k, ho, wo)
+    dxp = np.zeros((n, c, h + 2 * p, wd + 2 * p))
+    for ki in range(k):
+        for kj in range(k):
+            dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcol[:, :, ki, kj]
+    return np.zeros(x_shape) + dxp[:, :, p:p + h, p:p + wd]
 
 
 def iou_raster_oracle(a, b, cells=2000):

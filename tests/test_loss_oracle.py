@@ -11,6 +11,7 @@ import pytest
 
 from oracles import ciou_oracle, loss_per_cell_oracle
 
+from microdet import losses
 from microdet.dataio import generate_toy_dataset, load_manifest
 from microdet.losses import (
     Box,
@@ -207,6 +208,21 @@ class TestLossMatchesPerCellLoop:
         preds = make_preds(rng, batch=1)
         gts = [[_Gt(0, px_box(6, 8, 24, 30))]]
         assert_matches_oracle(preds, gts, LossWeights(2.0, 0.5, 3.0))
+
+
+def test_one_softmax_per_level_with_positives(monkeypatch):
+    """The DFL and the expectation decode share the softmax of the side logits."""
+    calls = []
+    real_softmax = losses._softmax
+
+    def counting_softmax(z):
+        calls.append(z.shape)
+        return real_softmax(z)
+
+    monkeypatch.setattr(losses, "_softmax", counting_softmax)
+    gts = [[_Gt(0, px_box(6, 8, 24, 30))], [_Gt(1, px_box(30, 30, 50, 60))]]
+    loss_and_grads(make_preds(np.random.default_rng(0), batch=2), gts, LossWeights())
+    assert calls == [(n_positives(gts), 4, 8)]
 
 
 class TestChecks:

@@ -5,6 +5,7 @@ The CIoU, DFL and BCE checks run the array kernels `ciou`, `dfl` and
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,18 @@ class TestDfl:
             dfl(np.zeros(8), -0.1)
         with pytest.raises(DomainError, match="outside"):
             dfl(np.zeros((2, 8)), np.array([1.0, np.nan]))
+
+    def test_perfect_prediction_with_underflowed_neighbour_is_finite(self):
+        """A zero-weight bin adds exactly 0 even where its probability is 0."""
+        logits = np.full(8, -800.0)
+        logits[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = dfl(logits, 0.0)
+            batch_loss, _ = dfl(np.stack([logits, logits[::-1]]), np.array([0.0, 7.0]))
+        assert loss == 0.0
+        assert np.array_equal(grad, np.zeros(8))
+        assert np.array_equal(batch_loss, [0.0, 0.0])
 
     def test_reg_max_and_shape_checks(self):
         with pytest.raises(DomainError, match="reg_max"):

@@ -9,9 +9,12 @@ sources under ROOT/src, inside a temporary directory:
     gradcheck   SHA-256 of `gradcheck --module all` stdout
 
 Run it on two checkouts and compare the lines: a change that keeps these
-outputs bit-identical prints the same four hashes.
+outputs bit-identical prints the same four hashes. With `--expect FILE`, a
+saved output of an earlier run, it prints the rows, then each differing
+name with the expected and the actual digest, and exits 1 on a mismatch.
 
-    python tools/golden.py [--root DIR]
+    python tools/golden.py [--root DIR] > golden.txt
+    python tools/golden.py --expect golden.txt
 """
 
 from __future__ import annotations
@@ -66,10 +69,27 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ is hashed (default: this one)")
+    parser.add_argument("--expect", type=Path, metavar="FILE",
+                        help="saved output to compare with; exit 1 on any difference")
     args = parser.parse_args()
-    for name, digest in golden(args.root.resolve()):
+    expected = None
+    if args.expect is not None:
+        try:
+            lines = args.expect.read_text().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            sys.exit(f"error: cannot read {args.expect}: {exc}")
+        expected = dict(line.split(" ", 1) for line in lines if " " in line)
+    rows = golden(args.root.resolve())
+    for name, digest in rows:
         print(f"{name} {digest}")
+    if expected is None:
+        return 0
+    differ = [(name, expected.get(name, "(missing)"), digest)
+              for name, digest in rows if expected.get(name) != digest]
+    for name, want, got in differ:
+        print(f"differs: {name} expected {want} got {got}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
