@@ -143,8 +143,13 @@ def _cmd_forward(args):
 def _cmd_eval(args):
     classes = [line.strip() for _, line in _read_lines(args.classes) if line.strip()]
     gt_dir, pred_dir = Path(args.gt), Path(args.pred)
+    gt_files = sorted(gt_dir.glob("*.txt"))
+    orphans = sorted({f.name for f in pred_dir.glob("*.txt")} - {f.name for f in gt_files})
+    if orphans:
+        raise DomainError("eval", f"{pred_dir / orphans[0]}: no ground-truth file of that name "
+                          f"(an empty one declares no objects); {len(orphans)} such file(s)")
     gts, dets = [], []
-    for gt_file in sorted(gt_dir.glob("*.txt")):
+    for gt_file in gt_files:
         gts.extend(load_annotations(gt_file))
         pred_file = pred_dir / gt_file.name
         if pred_file.exists():

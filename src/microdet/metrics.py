@@ -9,6 +9,8 @@ row/column for missed and spurious boxes.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,19 +106,13 @@ def match(dets, gts, iou_t: float):
             if used[det.image_id][gi]:
                 continue
             val = iou(det.box, gt.box)
-            if val <= 0:
-                continue
-            if val > best_iou or (val == best_iou and best_idx == -1):
+            if val > 0 and (val > best_iou or (val == best_iou and best_idx == -1)):
                 best_iou, best_idx = val, gi
         if best_idx >= 0:
             used[det.image_id][best_idx] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+        flags.append(best_idx >= 0)
     tp = sum(flags)
-    counts = MatchCounts(n_tp=tp, n_fp=len(flags) - tp,
-                         n_fn=len(gts) - tp)
-    return counts, flags
+    return MatchCounts(n_tp=tp, n_fp=len(flags) - tp, n_fn=len(gts) - tp), flags
 
 
 def precision_recall(counts: MatchCounts):
@@ -128,31 +124,29 @@ def precision_recall(counts: MatchCounts):
     return p, r
 
 
-def _sorted_class_dets(dets, class_id):
-    keyed = [d for d in dets if d.class_id == class_id]
-    order = sorted(range(len(keyed)), key=lambda i: (-keyed[i].confidence, i))
-    return [keyed[i] for i in order]
+def _class_flags(dets, gts, class_id: int, iou_t: float):
+    """(class detections by descending confidence, ties in input order, TP flags, GT count)."""
+    class_dets = sorted((d for d in dets if d.class_id == class_id), key=lambda d: -d.confidence)
+    class_gts = [g for g in gts if g.class_id == class_id]
+    _, flags = match(class_dets, class_gts, iou_t)
+    return class_dets, flags, len(class_gts)
+
+
+def _ap_from_flags(flags, n_gt: int) -> float:
+    """Area under the monotone precision envelope of one ranked TP sequence."""
+    if n_gt == 0 or not flags:
+        return 0.0
+    tp_cum = np.cumsum(flags)
+    ranks = np.arange(1, len(flags) + 1)
+    recalls = np.concatenate([[0.0], tp_cum / n_gt])
+    precisions = np.concatenate([[1.0], tp_cum / ranks])
+    env = np.maximum.accumulate(precisions[::-1])[::-1]
+    return float(np.sum((recalls[1:] - recalls[:-1]) * env[1:]))
 
 
 def average_precision(dets, gts, class_id: int, iou_t: float) -> float:
     """Exact all-point AP for one class at one IoU threshold."""
-    class_gts = [g for g in gts if g.class_id == class_id]
-    n_gt = len(class_gts)
-    if n_gt == 0:
-        return 0.0
-    class_dets = _sorted_class_dets(dets, class_id)
-    if not class_dets:
-        return 0.0
-    _, flags = match(class_dets, class_gts, iou_t)
-    tp_cum = np.cumsum(flags)
-    ranks = np.arange(1, len(flags) + 1)
-    recalls = tp_cum / n_gt
-    precisions = tp_cum / ranks
-    # monotone envelope, then integrate over recall increments
-    recalls = np.concatenate([[0.0], recalls])
-    precisions = np.concatenate([[1.0], precisions])
-    env = np.maximum.accumulate(precisions[::-1])[::-1]
-    return float(np.sum((recalls[1:] - recalls[:-1]) * env[1:]))
+    return _ap_from_flags(*_class_flags(dets, gts, class_id, iou_t)[1:])
 
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -165,30 +159,33 @@ def map_and_mf1(dets, gts, num_classes, iou_thresholds=DEFAULT_IOU_THRESHOLDS):
     mF1 is evaluated at IoU 0.5 at the confidence (swept over all detection
     confidences) that maximizes the class-mean F1.
     """
-    supported = [c for c in range(num_classes)
-                 if any(g.class_id == c for g in gts)]
+    supported = [c for c in range(num_classes) if any(g.class_id == c for g in gts)]
     primary = 0.5 if 0.5 in iou_thresholds else iou_thresholds[0]
-    ap = {}
-    for c in range(num_classes):
-        for t in iou_thresholds:
-            ap[(c, t)] = average_precision(dets, gts, c, t) if c in supported else 0.0
-    if supported:
-        map50 = float(np.mean([ap[(c, primary)] for c in supported]))
-        map50_95 = float(np.mean([np.mean([ap[(c, t)] for t in iou_thresholds])
-                                  for c in supported]))
-    else:
-        map50, map50_95 = 0.0, 0.0
+    matched = {(c, t): _class_flags(dets, gts, c, t)
+               for c in supported for t in dict.fromkeys([*iou_thresholds, 0.5])}
+    ap = {(c, t): _ap_from_flags(*matched[(c, t)][1:]) if c in supported else 0.0
+          for c in range(num_classes) for t in iou_thresholds}
+    class_means = [np.mean([ap[(c, t)] for t in iou_thresholds]) for c in supported]
+    map50 = float(np.mean([ap[(c, primary)] for c in supported])) if supported else 0.0
+    map50_95 = float(np.mean(class_means)) if supported else 0.0
 
+    # A confidence keeps a prefix of each class's ranked detections (ties enter
+    # together) and greedy matching decides them in rank order, so the IoU-0.5
+    # flags give the TP count at every confidence as a prefix sum.
+    prefixes = {}  # class -> (negated confidences ascending, TP prefix sums, GT count)
+    for c in supported:
+        class_dets, flags, n_gt = matched[(c, 0.5)]
+        prefixes[c] = ([-d.confidence for d in class_dets],
+                       list(itertools.accumulate(flags, initial=0)), n_gt)
     candidates = sorted({d.confidence for d in dets}, reverse=True) or [0.0]
     best_f1, best_conf, best_stats = -1.0, candidates[0], {}
     for conf in candidates:
-        kept = [d for d in dets if d.confidence >= conf]
         f1s, stats = [], {}
         for c in supported:
-            class_dets = _sorted_class_dets(kept, c)
-            class_gts = [g for g in gts if g.class_id == c]
-            counts, _ = match(class_dets, class_gts, 0.5)
-            p, r = precision_recall(counts)
+            neg_confs, tp_cum, n_gt = prefixes[c]
+            n = bisect.bisect_right(neg_confs, -conf)
+            tp = tp_cum[n]
+            p, r = precision_recall(MatchCounts(n_tp=tp, n_fp=n - tp, n_fn=n_gt - tp))
             f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
             f1s.append(f1)
             stats[c] = {"precision": p, "recall": r, "f1": f1}
@@ -207,8 +204,10 @@ def confusion_matrix(dets, gts, conf_t: float, iou_t: float, num_classes: int):
     """
     raw = np.zeros((num_classes + 1, num_classes + 1), dtype=np.int64)
     kept = [d for d in dets if d.confidence >= conf_t]
-    for img, img_gts in _group(gts).items():
-        img_dets = [d for d in kept if d.image_id == img]
+    gts_by_image, dets_by_image = _group(gts), _group(kept)
+    for img in dict.fromkeys([*gts_by_image, *dets_by_image]):
+        img_gts = gts_by_image.get(img, [])
+        img_dets = dets_by_image.get(img, [])
         pairs = []
         for di, d in enumerate(img_dets):
             for gi, g in enumerate(img_gts):
@@ -230,11 +229,6 @@ def confusion_matrix(dets, gts, conf_t: float, iou_t: float, num_classes: int):
         for di, d in enumerate(img_dets):
             if not det_used[di]:
                 raw[num_classes, d.class_id] += 1
-    # detections on images with no ground truth at all
-    gt_images = set(_group(gts))
-    for d in kept:
-        if d.image_id not in gt_images:
-            raw[num_classes, d.class_id] += 1
 
     norm = np.zeros_like(raw, dtype=np.float64)
     sums = raw.sum(axis=1)
@@ -254,6 +248,10 @@ def evaluate(dets, gts, class_names, iou_thresholds=DEFAULT_IOU_THRESHOLDS,
     bad += [g for g in gts if not 0 <= g.class_id < nc]
     if bad:
         raise DomainError("evaluate", f"class id {bad[0].class_id} outside 0..{nc - 1}")
+    bad = [t for t in [*iou_thresholds, confusion_iou] if not 0 < t <= 1]  # NaN fails it too
+    if bad or not iou_thresholds:
+        raise DomainError("evaluate", f"IoU thresholds must be a non-empty list in (0, 1], "
+                          f"got {bad[0] if bad else 'none'}")
     map50, map50_95, mf1, mf1_conf, ap, per_class, supported = map_and_mf1(
         dets, gts, nc, iou_thresholds
     )
@@ -274,14 +272,10 @@ def evaluate(dets, gts, class_names, iou_thresholds=DEFAULT_IOU_THRESHOLDS,
 
 
 def pr_curve_rows(dets, gts, class_id: int, iou_t: float = 0.5):
-    """(recall, precision) rows of the cumulative sweep, for CSV export."""
-    class_gts = [g for g in gts if g.class_id == class_id]
-    class_dets = _sorted_class_dets(dets, class_id)
-    if not class_gts or not class_dets:
+    """(confidence, recall, precision) rows of the cumulative sweep, for CSV export."""
+    class_dets, flags, n_gt = _class_flags(dets, gts, class_id, iou_t)
+    if not n_gt or not class_dets:
         return []
-    _, flags = match(class_dets, class_gts, iou_t)
     tp_cum = np.cumsum(flags)
-    rows = []
-    for i, det in enumerate(class_dets):
-        rows.append((det.confidence, tp_cum[i] / len(class_gts), tp_cum[i] / (i + 1)))
-    return rows
+    return [(det.confidence, tp_cum[i] / n_gt, tp_cum[i] / (i + 1))
+            for i, det in enumerate(class_dets)]

@@ -8,7 +8,9 @@ oracle loops over positive cells with the scalar CIoU, DFL and BCE below; it
 shares only `assign_targets` with the package. The masked sigmoid, the
 two-exp softplus and the gradient formulas built on them are the engine's
 earlier elementwise kernels, kept as the bit-exact reference for the
-one-exp ones.
+one-exp ones. `mf1_sweep_oracle` is the earlier mF1 sweep, which rematches
+every class at every distinct confidence; it shares only `match` with the
+prefix-sum sweep it checks.
 """
 
 import math
@@ -16,6 +18,7 @@ import math
 import numpy as np
 
 from microdet.losses import LevelGrid, assign_targets
+from microdet.metrics import match
 from microdet.selftest import ap_exhaustive_oracle, conv2d_scalar_oracle  # re-exported
 from microdet.tensor import DomainError
 
@@ -324,3 +327,33 @@ def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
             grads[li][1][:] /= n_pos
     breakdown = {"cls": cls_term, "box": box_term, "dfl": dfl_term, "total": total}
     return total, breakdown, grads, alphas
+
+
+def mf1_sweep_oracle(dets, gts, supported):
+    """(best mean F1, its confidence, per-class stats) by rematching at every confidence.
+
+    Keeps the detections with confidence >= each distinct confidence, orders
+    each class by (-confidence, input index) and greedily matches it at IoU
+    0.5. P is 0 with nothing kept, R is 1 with nothing to recall; the first
+    confidence (from the top) with the highest class-mean F1 wins.
+    """
+    candidates = sorted({d.confidence for d in dets}, reverse=True) or [0.0]
+    best_f1, best_conf, best_stats = -1.0, candidates[0], {}
+    for conf in candidates:
+        kept = [d for d in dets if d.confidence >= conf]
+        f1s, stats = [], {}
+        for c in supported:
+            keyed = [d for d in kept if d.class_id == c]
+            order = sorted(range(len(keyed)), key=lambda i: (-keyed[i].confidence, i))
+            class_gts = [g for g in gts if g.class_id == c]
+            counts, _ = match([keyed[i] for i in order], class_gts, 0.5)
+            n_dets, n_gts = counts.n_tp + counts.n_fp, counts.n_tp + counts.n_fn
+            p = counts.n_tp / n_dets if n_dets else 0.0
+            r = counts.n_tp / n_gts if n_gts else 1.0
+            f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
+            f1s.append(f1)
+            stats[c] = {"precision": p, "recall": r, "f1": f1}
+        mean_f1 = float(np.mean(f1s)) if f1s else 0.0
+        if mean_f1 > best_f1:
+            best_f1, best_conf, best_stats = mean_f1, conf, stats
+    return max(best_f1, 0.0), best_conf, best_stats

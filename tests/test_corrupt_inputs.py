@@ -165,3 +165,38 @@ class TestNonUtf8Text:
                                         "--pred", str(tmp_path / "pred"),
                                         "--classes", str(classes)])
         assert f"{classes}:2:" in err and "UTF-8" in err
+
+
+@pytest.fixture
+def eval_dirs(tmp_path):
+    """One image with one object, predicted exactly; returns the eval argv."""
+    for d in ("gt", "pred"):
+        (tmp_path / d).mkdir()
+    (tmp_path / "gt" / "a.txt").write_text("0 0.5 0.5 0.2 0.2\n")
+    (tmp_path / "pred" / "a.txt").write_text("0 0.8 0.5 0.5 0.2 0.2\n")
+    (tmp_path / "classes.txt").write_text("class0\n")
+    return ["eval", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+            "--classes", str(tmp_path / "classes.txt")]
+
+
+class TestEvalInputs:
+    @pytest.mark.parametrize("value", ["nan", "1.5", "inf", "0", "-1"])
+    def test_meaningless_iou(self, eval_dirs, capsys, value):
+        err = expect_one_error(capsys, [*eval_dirs, "--iou", value])
+        assert "IoU thresholds" in err
+
+    def test_iou_one_is_accepted(self, eval_dirs, capsys):
+        assert main([*eval_dirs, "--iou", "1"]) == 0
+        assert "map50: 1.000000" in capsys.readouterr().out
+
+    def test_orphan_prediction_file(self, eval_dirs, tmp_path, capsys):
+        (tmp_path / "pred" / "b.txt").write_text("0 0.9 0.5 0.5 0.2 0.2\n")
+        err = expect_one_error(capsys, eval_dirs)
+        assert str(tmp_path / "pred" / "b.txt") in err
+
+    def test_empty_ground_truth_file_declares_no_objects(self, eval_dirs, tmp_path, capsys):
+        """With b.txt declared empty, its detection is a false positive ranked first."""
+        (tmp_path / "pred" / "b.txt").write_text("0 0.9 0.5 0.5 0.2 0.2\n")
+        (tmp_path / "gt" / "b.txt").write_text("")
+        assert main(eval_dirs) == 0
+        assert "map50: 0.500000" in capsys.readouterr().out

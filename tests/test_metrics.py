@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from oracles import ap_exhaustive_oracle
+from oracles import ap_exhaustive_oracle, mf1_sweep_oracle
 
+from microdet import metrics
 from microdet.losses import Box
 from microdet.metrics import (
+    DEFAULT_IOU_THRESHOLDS,
     Detection,
     GroundTruth,
     MatchCounts,
@@ -177,6 +179,63 @@ class TestMapMf1:
         assert ap[(1, 0.5)] == 0.0
 
 
+def sweep_corpus(rng, tied):
+    """A random scene over classes 0-2, plus: detections on an image with no
+    ground truth, and class 3 with ground truth but no detections. With
+    `tied`, confidences are rounded to one decimal, so many are equal."""
+    dets, gts = random_instance(rng, n_images=4)
+    dets += [Detection(int(rng.integers(3)), float(rng.uniform(0.1, 1.0)),
+                       Box(*rng.uniform(0.3, 0.7, size=2), 0.1, 0.1), "no_gt")
+             for _ in range(3)]
+    gts.append(gt(3, 0.5, 0.5, img="0"))
+    if tied:
+        dets = [Detection(d.class_id, round(d.confidence, 1), d.box, d.image_id)
+                for d in dets]
+    return dets, gts
+
+
+class TestMf1Sweep:
+    THRESHOLD_LISTS = [DEFAULT_IOU_THRESHOLDS, (0.5,), (0.3, 0.7), (0.75,), (0.95, 0.55)]
+
+    def test_prefix_sweep_equals_rematch_oracle(self):
+        """mF1, its confidence and every per-class stat equal the rematch sweep exactly."""
+        rng = np.random.default_rng(6)
+        tied_trials = 0
+        for trial in range(120):
+            dets, gts = sweep_corpus(rng, tied=trial % 2 == 0)
+            thresholds = self.THRESHOLD_LISTS[trial % len(self.THRESHOLD_LISTS)]
+            _, _, mf1, conf, _, stats, supported = map_and_mf1(dets, gts, 4, thresholds)
+            assert 3 in supported
+            assert (mf1, conf, stats) == mf1_sweep_oracle(dets, gts, supported), trial
+            confs = [d.confidence for d in dets]
+            tied_trials += len(set(confs)) < len(confs)
+        assert tied_trials >= 60
+
+    def test_no_ground_truth_at_all(self):
+        dets = [det(0, 0.7, 0.5, 0.5), det(1, 0.4, 0.2, 0.2)]
+        _, _, mf1, conf, _, stats, supported = map_and_mf1(dets, [], 2)
+        assert supported == []
+        assert (mf1, conf, stats) == mf1_sweep_oracle(dets, [], []) == (0.0, 0.7, {})
+
+    @pytest.mark.parametrize("thresholds", [DEFAULT_IOU_THRESHOLDS, (0.3, 0.7)])
+    def test_one_match_per_class_and_threshold(self, monkeypatch, thresholds):
+        """The sweep reads prefix sums; it never rematches per confidence."""
+        dets, gts = random_instance(np.random.default_rng(7), n_classes=2)
+        gts += [gt(0, 0.5, 0.5), gt(1, 0.5, 0.5)]
+        assert len({d.confidence for d in dets}) > 10
+        calls = []
+        real_match = metrics.match
+
+        def counting_match(*args, **kwargs):
+            calls.append(args[2])
+            return real_match(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "match", counting_match)
+        map_and_mf1(dets, gts, 2, thresholds)
+        assert sorted(calls) == sorted([*{*thresholds, 0.5}] * 2)
+        assert len(calls) == {DEFAULT_IOU_THRESHOLDS: 20, (0.3, 0.7): 6}[thresholds]
+
+
 class TestConfusion:
     def test_perfect_identity_block(self):
         gts = [gt(0, 0.3, 0.3), gt(1, 0.7, 0.7)]
@@ -237,9 +296,34 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate([], [], [])
 
+    @pytest.mark.parametrize("thresholds, confusion_iou", [
+        ([], 0.5), ([0.5, float("nan")], 0.5), ([1.5], 0.5), ([float("inf")], 0.5),
+        ([0.0], 0.5), ([-1.0], 0.5), ([0.5], float("nan")), ([0.5], 0.0)])
+    def test_meaningless_iou_thresholds(self, thresholds, confusion_iou):
+        with pytest.raises(DomainError, match="IoU thresholds"):
+            evaluate([det(0, 0.9, 0.5, 0.5)], [gt(0, 0.5, 0.5)], ["a"],
+                     iou_thresholds=thresholds, confusion_iou=confusion_iou)
+
     def test_pr_curve_rows(self):
         gts = [gt(0, 0.5, 0.5)]
         dets = [det(0, 0.9, 0.5, 0.5), det(0, 0.8, 0.1, 0.1)]
         rows = pr_curve_rows(dets, gts, 0)
         assert rows[0] == (0.9, 1.0, 1.0)
         assert rows[1] == (0.8, 1.0, 0.5)
+
+    def test_pr_curve_rows_read_the_ap_flags(self):
+        """The last row's recall and the AP come from one ranked flag sequence."""
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            dets, gts = random_instance(rng)
+            rows = pr_curve_rows(dets, gts, 0, 0.6)
+            ap = average_precision(dets, gts, 0, 0.6)
+            if not rows:
+                assert ap == 0.0
+                continue
+            assert [r[0] for r in rows] == sorted((d.confidence for d in dets
+                                                   if d.class_id == 0), reverse=True)
+            env = [max(r[2] for r in rows[i:]) for i in range(len(rows))]
+            recalls = [0.0] + [r[1] for r in rows]
+            area = sum((recalls[i + 1] - recalls[i]) * env[i] for i in range(len(rows)))
+            assert ap == pytest.approx(area, abs=1e-12)

@@ -7,9 +7,13 @@ sources under ROOT/src, inside a temporary directory:
     detections  SHA-256 of the `forward` detections on one training image
     selftest    SHA-256 of `selftest` stdout
     gradcheck   SHA-256 of `gradcheck --module all` stdout
+    eval        SHA-256 of `eval --all-thresholds --out ev` stdout plus every
+                file under ev/ (name, then bytes, in name order), on a fixed
+                two-class corpus with tied confidences and one image whose
+                ground-truth file is empty
 
 Run it on two checkouts and compare the lines: a change that keeps these
-outputs bit-identical prints the same four hashes. With `--expect FILE`, a
+outputs bit-identical prints the same five hashes. With `--expect FILE`, a
 saved output of an earlier run, it prints the rows, then each differing
 name with the expected and the actual digest, and exits 1 on a mismatch.
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -36,6 +41,34 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write_eval_corpus(work: Path):
+    """Six images of two classes; confidences come from a four-value set, so
+    many tie. The last image has detections but an empty ground-truth file."""
+    rng = random.Random(0)
+    (work / "classes.txt").write_text("class0\nclass1\n")
+    for d in ("gt", "pred"):
+        (work / d).mkdir()
+    for i in range(6):
+        gts, dets = [], []
+        for _ in range(rng.randint(1, 3) if i < 5 else 0):
+            cls = rng.randrange(2)
+            box = [rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
+                   rng.uniform(0.1, 0.3), rng.uniform(0.1, 0.3)]
+            gts.append([cls, *box])
+            if rng.random() < 0.8:
+                jit = [v + rng.uniform(-0.03, 0.03) for v in box]
+                dets.append([cls if rng.random() < 0.9 else 1 - cls,
+                             rng.choice([0.3, 0.5, 0.7, 0.9]), *jit])
+        for _ in range(rng.randint(1, 3)):
+            dets.append([rng.randrange(2), rng.choice([0.3, 0.5, 0.7, 0.9]),
+                         rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
+                         rng.uniform(0.05, 0.2), rng.uniform(0.05, 0.2)])
+        for d, rows in (("gt", gts), ("pred", dets)):
+            text = "".join(f"{r[0]} " + " ".join(f"{v:.6f}" for v in r[1:]) + "\n"
+                           for r in rows)
+            (work / d / f"img_{i}.txt").write_text(text)
+
+
 def _cli(root: Path, work: Path, *argv) -> bytes:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("APD_SEED", None)
@@ -48,7 +81,7 @@ def _cli(root: Path, work: Path, *argv) -> bytes:
 
 
 def golden(root: Path):
-    """(name, hex digest) rows for the four outputs."""
+    """(name, hex digest) rows for the five outputs."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "train.cfg").write_text(TRAIN_CFG)
@@ -57,11 +90,17 @@ def golden(root: Path):
         _cli(root, work, "forward", "--weights", "run/weights.w1",
              "--input", "run/data/images/img_000.t4", "--config", "forward.cfg",
              "--out", "dets.txt")
+        _write_eval_corpus(work)
+        report = _cli(root, work, "eval", "--gt", "gt", "--pred", "pred",
+                      "--classes", "classes.txt", "--all-thresholds", "--out", "ev")
+        for path in sorted((work / "ev").iterdir()):
+            report += path.name.encode() + b"\n" + path.read_bytes()
         return [
             ("weights", _sha((work / "run" / "weights.w1").read_bytes())),
             ("detections", _sha((work / "dets.txt").read_bytes())),
             ("selftest", _sha(_cli(root, work, "selftest"))),
             ("gradcheck", _sha(_cli(root, work, "gradcheck", "--module", "all"))),
+            ("eval", _sha(report)),
         ]
 
 
