@@ -143,7 +143,12 @@ def _cmd_forward(args):
 def _cmd_eval(args):
     classes = [line.strip() for _, line in _read_lines(args.classes) if line.strip()]
     gt_dir, pred_dir = Path(args.gt), Path(args.pred)
+    for flag, d in (("--gt", gt_dir), ("--pred", pred_dir)):
+        if not d.is_dir():
+            raise DomainError("eval", f"{flag} {d}: not a directory")
     gt_files = sorted(gt_dir.glob("*.txt"))
+    if not gt_files:
+        raise DomainError("eval", f"--gt {gt_dir}: no *.txt ground-truth file")
     orphans = sorted({f.name for f in pred_dir.glob("*.txt")} - {f.name for f in gt_files})
     if orphans:
         raise DomainError("eval", f"{pred_dir / orphans[0]}: no ground-truth file of that name "

@@ -76,6 +76,27 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+def box_iou(a, b):
+    """IoU of every pair of (N, 4) and (M, 4) corner arrays as an (N, M) matrix.
+
+    The float operations are those of `iou`, so each entry equals it bit for
+    bit on finite corners: 0 where either overlap extent is <= 0, and the
+    union from corner differences, so identical boxes give exactly 1. Unlike
+    `iou` it does not reject degenerate boxes.
+    """
+    # contiguous coordinate rows: broadcasting over strided columns is slower
+    ax1, ay1, ax2, ay2 = np.ascontiguousarray(a.T)[:, :, None]
+    bx1, by1, bx2, by2 = np.ascontiguousarray(b.T)
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    disjoint = (iw <= 0) | (ih <= 0)
+    # a zero union only occurs in disjoint pairs of zero-area boxes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(disjoint, 0.0, inter / union)
+
+
 def ciou(pred, gt, alpha=None):
     """CIoU loss of P box pairs: 1 - IoU + rho^2/c^2 + alpha * v (Zheng et al. 2020).
 

@@ -17,7 +17,7 @@ import numpy as np
 from .activations import ACTIVATION_KINDS
 from .dataio import _MAX_HEADER, _read_exact, _read_t4_record, _write_t4_record
 from .ghost import C3Block, C3GhostSpec
-from .losses import Box, iou
+from .losses import Box, box_iou
 from .metrics import Detection
 from .module import Module, ModuleList, he_weight
 from .neck import IgdNeck, PyramidFeatures
@@ -204,63 +204,74 @@ def build_model(cfg: ModelConfig, rng_seed: int = 0) -> MicroDetector:
 # decoding
 
 
-def _nms_class(cands, nms_iou):
+def _nms_class(corners, nms_iou):
+    """Greedy NMS over one class's (K, 4) corners in visit order.
+
+    Returns the kept indices: a candidate is kept iff its IoU with every
+    earlier kept one is below nms_iou, so a NaN IoU suppresses.
+    """
+    ious = box_iou(corners, corners)
+    live = np.ones(len(corners), dtype=bool)
     kept = []
-    for cand in cands:
-        box = cand[-1]
-        if all(iou(box, k[-1]) < nms_iou for k in kept):
-            kept.append(cand)
+    for i in range(len(corners)):
+        if live[i]:
+            kept.append(i)
+            live &= ious[:, i] < nms_iou
     return kept
 
 
 def decode(preds: RawPredictions, cfg: ModelConfig) -> list[Detection]:
     """Expectation-decode distributions, threshold confidences, then greedy NMS.
 
-    Boxes are clipped to [0,1]^4; candidates are ordered by confidence with
-    ties broken by level then cell index, and same-class overlaps at or
-    above nms_iou are suppressed.
+    Boxes are clipped to [0,1]^4 and dropped when empty. The candidates of
+    an image, one per (cell, class) at or above conf_threshold, are visited
+    in the order (-confidence, level, cell index, class). Classes come out
+    in ascending order, each suppressing same-class overlaps at or above
+    nms_iou. Each box is stored as `Box.from_corners` of the clipped
+    corners, and NMS compares that box's own `corners()`, which need not
+    equal the clipped ones bit for bit.
     """
-    batch = preds.levels[0].cls.shape[0]
-    img_h = preds.levels[0].cls.shape[2] * preds.levels[0].stride
-    img_w = preds.levels[0].cls.shape[3] * preds.levels[0].stride
+    lv0 = preds.levels[0]
+    batch, nc = lv0.cls.shape[:2]
+    img_h, img_w = lv0.cls.shape[2] * lv0.stride, lv0.cls.shape[3] * lv0.stride
+    reg_max = preds.reg_max
+    # every cell of every level is one column: level by level, row-major within one
+    grids = [(lv.stride, *lv.cls.shape[2:]) for lv in preds.levels]
+    s = np.concatenate([np.full(gh * gw, stride) for stride, gh, gw in grids])
+    ci, cj = np.concatenate([np.divmod(np.arange(gh * gw), gw) for _, gh, gw in grids], axis=1)
+    conf = _stable_sigmoid(np.concatenate(
+        [lv.cls.data.reshape(batch, nc, -1) for lv in preds.levels], axis=2))
+    zs = np.concatenate([lv.box.data.reshape(batch, 4, reg_max, -1) for lv in preds.levels],
+                        axis=3)
+    zmax = zs.max(axis=2, keepdims=True)
+    p = np.exp(zs - zmax)
+    p /= p.sum(axis=2, keepdims=True)
+    bins = np.arange(reg_max).reshape(reg_max, 1)
+    l, t, r, d = (p * bins).sum(axis=2).transpose(1, 0, 2)  # (batch, cells), stride units
+    cxc, cyc = (cj + 0.5) * s, (ci + 0.5) * s
+    # fmax/fmin map NaN to the bound, as Python's max(0.0, v) and min(1.0, v) do
+    x1 = np.fmax(0.0, (cxc - l * s) / img_w)
+    y1 = np.fmax(0.0, (cyc - t * s) / img_h)
+    x2 = np.fmin(1.0, (cxc + r * s) / img_w)
+    y2 = np.fmin(1.0, (cyc + d * s) / img_h)
+    ok = ~((x2 - x1 <= 0) | (y2 - y1 <= 0))
+    img, k, cell = np.nonzero((conf >= cfg.conf_threshold) & ok[:, None, :])
+    confv = conf[img, k, cell]
+    order = np.lexsort((k, cell, -confv, img))
+    img, k, cell, confv = img[order], k[order], cell[order], confv[order]
+    x1, y1, x2, y2 = x1[img, cell], y1[img, cell], x2[img, cell], y2[img, cell]
+    cx, cy, w, h = (x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1
+    nms_corners = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
     out = []
     for b in range(batch):
-        cands = []
-        for li, lv in enumerate(preds.levels):
-            s = lv.stride
-            _, nc, gh, gw = lv.cls.shape
-            conf = _stable_sigmoid(lv.cls.data[b])
-            zs = lv.box.data[b].reshape(4, preds.reg_max, gh, gw)
-            zmax = zs.max(axis=1, keepdims=True)
-            p = np.exp(zs - zmax)
-            p /= p.sum(axis=1, keepdims=True)
-            bins = np.arange(preds.reg_max).reshape(1, preds.reg_max, 1, 1)
-            dist = (p * bins).sum(axis=1)  # (4, gh, gw) in stride units
-            for ci in range(gh):
-                cyc = (ci + 0.5) * s
-                for cj in range(gw):
-                    cxc = (cj + 0.5) * s
-                    best = conf[:, ci, cj]
-                    if best.max() < cfg.conf_threshold:
-                        continue
-                    l, t, r, d = dist[:, ci, cj]
-                    x1 = max(0.0, (cxc - l * s) / img_w)
-                    y1 = max(0.0, (cyc - t * s) / img_h)
-                    x2 = min(1.0, (cxc + r * s) / img_w)
-                    y2 = min(1.0, (cyc + d * s) / img_h)
-                    if x2 - x1 <= 0 or y2 - y1 <= 0:
-                        continue
-                    box = Box.from_corners(x1, y1, x2, y2)
-                    cell_idx = ci * gw + cj
-                    for k in range(nc):
-                        if best[k] >= cfg.conf_threshold:
-                            cands.append((k, float(best[k]), li, cell_idx, box))
-        cands.sort(key=lambda cand: (-cand[1], cand[2], cand[3], cand[0]))
-        for k in sorted({cand[0] for cand in cands}):
-            for cls_id, confv, _, _, box in _nms_class(
-                [cand for cand in cands if cand[0] == k], cfg.nms_iou
-            ):
-                out.append(Detection(cls_id, confv, box, str(b)))
+        for c in range(nc):
+            idx = np.flatnonzero((img == b) & (k == c))
+            if not idx.size:
+                continue
+            keep = idx[_nms_class(nms_corners[idx], cfg.nms_iou)]
+            for confidence, *box in zip(confv[keep].tolist(), cx[keep].tolist(),
+                                        cy[keep].tolist(), w[keep].tolist(), h[keep].tolist()):
+                out.append(Detection(c, confidence, Box(*box), str(b)))
     return out
 
 

@@ -10,17 +10,19 @@ two-exp softplus and the gradient formulas built on them are the engine's
 earlier elementwise kernels, kept as the bit-exact reference for the
 one-exp ones. `mf1_sweep_oracle` is the earlier mF1 sweep, which rematches
 every class at every distinct confidence; it shares only `match` with the
-prefix-sum sweep it checks.
+prefix-sum sweep it checks. `decode_loop_oracle` is the earlier per-cell
+decode with its tuple NMS over the scalar `iou`, the bit-exact reference for
+the array decode; it shares only `_stable_sigmoid`, `Box` and `iou` with it.
 """
 
 import math
 
 import numpy as np
 
-from microdet.losses import LevelGrid, assign_targets
-from microdet.metrics import match
+from microdet.losses import Box, LevelGrid, assign_targets, iou
+from microdet.metrics import Detection, match
 from microdet.selftest import ap_exhaustive_oracle, conv2d_scalar_oracle  # re-exported
-from microdet.tensor import DomainError
+from microdet.tensor import DomainError, _stable_sigmoid
 
 
 def maxpool_scalar_oracle(x, k, s, p):
@@ -357,3 +359,51 @@ def mf1_sweep_oracle(dets, gts, supported):
         if mean_f1 > best_f1:
             best_f1, best_conf, best_stats = mean_f1, conf, stats
     return max(best_f1, 0.0), best_conf, best_stats
+
+
+def decode_loop_oracle(preds, cfg):
+    """The per-cell, per-class decode: `Box` candidates, sorted, then tuple NMS."""
+    batch = preds.levels[0].cls.shape[0]
+    img_h = preds.levels[0].cls.shape[2] * preds.levels[0].stride
+    img_w = preds.levels[0].cls.shape[3] * preds.levels[0].stride
+    out = []
+    for b in range(batch):
+        cands = []
+        for li, lv in enumerate(preds.levels):
+            s = lv.stride
+            _, nc, gh, gw = lv.cls.shape
+            conf = _stable_sigmoid(lv.cls.data[b])
+            zs = lv.box.data[b].reshape(4, preds.reg_max, gh, gw)
+            zmax = zs.max(axis=1, keepdims=True)
+            p = np.exp(zs - zmax)
+            p /= p.sum(axis=1, keepdims=True)
+            bins = np.arange(preds.reg_max).reshape(1, preds.reg_max, 1, 1)
+            dist = (p * bins).sum(axis=1)  # (4, gh, gw) in stride units
+            for ci in range(gh):
+                cyc = (ci + 0.5) * s
+                for cj in range(gw):
+                    cxc = (cj + 0.5) * s
+                    best = conf[:, ci, cj]
+                    if best.max() < cfg.conf_threshold:
+                        continue
+                    l, t, r, d = dist[:, ci, cj]
+                    x1 = max(0.0, (cxc - l * s) / img_w)
+                    y1 = max(0.0, (cyc - t * s) / img_h)
+                    x2 = min(1.0, (cxc + r * s) / img_w)
+                    y2 = min(1.0, (cyc + d * s) / img_h)
+                    if x2 - x1 <= 0 or y2 - y1 <= 0:
+                        continue
+                    box = Box.from_corners(x1, y1, x2, y2)
+                    cell_idx = ci * gw + cj
+                    for k in range(nc):
+                        if best[k] >= cfg.conf_threshold:
+                            cands.append((k, float(best[k]), li, cell_idx, box))
+        cands.sort(key=lambda cand: (-cand[1], cand[2], cand[3], cand[0]))
+        for k in sorted({cand[0] for cand in cands}):
+            kept = []
+            for cand in (cand for cand in cands if cand[0] == k):
+                if all(iou(cand[-1], other[-1]) < cfg.nms_iou for other in kept):
+                    kept.append(cand)
+            for cls_id, confv, _, _, box in kept:
+                out.append(Detection(cls_id, confv, box, str(b)))
+    return out

@@ -194,6 +194,19 @@ class TestEvalInputs:
         err = expect_one_error(capsys, eval_dirs)
         assert str(tmp_path / "pred" / "b.txt") in err
 
+    @pytest.mark.parametrize("flag", ["--gt", "--pred"])
+    def test_missing_directory(self, eval_dirs, tmp_path, capsys, flag):
+        argv = list(eval_dirs)
+        argv[argv.index(flag) + 1] = str(tmp_path / "nope")
+        err = expect_one_error(capsys, argv)
+        assert f"{flag} {tmp_path / 'nope'}" in err
+
+    def test_ground_truth_directory_without_files(self, eval_dirs, tmp_path, capsys):
+        (tmp_path / "gt" / "a.txt").unlink()
+        (tmp_path / "pred" / "a.txt").unlink()
+        err = expect_one_error(capsys, eval_dirs)
+        assert "no *.txt ground-truth file" in err
+
     def test_empty_ground_truth_file_declares_no_objects(self, eval_dirs, tmp_path, capsys):
         """With b.txt declared empty, its detection is a false positive ranked first."""
         (tmp_path / "pred" / "b.txt").write_text("0 0.9 0.5 0.5 0.2 0.2\n")

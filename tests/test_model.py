@@ -1,6 +1,10 @@
 """Assembly: shapes, registry invariants, decode/NMS, weights IO, ablations."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,10 +259,22 @@ class TestDecode:
         assert d.box.w == pytest.approx((min(cxc + half, 64) - 0) / 64, abs=1e-9)
 
     def test_nms_keeps_highest_confidence_of_identical_boxes(self):
-        box = Box(0.5, 0.5, 0.2, 0.2)
-        kept = _nms_class([(0, 0.9, 0, 0, box), (0, 0.8, 0, 1, box)], 0.5)
-        assert len(kept) == 1
-        assert kept[0][1] == 0.9
+        """Candidates arrive in confidence order, so the first of two equal boxes stays."""
+        corners = np.array([Box(0.5, 0.5, 0.2, 0.2).corners()] * 2)
+        assert _nms_class(corners, 0.5) == [0]
+
+    def test_nms_suppression_is_not_transitive(self):
+        """A suppresses B; B would suppress C, but B is gone, so C stays."""
+        a, b, c = ([x, 0.0, x + 1.0, 1.0] for x in (0.0, 0.3, 0.6))
+        # IoU(A, B) = IoU(B, C) = 0.7 / 1.3, IoU(A, C) = 0.4 / 1.6
+        assert _nms_class(np.array([a, b, c]), 0.5) == [0, 2]
+
+    def test_nms_nan_iou_suppresses(self):
+        """A candidate is kept only if its IoU is below the threshold, and NaN is not."""
+        corners = np.array([[0.1, 0.1, 0.4, 0.4], [0.6, 0.1, 0.9, 0.4]])
+        assert _nms_class(corners, 0.5) == [0, 1]
+        corners[1, 0] = np.nan
+        assert _nms_class(corners, 0.5) == [0]
 
     def test_adjacent_cells_suppressed(self):
         """Two near-identical boxes from neighboring cells: one survives."""
@@ -288,6 +304,27 @@ class TestDecode:
         preds = _empty_preds()
         dets = decode(preds, ModelConfig())
         assert dets == []
+
+    def test_inference_does_not_import_numpy_ma(self):
+        """`numpy.ma` costs about 1 MB of resident memory once imported (`np.unique`
+        imports it), so one forward and decode in a fresh process must not load it."""
+        code = (
+            "import sys, numpy as np\n"
+            "from microdet.model import ModelConfig, build_model, decode\n"
+            "from microdet.tensor import Tensor4\n"
+            "cfg = ModelConfig(conf_threshold=0.0)\n"
+            "model = build_model(cfg, 0)\n"
+            "model.set_inference()\n"
+            "image = Tensor4(np.random.default_rng(0).uniform(size=(1, 3, 64, 64)))\n"
+            "assert decode(model.forward(image), cfg)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestWeightsIO:
