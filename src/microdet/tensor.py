@@ -254,11 +254,25 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
     k, s, p, g = spec.k, spec.s, spec.p, spec.g
     ho, wo = spec.out_hw(h, w)
     xp = _pad2d(x.data, p)
+    pointwise = k == 1 and s == 1 and p == 0
+    depthwise = g == c == spec.c_out
+
+    def columns(xpad):
+        # a 1x1, stride-1, unpadded conv reads the input itself as its columns
+        if pointwise:
+            return xpad.reshape(n, c, h * w)
+        return _im2col(xpad, k, s, ho, wo).reshape(n, c * k * k, ho * wo)
 
     if g == 1:
-        col = _im2col(xp, k, s, ho, wo).reshape(n, c * k * k, ho * wo)
         w2 = weight.data.reshape(spec.c_out, c * k * k)
-        out_arr = np.matmul(w2, col).reshape(n, spec.c_out, ho, wo)
+        out_arr = np.matmul(w2, columns(xp)).reshape(n, spec.c_out, ho, wo)
+    elif depthwise:
+        # one multiply-add per kernel cell, in the cell order of the grouped path
+        wd = weight.data.reshape(c, k, k, 1, 1)
+        out_arr = np.zeros((n, c, ho, wo))
+        for ki in range(k):
+            for kj in range(k):
+                out_arr += wd[:, ki, kj] * xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
     else:
         # grouped path: fixed (ki,kj) loop, one contraction per kernel cell
         cg = c // g
@@ -273,7 +287,7 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
         out_arr = out_arr.reshape(n, spec.c_out, ho, wo)
 
     if bias is not None:
-        out_arr = out_arr + bias.data
+        out_arr += bias.data
     out = Tensor4(out_arr)
 
     if tape is not None:
@@ -282,14 +296,14 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
         def back(up):
             upr = up
             if g == 1:
-                col_b = _im2col(_pad2d(x.data, p), k, s, ho, wo).reshape(n, c * k * k, ho * wo)
+                col_b = columns(_pad2d(x.data, p))
                 up2 = upr.reshape(n, spec.c_out, ho * wo)
                 w2b = weight.data.reshape(spec.c_out, c * k * k)
                 weight.grad += np.matmul(up2, col_b.transpose(0, 2, 1)).sum(axis=0).reshape(
                     weight.shape
                 )
                 dcol = np.matmul(w2b.T, up2)
-                if k == 1 and s == 1 and p == 0:
+                if pointwise:
                     # the columns are the input itself, so dcol is already dx
                     x.grad += dcol.reshape(n, c, h, w)
                 else:
@@ -312,9 +326,13 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
                     for kj in range(k):
                         xs = xg[:, :, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
                         dw[:, :, :, ki, kj] = np.einsum("ngmhw,ngchw->gmc", upg, xs)
-                        dxp[:, :, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += np.einsum(
-                            "gmc,ngmhw->ngchw", wg[:, :, :, ki, kj], upg
-                        )
+                        if depthwise:
+                            dxp[:, :, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += (
+                                wg[:, :, :, ki, kj, None] * upg)
+                        else:
+                            dxp[:, :, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += np.einsum(
+                                "gmc,ngmhw->ngchw", wg[:, :, :, ki, kj], upg
+                            )
                 weight.grad += dw.reshape(weight.shape)
                 x.grad += dxp.reshape(n, c, h + 2 * p, w + 2 * p)[:, :, p:p + h, p:p + w]
             if bias is not None:
@@ -342,14 +360,16 @@ def maxpool2d(x: Tensor4, k: int, s: int, p: int, tape: GradTape | None = None) 
 
     xp = _pad2d(x.data, p, value=-np.inf)
     out_arr = np.full((n, c, ho, wo), -np.inf)
-    win = np.zeros((n, c, ho, wo), dtype=np.int16)
+    # the winner of each window is needed only by the backward
+    win = np.zeros((n, c, ho, wo), dtype=np.int16) if tape is not None else None
     idx = 0
     for ki in range(k):
         for kj in range(k):
             sl = xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
             better = sl > out_arr
             np.copyto(out_arr, sl, where=better)
-            win[better] = idx
+            if win is not None:
+                win[better] = idx
             idx += 1
     out = Tensor4(out_arr)
 

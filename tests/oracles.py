@@ -13,6 +13,8 @@ every class at every distinct confidence; it shares only `match` with the
 prefix-sum sweep it checks. `decode_loop_oracle` is the earlier per-cell
 decode with its tuple NMS over the scalar `iou`, the bit-exact reference for
 the array decode; it shares only `_stable_sigmoid`, `Box` and `iou` with it.
+`conv2d_grouped_einsum_oracle` is the grouped conv's einsum loop, the
+bit-exact reference for the depthwise multiply-add path.
 """
 
 import math
@@ -102,6 +104,33 @@ def conv2d_scatter_dx_oracle(w, up, x_shape, s, p):
         for kj in range(k):
             dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcol[:, :, ki, kj]
     return np.zeros(x_shape) + dxp[:, :, p:p + h, p:p + wd]
+
+
+def conv2d_grouped_einsum_oracle(x, w, g, s, p, up):
+    """Forward, dx and dw of a grouped conv the general way: one einsum per
+    kernel cell for the output, for dw and for dx scattered through a zero
+    padded buffer. `up` is the upstream gradient of the output."""
+    n, c, h, wd = x.shape
+    c_out, cg, k, _ = w.shape
+    m = c_out // g
+    ho, wo = up.shape[2:]
+    xp = np.zeros((n, c, h + 2 * p, wd + 2 * p))
+    xp[:, :, p:p + h, p:p + wd] = x
+    xg = xp.reshape(n, g, cg, h + 2 * p, wd + 2 * p)
+    wg = w.reshape(g, m, cg, k, k)
+    upg = up.reshape(n, g, m, ho, wo)
+    out = np.zeros((n, g, m, ho, wo))
+    dw = np.zeros_like(wg)
+    dxp = np.zeros_like(xg)
+    for ki in range(k):
+        for kj in range(k):
+            xs = xg[:, :, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
+            out += np.einsum("gmc,ngchw->ngmhw", wg[:, :, :, ki, kj], xs)
+            dw[:, :, :, ki, kj] = np.einsum("ngmhw,ngchw->gmc", upg, xs)
+            dxp[:, :, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += np.einsum(
+                "gmc,ngmhw->ngchw", wg[:, :, :, ki, kj], upg)
+    dx = np.zeros(x.shape) + dxp.reshape(n, c, h + 2 * p, wd + 2 * p)[:, :, p:p + h, p:p + wd]
+    return out.reshape(n, c_out, ho, wo), dx, np.zeros(w.shape) + dw.reshape(w.shape)
 
 
 def iou_raster_oracle(a, b, cells=2000):
