@@ -294,6 +294,7 @@ def save_weights(model: MicroDetector, path):
 
 def load_weights(model: MicroDetector, path):
     """Fill the registry in place; unknown, missing or malformed records are errors."""
+    model.drop_caches()
     params = dict(model.named_params())
     buffers = dict(model.named_buffers())
     seen = set()

@@ -54,7 +54,13 @@ class Module:
     def param_count(self):
         return sum(p.numel for _, p in self.named_params())
 
+    def drop_caches(self):
+        """Forget everything derived from parameters or batchnorm statistics."""
+        for child in self._children.values():
+            child.drop_caches()
+
     def set_training(self, training: bool, track_stats: bool | None = None):
+        self.drop_caches()
         for bn in self.batchnorms():
             bn.training = training
             if track_stats is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,14 @@ from .tensor import (
 
 
 class SimConv(Module):
-    """Bias-free conv with same-padding (p = k//2), batchnorm, then activation."""
+    """Bias-free conv with same-padding (p = k//2), batchnorm, then activation.
+
+    An inference forward (no tape, batchnorm not training) runs one conv with
+    the batchnorm folded in: weight W*gamma/sqrt(var+eps), bias
+    beta - mean*gamma/sqrt(var+eps). The folded pair is computed on first use
+    and cached until `drop_caches`, which `set_training` and `load_weights`
+    call.
+    """
 
     def __init__(self, c_in, c_out, k=1, s=1, g=1, activation="mish",
                  rng: np.random.Generator | None = None,
@@ -33,10 +40,27 @@ class SimConv(Module):
         self.weight = he_weight(rng, c_out, c_in // g, k)
         self.bn = BatchNormState.create(c_out, eps=bn_eps, momentum=bn_momentum)
         self.activation = activation
+        self._folded = None
+
+    def drop_caches(self):
+        self._folded = None
+
+    def _fold(self):
+        """(spec, weight, bias) of the conv with the inference batchnorm folded in."""
+        bn = self.bn
+        scale = bn.gamma.data.reshape(-1) / np.sqrt(bn.running_var + bn.eps)
+        weight = Tensor4(self.weight.data * scale.reshape(-1, 1, 1, 1))
+        bias = Tensor4((bn.beta.data.reshape(-1) - bn.running_mean * scale).reshape(1, -1, 1, 1))
+        return replace(self.spec, has_bias=True), weight, bias
 
     def forward(self, x: Tensor4, tape: GradTape | None = None) -> Tensor4:
-        y = conv2d(x, self.spec, self.weight, tape=tape)
-        y = batchnorm2d(y, self.bn, tape)
+        if tape is None and not self.bn.training:
+            if self._folded is None:
+                self._folded = self._fold()
+            y = conv2d(x, *self._folded)
+        else:
+            y = conv2d(x, self.spec, self.weight, tape=tape)
+            y = batchnorm2d(y, self.bn, tape)
         return apply_activation(y, self.activation, tape)
 
 

@@ -15,14 +15,21 @@ import microdet
 from microdet.model import LevelPreds, ModelConfig, RawPredictions
 from microdet.tensor import Tensor4
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# forward tensor ops of one batch-1 64 px inference with batchnorm folded into
+# every SimConv: 226 with conv -> batchnorm, less the 54 batchnorm calls
+INFER_OPS_PER_IMAGE = 172
 
 
-def load_tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer_module():
+    return _load("tracer")
 
 
 def test_tracer_finds_every_entry_point():
@@ -50,3 +57,29 @@ def test_tracer_counts_every_decode_candidate():
     counts = tracer.op_counts[0]
     assert counts["model.decode.candidates"] == 168
     assert counts["model.decode.kept"] == len(dets) > 0
+
+
+def test_infer_op_runs_folded_convs(tmp_path):
+    """One traced `infer` op records no batchnorm and the folded op count.
+
+    A silent fall-back to conv -> batchnorm at inference would show here.
+    """
+    tracer_mod = load_tracer_module()
+    wl = _load("workloads").Infer(1, tmp_path)
+    wl.setup()
+    tracer = tracer_mod.Tracer(microdet)
+    tracer.install()
+    try:
+        span = tracer.begin_op(0)
+        out = wl.op(0)
+        tracer.end_op(span)
+    finally:
+        tracer.remove()
+    assert wl.check(0, out)
+    counts = tracer.op_counts[0]
+    assert tracer.name_ids["tensor.batchnorm2d"] not in tracer.span_name
+    assert counts.get("tensor.batchnorm2d.calls", 0) == 0
+    # the forward op kinds perfbench/layers.py sums into tensor.ops_per_image
+    kinds = ("tensor.conv2d", "activations", "simam", *set(tracer_mod.TENSOR_KINDS.values()))
+    ops = sum(counts.get(k + ".calls", 0) for k in kinds) / wl.items_per_op
+    assert ops == INFER_OPS_PER_IMAGE
