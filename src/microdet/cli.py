@@ -35,7 +35,7 @@ from .droi import (
     replay_trajectory,
 )
 from .ghost import C3GhostSpec, GhostSpec, count_params_flops
-from .metrics import DEFAULT_IOU_THRESHOLDS, evaluate, pr_curve_rows
+from .metrics import DEFAULT_IOU_THRESHOLDS, evaluate
 from .model import (
     ModelConfig,
     build_model,
@@ -167,7 +167,7 @@ def _cmd_eval(args):
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(report.to_text())
         for ci, name in enumerate(classes):
-            rows = pr_curve_rows(dets, gts, ci, thresholds[0])
+            rows = report.pr_curve_rows(ci)
             with open(out / f"pr_curve_{name}.csv", "w") as fh:
                 fh.write("confidence,recall,precision\n")
                 for conf, rec, prec in rows:

@@ -204,8 +204,6 @@ def _parse_value(text, default):
         if text.lower() not in _TRUE + _FALSE:
             raise ValueError(f"{text!r} is not a boolean ({'/'.join(_TRUE + _FALSE)})")
         return text.lower() in _TRUE
-    if not isinstance(default, (int, float, str)):
-        raise ValueError("cannot be set from a config file")
     value = type(default)(text)
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
@@ -240,8 +238,6 @@ def write_config(path, *instances):
             value = getattr(inst, f.name)
             if isinstance(value, bool):
                 value = "true" if value else "false"
-            elif not isinstance(value, (int, float, str)):
-                continue
             lines.append(f"{f.name} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -1,9 +1,9 @@
 """Ghost convolutions and the CSP block built from ghost bottlenecks.
 
-A ghost conv spends a standard conv only on c_out/ratio intrinsic channels
-and derives the rest with a cheap depthwise transform, cutting both
-parameters and FLOPs. C3Ghost swaps these into the bottlenecks of a
-cross-stage-partial block. Closed-form parameter/FLOP counting lives here
+A ghost conv spends a standard conv only on c_out/2 intrinsic channels
+and derives the other half with a cheap depthwise transform (GhostNet's
+ratio 2), cutting both parameters and FLOPs. C3Ghost swaps these into the
+bottlenecks of a cross-stage-partial block. Closed-form parameter/FLOP counting lives here
 too so the economy claim is checkable.
 """
 
@@ -22,22 +22,20 @@ from .tensor import ConvSpec, GradTape, ShapeError, Tensor4, add, concat_channel
 class GhostSpec:
     c_in: int
     c_out: int
-    ratio: int = 2
     primary_k: int = 1
     cheap_k: int = 3
     activation: str = "mish"
 
     def __post_init__(self):
-        if self.ratio < 2:
-            raise ShapeError("ghost", f"ratio must be >= 2, got {self.ratio}")
-        if self.c_out % self.ratio:
-            raise ShapeError("ghost", f"c_out {self.c_out} not divisible by ratio {self.ratio}")
+        if self.c_out % 2:
+            raise ShapeError("ghost", f"c_out {self.c_out} must be even: half intrinsic, "
+                                      f"half ghost")
         if self.cheap_k % 2 == 0:
             raise ShapeError("ghost", f"cheap_k must be odd for same-padding, got {self.cheap_k}")
 
     @property
     def intrinsic(self):
-        return self.c_out // self.ratio
+        return self.c_out // 2
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class GhostConv(Module):
         ci = spec.intrinsic
         self.primary = SimConv(spec.c_in, ci, k=spec.primary_k, activation=spec.activation,
                                rng=rng)
-        self.cheap = SimConv(ci, spec.c_out - ci, k=spec.cheap_k, g=ci,
+        self.cheap = SimConv(ci, ci, k=spec.cheap_k, g=ci,
                              activation=spec.activation, rng=rng)
 
     def forward(self, x: Tensor4, tape: GradTape | None = None) -> Tensor4:
@@ -155,19 +153,17 @@ def count_params_flops(spec, h, w, include_bn=False, ghost=True):
 
     Accepts ConvSpec (bare conv), GhostSpec, or C3GhostSpec (same-padding
     stride-1 assumed for the composite blocks, so spatial dims carry
-    through). For a ghost conv the default count is
-    (c_out/r)*c_in*k^2 + (r-1)*(c_out/r)*d^2. For a C3GhostSpec, ghost=False
-    counts the plain-bottleneck block, as C3Block(ghost=False) builds it.
+    through). For a ghost conv the count is (c_out/2)*c_in*k^2 + (c_out/2)*d^2.
+    For a C3GhostSpec, ghost=False counts the plain-bottleneck block, as
+    C3Block(ghost=False) builds it.
     """
     if isinstance(spec, ConvSpec):
-        ho, wo = spec.out_hw(h, w)
-        weights = spec.c_out * (spec.c_in // spec.g) * spec.k * spec.k
-        params = weights + (spec.c_out if spec.has_bias else 0)
-        return params, 2 * weights * ho * wo
+        return _conv_cost(spec.c_in, spec.c_out, spec.k, spec.g, *spec.out_hw(h, w),
+                          bias=spec.has_bias)
     if isinstance(spec, GhostSpec):
         ci = spec.intrinsic
         p1, f1 = _conv_cost(spec.c_in, ci, spec.primary_k, 1, h, w, bn=include_bn)
-        p2, f2 = _conv_cost(ci, spec.c_out - ci, spec.cheap_k, ci, h, w, bn=include_bn)
+        p2, f2 = _conv_cost(ci, ci, spec.cheap_k, ci, h, w, bn=include_bn)
         return p1 + p2, f1 + f2
     if isinstance(spec, C3GhostSpec):
         hch = spec.hidden

@@ -54,6 +54,9 @@ class EvalReport:
     confusion_raw: np.ndarray
     confusion_normalized: np.ndarray
     supported_classes: list[int] = field(default_factory=list)
+    # (class_id, threshold) -> (ranked class detections, TP flags, GT count),
+    # the matches map_and_mf1 made for the supported classes
+    matched: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_text(self):
         primary = 0.5 if 0.5 in self.iou_thresholds else self.iou_thresholds[0]
@@ -79,6 +82,15 @@ class EvalReport:
         for row in self.confusion_normalized:
             lines.append(" ".join(f"{v:.6f}" for v in row))
         return "\n".join(lines) + "\n"
+
+    def pr_curve_rows(self, class_id: int):
+        """(confidence, recall, precision) rows of the cumulative sweep at the
+        first IoU threshold, for CSV export; empty for a class with no ground truth."""
+        class_dets, flags, n_gt = self.matched.get((class_id, self.iou_thresholds[0]),
+                                                   ([], [], 0))
+        tp_cum = np.cumsum(flags)
+        return [(det.confidence, tp_cum[i] / n_gt, tp_cum[i] / (i + 1))
+                for i, det in enumerate(class_dets)]
 
 
 def _group(items):
@@ -153,7 +165,8 @@ DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
 def map_and_mf1(dets, gts, num_classes, iou_thresholds=DEFAULT_IOU_THRESHOLDS):
-    """(map50, map50_95, mf1, mf1_confidence, ap dict, per-class stats, support).
+    """(map50, map50_95, mf1, mf1_confidence, ap dict, per-class stats, support,
+    matches by (class, IoU threshold)).
 
     Classes with no ground-truth instances are excluded from every mean.
     mF1 is evaluated at IoU 0.5 at the confidence (swept over all detection
@@ -192,7 +205,7 @@ def map_and_mf1(dets, gts, num_classes, iou_thresholds=DEFAULT_IOU_THRESHOLDS):
         mean_f1 = float(np.mean(f1s)) if f1s else 0.0
         if mean_f1 > best_f1:
             best_f1, best_conf, best_stats = mean_f1, conf, stats
-    return map50, map50_95, max(best_f1, 0.0), best_conf, ap, best_stats, supported
+    return map50, map50_95, max(best_f1, 0.0), best_conf, ap, best_stats, supported, matched
 
 
 def confusion_matrix(dets, gts, conf_t: float, iou_t: float, num_classes: int):
@@ -252,7 +265,7 @@ def evaluate(dets, gts, class_names, iou_thresholds=DEFAULT_IOU_THRESHOLDS,
     if bad or not iou_thresholds:
         raise DomainError("evaluate", f"IoU thresholds must be a non-empty list in (0, 1], "
                           f"got {bad[0] if bad else 'none'}")
-    map50, map50_95, mf1, mf1_conf, ap, per_class, supported = map_and_mf1(
+    map50, map50_95, mf1, mf1_conf, ap, per_class, supported, matched = map_and_mf1(
         dets, gts, nc, iou_thresholds
     )
     raw, norm = confusion_matrix(dets, gts, confusion_conf, confusion_iou, nc)
@@ -268,14 +281,5 @@ def evaluate(dets, gts, class_names, iou_thresholds=DEFAULT_IOU_THRESHOLDS,
         confusion_raw=raw,
         confusion_normalized=norm,
         supported_classes=supported,
+        matched=matched,
     )
-
-
-def pr_curve_rows(dets, gts, class_id: int, iou_t: float = 0.5):
-    """(confidence, recall, precision) rows of the cumulative sweep, for CSV export."""
-    class_dets, flags, n_gt = _class_flags(dets, gts, class_id, iou_t)
-    if not n_gt or not class_dets:
-        return []
-    tp_cum = np.cumsum(flags)
-    return [(det.confidence, tp_cum[i] / n_gt, tp_cum[i] / (i + 1))
-            for i, det in enumerate(class_dets)]

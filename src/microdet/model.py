@@ -33,13 +33,17 @@ from .tensor import (
     _stable_sigmoid,
 )
 
+# output strides of the three levels: two stride-2 stem convs, then a stride-2
+# downsample per stage
+STRIDES = (8, 16, 32)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_classes: int = 2
     width: float = 1.0
     depth: float = 1.0
     reg_max: int = 8
-    strides: tuple = (8, 16, 32)
     activation: str = "mish"
     use_simsppf: bool = True
     use_simam: bool = True
@@ -173,7 +177,7 @@ class MicroDetector(Module):
         n, c, h, w = image.shape
         if c != 3:
             raise ShapeError("model", f"expected 3 input channels, got {c}")
-        max_stride = self.cfg.strides[-1]
+        max_stride = STRIDES[-1]
         if h % max_stride or w % max_stride:
             raise ShapeError("model", f"input dims ({h},{w}) not divisible by {max_stride}")
         x = self.stem2.forward(self.stem1.forward(image, tape), tape)
@@ -186,7 +190,7 @@ class MicroDetector(Module):
         if self.neck is not None:
             pyramid = self.neck.forward(pyramid, tape)
         levels = []
-        for head, level, stride in zip(self.heads, pyramid.levels(), self.cfg.strides):
+        for head, level, stride in zip(self.heads, pyramid.levels(), STRIDES):
             cls, box = head.forward(level, tape)
             levels.append(LevelPreds(cls, box, stride))
         return RawPredictions(levels, self.cfg.num_classes, self.cfg.reg_max)

@@ -89,10 +89,11 @@ class ConvSpec:
     def __post_init__(self):
         if self.k < 1 or self.s < 1 or self.p < 0:
             raise ShapeError("conv_spec", f"k={self.k}, s={self.s}, p={self.p} out of range")
-        if self.g < 1 or self.c_in % self.g or self.c_out % self.g:
+        # dense, or depthwise as in the ghost cheap op; no other grouping runs
+        if self.g != 1 and not self.g == self.c_in == self.c_out:
             raise ShapeError(
                 "conv_spec",
-                f"groups {self.g} must divide c_in={self.c_in} and c_out={self.c_out}",
+                f"groups {self.g} must be 1 or equal c_in={self.c_in} and c_out={self.c_out}",
             )
 
     def out_hw(self, h, w):
@@ -108,11 +109,6 @@ class ConvSpec:
 
     def weight_shape(self):
         return (self.c_out, self.c_in // self.g, self.k, self.k)
-
-    def param_count(self):
-        co, cg, k, _ = self.weight_shape()
-        n = co * cg * k * k
-        return n + (co if self.has_bias else 0)
 
 
 @dataclass
@@ -231,7 +227,7 @@ def _pad2d(a, p, value=0.0):
 
 def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = None,
            tape: GradTape | None = None) -> Tensor4:
-    """Grouped 2-D cross-correlation (no kernel flip).
+    """Dense or depthwise 2-D cross-correlation (no kernel flip).
 
     weight is (c_out, c_in/g, k, k); bias, when the spec asks for one, is a
     (1, c_out, 1, 1) tensor. Output spatial dims follow
@@ -251,11 +247,10 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
     elif bias is not None:
         raise ShapeError("conv2d", "bias passed but spec.has_bias is False")
 
-    k, s, p, g = spec.k, spec.s, spec.p, spec.g
+    k, s, p = spec.k, spec.s, spec.p
     ho, wo = spec.out_hw(h, w)
     xp = _pad2d(x.data, p)
     pointwise = k == 1 and s == 1 and p == 0
-    depthwise = g == c == spec.c_out
 
     def columns(xpad):
         # a 1x1, stride-1, unpadded conv reads the input itself as its columns
@@ -263,28 +258,19 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
             return xpad.reshape(n, c, h * w)
         return _im2col(xpad, k, s, ho, wo).reshape(n, c * k * k, ho * wo)
 
-    if g == 1:
+    def window(a, ki, kj):
+        return a[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
+
+    if spec.g == 1:
         w2 = weight.data.reshape(spec.c_out, c * k * k)
         out_arr = np.matmul(w2, columns(xp)).reshape(n, spec.c_out, ho, wo)
-    elif depthwise:
-        # one multiply-add per kernel cell, in the cell order of the grouped path
+    else:
+        # depthwise: one multiply-add per kernel cell
         wd = weight.data.reshape(c, k, k, 1, 1)
         out_arr = np.zeros((n, c, ho, wo))
         for ki in range(k):
             for kj in range(k):
-                out_arr += wd[:, ki, kj] * xp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
-    else:
-        # grouped path: fixed (ki,kj) loop, one contraction per kernel cell
-        cg = c // g
-        m = spec.c_out // g
-        xg = xp.reshape(n, g, cg, xp.shape[2], xp.shape[3])
-        wg = weight.data.reshape(g, m, cg, k, k)
-        out_arr = np.zeros((n, g, m, ho, wo))
-        for ki in range(k):
-            for kj in range(k):
-                xs = xg[:, :, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
-                out_arr += np.einsum("gmc,ngchw->ngmhw", wg[:, :, :, ki, kj], xs)
-        out_arr = out_arr.reshape(n, spec.c_out, ho, wo)
+                out_arr += wd[:, ki, kj] * window(xp, ki, kj)
 
     if bias is not None:
         out_arr += bias.data
@@ -293,50 +279,37 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
     if tape is not None:
         inputs = (x, weight) + ((bias,) if bias is not None else ())
 
+        def scatter(cell_grad):
+            # dx through the padded input, one strided add per kernel cell
+            dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
+            for ki in range(k):
+                for kj in range(k):
+                    window(dxp, ki, kj)[...] += cell_grad(ki, kj)
+            return dxp[:, :, p:p + h, p:p + w]
+
         def back(up):
-            upr = up
-            if g == 1:
-                col_b = columns(_pad2d(x.data, p))
-                up2 = upr.reshape(n, spec.c_out, ho * wo)
+            xpb = _pad2d(x.data, p)
+            if spec.g == 1:
+                up2 = up.reshape(n, spec.c_out, ho * wo)
                 w2b = weight.data.reshape(spec.c_out, c * k * k)
-                weight.grad += np.matmul(up2, col_b.transpose(0, 2, 1)).sum(axis=0).reshape(
-                    weight.shape
-                )
+                weight.grad += np.matmul(up2, columns(xpb).transpose(0, 2, 1)).sum(
+                    axis=0).reshape(weight.shape)
                 dcol = np.matmul(w2b.T, up2)
                 if pointwise:
                     # the columns are the input itself, so dcol is already dx
                     x.grad += dcol.reshape(n, c, h, w)
                 else:
                     dcol = dcol.reshape(n, c, k, k, ho, wo)
-                    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
-                    for ki in range(k):
-                        for kj in range(k):
-                            dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcol[:, :, ki, kj]
-                    x.grad += dxp[:, :, p:p + h, p:p + w]
+                    x.grad += scatter(lambda ki, kj: dcol[:, :, ki, kj])
             else:
-                cg = c // g
-                m = spec.c_out // g
-                xpb = _pad2d(x.data, p)
-                xg = xpb.reshape(n, g, cg, xpb.shape[2], xpb.shape[3])
-                upg = upr.reshape(n, g, m, ho, wo)
-                wg = weight.data.reshape(g, m, cg, k, k)
-                dw = np.zeros_like(wg)
-                dxp = np.zeros((n, g, cg, xpb.shape[2], xpb.shape[3]))
+                dw = np.zeros((c, k, k))
                 for ki in range(k):
                     for kj in range(k):
-                        xs = xg[:, :, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
-                        dw[:, :, :, ki, kj] = np.einsum("ngmhw,ngchw->gmc", upg, xs)
-                        if depthwise:
-                            dxp[:, :, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += (
-                                wg[:, :, :, ki, kj, None] * upg)
-                        else:
-                            dxp[:, :, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += np.einsum(
-                                "gmc,ngmhw->ngchw", wg[:, :, :, ki, kj], upg
-                            )
+                        dw[:, ki, kj] = np.einsum("nchw,nchw->c", up, window(xpb, ki, kj))
                 weight.grad += dw.reshape(weight.shape)
-                x.grad += dxp.reshape(n, c, h + 2 * p, w + 2 * p)[:, :, p:p + h, p:p + w]
+                x.grad += scatter(lambda ki, kj: wd[:, ki, kj] * up)
             if bias is not None:
-                bias.grad += upr.sum(axis=(0, 2, 3)).reshape(1, spec.c_out, 1, 1)
+                bias.grad += up.sum(axis=(0, 2, 3)).reshape(1, spec.c_out, 1, 1)
 
         tape.record(inputs, out, back)
     return out

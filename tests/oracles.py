@@ -13,8 +13,8 @@ every class at every distinct confidence; it shares only `match` with the
 prefix-sum sweep it checks. `decode_loop_oracle` is the earlier per-cell
 decode with its tuple NMS over the scalar `iou`, the bit-exact reference for
 the array decode; it shares only `_stable_sigmoid`, `Box` and `iou` with it.
-`conv2d_grouped_einsum_oracle` is the grouped conv's einsum loop, the
-bit-exact reference for the depthwise multiply-add path.
+`conv2d_grouped_einsum_oracle` is the einsum loop of a conv with any group
+count, the bit-exact reference for the engine's depthwise path.
 """
 
 import math

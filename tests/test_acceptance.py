@@ -256,7 +256,7 @@ def test_criterion_10_metrics_oracle():
     perfect_gts = [GroundTruth(c, Box(0.2 + 0.3 * c, 0.5, 0.15, 0.2), "0")
                    for c in range(2)]
     perfect_dets = [Detection(g.class_id, 1.0, g.box, g.image_id) for g in perfect_gts]
-    map50, map5095, mf1, _, _, stats, _ = map_and_mf1(perfect_dets, perfect_gts, 2)
+    map50, map5095, mf1, _, _, stats, _, _ = map_and_mf1(perfect_dets, perfect_gts, 2)
     assert map50 == 1.0 and map5095 == 1.0 and mf1 == 1.0
     assert all(s["precision"] == 1.0 and s["recall"] == 1.0 and s["f1"] == 1.0
                for s in stats.values())

@@ -7,9 +7,14 @@ number.
 """
 
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import microdet
 from microdet.model import LevelPreds, ModelConfig, RawPredictions
@@ -83,3 +88,26 @@ def test_infer_op_runs_folded_convs(tmp_path):
     kinds = ("tensor.conv2d", "activations", "simam", *set(tracer_mod.TENSOR_KINDS.values()))
     ops = sum(counts.get(k + ".calls", 0) for k in kinds) / wl.items_per_op
     assert ops == INFER_OPS_PER_IMAGE
+
+
+@pytest.mark.parametrize("workload", ["train", "infer", "eval"])
+def test_traced_run_is_correct(workload, tmp_path):
+    """A short traced benchmark run ends `correct: true` with no problems.
+
+    The traced run checks its outputs bit for bit against untraced passes and
+    requires the spans to cover the op's wall time, so a change that breaks
+    either fails here. The benchmark writes next to its own directory, so it
+    runs from a copy that reads this checkout's sources.
+    """
+    shutil.copytree(PERFBENCH, tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "src").symlink_to(PERFBENCH.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    info = json.loads(next(line for line in lines if line.startswith("info "))[len("info "):])
+    assert info["problems"] == []
+    assert json.loads(lines[-1])["correct"] is True

@@ -2,9 +2,11 @@
 
 import pytest
 
+from microdet import metrics
 from microdet.cli import main
 from microdet.dataio import ToyData, load_predictions, write_config
 from microdet.droi import DroiConfig
+from microdet.metrics import DEFAULT_IOU_THRESHOLDS
 from microdet.model import ModelConfig
 from microdet.train import TrainParams, load_run_config
 
@@ -170,7 +172,8 @@ class TestTrainForwardEval:
         assert "map50: 1.000000" in out
         assert "mf1: 1.000000" in out
 
-    def test_eval_all_thresholds_and_outputs(self, trained_run, capsys, tmp_path):
+    def test_eval_all_thresholds_and_outputs(self, trained_run, capsys, tmp_path, monkeypatch):
+        """The PR curves reuse the evaluation's matches: one per (class, threshold)."""
         run = trained_run / "run"
         gt_dir = run / "data" / "labels"
         pred_dir = tmp_path / "p"
@@ -184,12 +187,18 @@ class TestTrainForwardEval:
         classes = tmp_path / "classes.txt"
         classes.write_text("class0\nclass1\n")
         out_dir = tmp_path / "ev"
+        calls = []
+        real_match = metrics.match
+        monkeypatch.setattr(metrics, "match", lambda *a: calls.append(a[2]) or real_match(*a))
         code, out, _ = run_cli(capsys, "eval", "--gt", str(gt_dir),
                                "--pred", str(pred_dir), "--classes", str(classes),
                                "--all-thresholds", "--out", str(out_dir))
         assert code == 0
         assert (out_dir / "report.txt").exists()
         assert (out_dir / "confusion_raw.csv").exists()
+        # echoed ground truth: the last row reaches recall 1 at precision 1
+        assert (out_dir / "pr_curve_class0.csv").read_text().endswith(",1,1\n")
+        assert sorted(calls) == sorted([*DEFAULT_IOU_THRESHOLDS] * 2)
 
     def test_train_determinism_across_runs(self, trained_run, capsys):
         cfg = trained_run / "toy.cfg"

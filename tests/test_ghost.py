@@ -56,8 +56,8 @@ class TestGhostConv:
         np.testing.assert_allclose(out.data, expect, rtol=1e-10, atol=1e-12)
 
     def test_divisibility_error(self):
-        with pytest.raises(ShapeError, match="divisible"):
-            GhostSpec(4, 15, ratio=2)
+        with pytest.raises(ShapeError, match="must be even"):
+            GhostSpec(4, 15)
 
     def test_input_channel_error(self):
         gc = GhostConv(GhostSpec(4, 8), rng=np.random.default_rng(4))

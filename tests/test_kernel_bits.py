@@ -11,6 +11,7 @@ from microdet.tensor import (
     BatchNormState,
     ConvSpec,
     GradTape,
+    ShapeError,
     Tensor4,
     _stable_sigmoid,
     _im2col,
@@ -232,16 +233,10 @@ def test_depthwise_matches_grouped_einsum(k, s, p, n, special):
 
 
 def test_grouped_non_depthwise_matches_einsum():
-    """Other group counts keep the einsum path: g=2 with two outputs per group."""
-    rng = np.random.default_rng(23)
-    x = rng.normal(size=(2, 4, 6, 5))
-    w = rng.normal(size=(4, 2, 3, 3))
-    spec = ConvSpec(4, 4, k=3, s=2, p=1, g=2)
-    ho, wo = spec.out_hw(6, 5)
-    up = rng.normal(size=(2, 4, ho, wo))
-    got = _conv_grads(x, spec, w, up)
-    for g, want in zip(got, conv2d_grouped_einsum_oracle(x, w, 2, 2, 1, up)):
-        assert_same_bits(g, want)
+    """No other group count has a conv path: g=2 with two channels per group
+    is rejected by the spec, naming the groups."""
+    with pytest.raises(ShapeError, match="groups 2 must be 1 or equal c_in=4 and c_out=4"):
+        ConvSpec(4, 4, k=3, s=2, p=1, g=2)
 
 
 class TestMaxpoolWithoutTape:

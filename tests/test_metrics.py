@@ -17,7 +17,6 @@ from microdet.metrics import (
     evaluate,
     map_and_mf1,
     match,
-    pr_curve_rows,
     precision_recall,
 )
 from microdet.tensor import DomainError
@@ -154,7 +153,7 @@ class TestMapMf1:
         gts = [gt(0, 0.3, 0.3), gt(1, 0.7, 0.7), gt(1, 0.2, 0.8)]
         dets = [det(0, 0.9, 0.3, 0.3),           # class 0 perfect
                 det(1, 0.9, 0.7, 0.7), det(1, 0.8, 0.5, 0.1)]  # class 1: tp then fp
-        map50, map50_95, mf1, conf, ap, stats, supported = map_and_mf1(dets, gts, 2)
+        map50, map50_95, mf1, conf, ap, stats, supported, _ = map_and_mf1(dets, gts, 2)
         assert ap[(0, 0.5)] == 1.0
         assert ap[(1, 0.5)] == pytest.approx(0.5)
         assert map50 == pytest.approx(0.75)
@@ -162,7 +161,7 @@ class TestMapMf1:
     def test_perfect_everything(self):
         gts = [gt(0, 0.3, 0.3), gt(1, 0.7, 0.7)]
         dets = [det(0, 1.0, 0.3, 0.3), det(1, 1.0, 0.7, 0.7)]
-        map50, map50_95, mf1, conf, ap, stats, _ = map_and_mf1(dets, gts, 2)
+        map50, map50_95, mf1, conf, ap, stats, _, _ = map_and_mf1(dets, gts, 2)
         assert map50 == 1.0
         assert map50_95 == 1.0
         assert mf1 == 1.0
@@ -173,7 +172,7 @@ class TestMapMf1:
     def test_gtless_class_excluded_from_mean(self):
         gts = [gt(0, 0.3, 0.3)]
         dets = [det(0, 1.0, 0.3, 0.3), det(1, 0.9, 0.7, 0.7)]
-        map50, _, mf1, _, ap, _, supported = map_and_mf1(dets, gts, 2)
+        map50, _, mf1, _, ap, _, supported, _ = map_and_mf1(dets, gts, 2)
         assert supported == [0]
         assert map50 == 1.0
         assert ap[(1, 0.5)] == 0.0
@@ -204,7 +203,7 @@ class TestMf1Sweep:
         for trial in range(120):
             dets, gts = sweep_corpus(rng, tied=trial % 2 == 0)
             thresholds = self.THRESHOLD_LISTS[trial % len(self.THRESHOLD_LISTS)]
-            _, _, mf1, conf, _, stats, supported = map_and_mf1(dets, gts, 4, thresholds)
+            _, _, mf1, conf, _, stats, supported, _ = map_and_mf1(dets, gts, 4, thresholds)
             assert 3 in supported
             assert (mf1, conf, stats) == mf1_sweep_oracle(dets, gts, supported), trial
             confs = [d.confidence for d in dets]
@@ -213,7 +212,7 @@ class TestMf1Sweep:
 
     def test_no_ground_truth_at_all(self):
         dets = [det(0, 0.7, 0.5, 0.5), det(1, 0.4, 0.2, 0.2)]
-        _, _, mf1, conf, _, stats, supported = map_and_mf1(dets, [], 2)
+        _, _, mf1, conf, _, stats, supported, _ = map_and_mf1(dets, [], 2)
         assert supported == []
         assert (mf1, conf, stats) == mf1_sweep_oracle(dets, [], []) == (0.0, 0.7, {})
 
@@ -307,7 +306,7 @@ class TestEvaluate:
     def test_pr_curve_rows(self):
         gts = [gt(0, 0.5, 0.5)]
         dets = [det(0, 0.9, 0.5, 0.5), det(0, 0.8, 0.1, 0.1)]
-        rows = pr_curve_rows(dets, gts, 0)
+        rows = evaluate(dets, gts, ["a"], iou_thresholds=[0.5]).pr_curve_rows(0)
         assert rows[0] == (0.9, 1.0, 1.0)
         assert rows[1] == (0.8, 1.0, 0.5)
 
@@ -316,7 +315,8 @@ class TestEvaluate:
         rng = np.random.default_rng(8)
         for _ in range(20):
             dets, gts = random_instance(rng)
-            rows = pr_curve_rows(dets, gts, 0, 0.6)
+            report = evaluate(dets, gts, ["a", "b", "c"], iou_thresholds=[0.6])
+            rows = report.pr_curve_rows(0)
             ap = average_precision(dets, gts, 0, 0.6)
             if not rows:
                 assert ap == 0.0

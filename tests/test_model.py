@@ -48,8 +48,15 @@ def default_model():
 class TestConfig:
     def test_defaults_validate(self):
         cfg = ModelConfig()
-        assert cfg.strides == (8, 16, 32)
         assert all((cfg.use_simsppf, cfg.use_simam, cfg.use_igd, cfg.use_c3ghost))
+
+    def test_strides_come_from_the_backbone(self):
+        """Each level's stride is the image size over its grid; no config field sets it."""
+        with pytest.raises(TypeError, match="strides"):
+            ModelConfig(strides=(4, 8, 16))
+        preds = build_model(ModelConfig(), 0).forward(Tensor4(np.zeros((1, 3, 64, 64))))
+        assert [lv.stride for lv in preds.levels] == [64 // lv.cls.shape[2]
+                                                     for lv in preds.levels] == [8, 16, 32]
 
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):

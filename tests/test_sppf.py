@@ -157,3 +157,5 @@ class TestPlainSppf:
     def test_forward_shape(self):
         block = PlainSppf(SimSppfSpec(8), rng=np.random.default_rng(15))
         assert block.forward(Tensor4.zeros(1, 8, 4, 4)).shape == (1, 8, 4, 4)
+        assert (block.cv2.spec.k, block.cv1.activation, block.cv2.activation) == (1, "silu",
+                                                                                  "silu")

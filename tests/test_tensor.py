@@ -75,10 +75,16 @@ class TestConv2d:
 
     @pytest.mark.parametrize("g", [1, 2, 4])
     def test_grouped_matches_oracle(self, g):
+        """g == 1 matches the scalar oracle. A 4 -> 8 conv with g > 1 is not
+        depthwise, and the spec rejects it naming the groups."""
+        if g > 1:
+            with pytest.raises(ShapeError, match=f"groups {g} must be 1 or equal c_in=4"):
+                ConvSpec(4, 8, k=3, s=1, p=1, g=g)
+            return
         rng = np.random.default_rng(2 + g)
         x = rng.integers(-3, 4, size=(2, 4, 6, 5)).astype(float)
-        w = rng.integers(-3, 4, size=(8, 4 // g, 3, 3)).astype(float)
-        spec = ConvSpec(4, 8, k=3, s=1, p=1, g=g)
+        w = rng.integers(-3, 4, size=(8, 4, 3, 3)).astype(float)
+        spec = ConvSpec(4, 8, k=3, s=1, p=1)
         out = conv2d(Tensor4(x), spec, Tensor4(w))
         np.testing.assert_array_equal(out.data, conv2d_scalar_oracle(x, w, 1, 1, g=g))
 
