@@ -102,7 +102,6 @@ def _cmd_bench(args):
 def _cmd_train_toy(args):
     model_cfg, params, data = load_run_config(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest_path = generate_toy_dataset(
         out / "data", seed=params.seed, n_images=data.toy_images,
         image_size=data.image_size, num_classes=model_cfg.num_classes,

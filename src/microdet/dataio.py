@@ -189,11 +189,6 @@ def _config_lines(path, repeatable=()):
         yield line_no, key, value
 
 
-def parse_config(path) -> dict:
-    """Flat `key = value` UTF-8 text as a dict of strings."""
-    return {key: value for _, key, value in _config_lines(path)}
-
-
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -374,7 +369,17 @@ class ToyData:
 
 def generate_toy_dataset(out_dir, seed=0, n_images=20, image_size=64, num_classes=2,
                          min_objects=1, max_objects=3):
-    """Write images, labels, classes and a manifest; returns the manifest path."""
+    """Write images, labels, classes and a manifest; returns the manifest path.
+
+    Each image holds between min_objects and max_objects objects, both
+    inclusive.
+    """
+    if n_images < 1 or num_classes < 1:
+        raise DomainError("toy_data", f"need at least one image and one class, got "
+                                      f"{n_images} image(s) and {num_classes} class(es)")
+    if not 0 <= min_objects <= max_objects:
+        raise DomainError("toy_data", f"need 0 <= min_objects <= max_objects, got "
+                                      f"{min_objects} and {max_objects}")
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,7 @@ reverts to the base width when driving straight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dataio import _read_lines
@@ -48,17 +49,19 @@ class DroiResult:
     roi: tuple                 # (x_min, y_min, x_max, y_max), normalized
 
 
-DEFAULT_HORIZON_BAND = (0.45, 0.95)
+# the normalized image rows (y_min, y_max) every ROI spans
+HORIZON_BAND = (0.45, 0.95)
 
 
-def critical_width(theta: float, v: float, cfg: DroiConfig,
-                   horizon_band=DEFAULT_HORIZON_BAND) -> DroiResult:
+def critical_width(theta: float, v: float, cfg: DroiConfig) -> DroiResult:
     """Width, regime and ROI for a steering angle (degrees, signed) and speed.
 
     deadband=False applies w0 + k1|theta| + k2 v verbatim; deadband=True
     replaces |theta| with max(|theta| - theta_straight, 0) so the width is
     continuous across the straight band and equals w0 at theta=0, v=0.
     """
+    if not (math.isfinite(theta) and math.isfinite(v)):
+        raise DomainError("droi", f"steering and speed must be finite, got theta={theta}, v={v}")
     if v < 0:
         raise DomainError("droi", f"speed must be non-negative, got {v}")
     if abs(theta) > 540:
@@ -76,28 +79,25 @@ def critical_width(theta: float, v: float, cfg: DroiConfig,
     if regime == "sharp":
         sign = 1.0 if theta > 0 else -1.0
         shift = sign * cfg.k3 * (mag - cfg.theta_moderate)
-    roi = roi_rectangle(w_c, shift, cfg, horizon_band)
+    roi = roi_rectangle(w_c, shift, cfg)
     return DroiResult(w_c, regime, shift, roi)
 
 
-def roi_rectangle(w_c: float, shift: float, cfg: DroiConfig,
-                  horizon_band=DEFAULT_HORIZON_BAND):
+def roi_rectangle(w_c: float, shift: float, cfg: DroiConfig):
     """Map a metric width and lateral shift to a normalized image rectangle.
 
     The width fraction is w_c / w_max capped at 1; the center is moved by
     shift / w_max and the rectangle is clamped to stay inside the image.
-    The vertical extent is the horizon band.
+    The vertical extent is HORIZON_BAND.
     """
-    y_min, y_max = horizon_band
-    if not 0.0 <= y_min < y_max <= 1.0:
-        raise DomainError("droi", f"horizon band {horizon_band} not inside [0, 1]")
+    y_min, y_max = HORIZON_BAND
     half = min(w_c / cfg.w_max, 1.0) / 2.0
     center = cfg.lane_center + shift / cfg.w_max
     center = min(max(center, half), 1.0 - half)
     return (center - half, y_min, center + half, y_max)
 
 
-def replay_trajectory(log, cfg: DroiConfig, horizon_band=DEFAULT_HORIZON_BAND):
+def replay_trajectory(log, cfg: DroiConfig):
     """Per-sample results for a (t, theta, v) log plus the mean ROI-area fraction.
 
     Timestamps must be strictly increasing. The mean area fraction is the
@@ -111,7 +111,7 @@ def replay_trajectory(log, cfg: DroiConfig, horizon_band=DEFAULT_HORIZON_BAND):
         if prev_t is not None and t <= prev_t:
             raise DomainError("droi", f"timestamps not strictly increasing at t={t}")
         prev_t = t
-        res = critical_width(theta, v, cfg, horizon_band)
+        res = critical_width(theta, v, cfg)
         x1, y1, x2, y2 = res.roi
         area_sum += (x2 - x1) * (y2 - y1)
         results.append((t, res))
@@ -120,7 +120,10 @@ def replay_trajectory(log, cfg: DroiConfig, horizon_band=DEFAULT_HORIZON_BAND):
 
 
 def load_trajectory_csv(path):
-    """CSV `t,theta_deg,speed_mps`; a non-numeric first line is a header."""
+    """CSV `t,theta_deg,speed_mps`; a non-numeric first line is a header.
+
+    Every value must be finite.
+    """
     rows = []
     for line_no, line in _read_lines(path):
         line = line.strip()
@@ -130,11 +133,14 @@ def load_trajectory_csv(path):
         if len(parts) != 3:
             raise DomainError("droi", f"{path}:{line_no}: expected t,theta_deg,speed_mps")
         try:
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
+            row = tuple(float(p) for p in parts)
         except ValueError:
             if line_no == 1:
                 continue  # header
             raise DomainError("droi", f"{path}:{line_no}: unparsable row {line!r}") from None
+        if not all(math.isfinite(v) for v in row):
+            raise DomainError("droi", f"{path}:{line_no}: non-finite value in {line!r}")
+        rows.append(row)
     return rows
 
 

@@ -75,22 +75,15 @@ class GhostConv(Module):
 
 
 class GhostBottleneck(Module):
-    """ghost expand(c_in -> 2*c_out) then ghost project back to c_out.
+    """ghost expand(c -> 2c) then ghost project back to c, plus the residual."""
 
-    The residual is added only when input and output channel counts match.
-    """
-
-    def __init__(self, c_in, c_out=None, activation="mish",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, c, activation="mish", rng: np.random.Generator | None = None):
         super().__init__()
-        c_out = c_in if c_out is None else c_out
-        self.residual = c_in == c_out
-        self.expand = GhostConv(GhostSpec(c_in, 2 * c_out, activation=activation), rng=rng)
-        self.project = GhostConv(GhostSpec(2 * c_out, c_out, activation=activation), rng=rng)
+        self.expand = GhostConv(GhostSpec(c, 2 * c, activation=activation), rng=rng)
+        self.project = GhostConv(GhostSpec(2 * c, c, activation=activation), rng=rng)
 
     def forward(self, x: Tensor4, tape: GradTape | None = None) -> Tensor4:
-        y = self.project.forward(self.expand.forward(x, tape), tape)
-        return add(x, y, tape) if self.residual else y
+        return add(x, self.project.forward(self.expand.forward(x, tape), tape), tape)
 
 
 class PlainBottleneck(Module):

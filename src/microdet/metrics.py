@@ -251,9 +251,12 @@ def confusion_matrix(dets, gts, conf_t: float, iou_t: float, num_classes: int):
     return raw, norm
 
 
-def evaluate(dets, gts, class_names, iou_thresholds=DEFAULT_IOU_THRESHOLDS,
-             confusion_conf=0.25, confusion_iou=0.5) -> EvalReport:
-    """Full evaluation over a detection/ground-truth corpus."""
+def evaluate(dets, gts, class_names, iou_thresholds=DEFAULT_IOU_THRESHOLDS) -> EvalReport:
+    """Full evaluation over a detection/ground-truth corpus.
+
+    The confusion matrix keeps detections at confidence >= 0.25 and matches
+    them at IoU >= 0.5.
+    """
     if not class_names:
         raise DomainError("evaluate", "class name list is empty")
     nc = len(class_names)
@@ -261,14 +264,14 @@ def evaluate(dets, gts, class_names, iou_thresholds=DEFAULT_IOU_THRESHOLDS,
     bad += [g for g in gts if not 0 <= g.class_id < nc]
     if bad:
         raise DomainError("evaluate", f"class id {bad[0].class_id} outside 0..{nc - 1}")
-    bad = [t for t in [*iou_thresholds, confusion_iou] if not 0 < t <= 1]  # NaN fails it too
+    bad = [t for t in iou_thresholds if not 0 < t <= 1]  # NaN fails it too
     if bad or not iou_thresholds:
         raise DomainError("evaluate", f"IoU thresholds must be a non-empty list in (0, 1], "
                           f"got {bad[0] if bad else 'none'}")
     map50, map50_95, mf1, mf1_conf, ap, per_class, supported, matched = map_and_mf1(
         dets, gts, nc, iou_thresholds
     )
-    raw, norm = confusion_matrix(dets, gts, confusion_conf, confusion_iou, nc)
+    raw, norm = confusion_matrix(dets, gts, 0.25, 0.5, nc)
     return EvalReport(
         class_names=list(class_names),
         iou_thresholds=list(iou_thresholds),

@@ -22,7 +22,7 @@ from .metrics import Detection
 from .module import Module, ModuleList, he_weight
 from .neck import IgdNeck, PyramidFeatures
 from .simam import SimamConfig, simam_forward
-from .sppf import PlainSppf, SimConv, SimSppf, SimSppfSpec
+from .sppf import PlainSppf, SimConv, SimSppf
 from .tensor import (
     ConvSpec,
     DomainError,
@@ -52,20 +52,12 @@ class ModelConfig:
     simam_lambda: float = 1e-4
     conf_threshold: float = 0.25
     nms_iou: float = 0.5
-    sppf_c_mid: int = 0    # 0 = the block default (c1 // 2)
-    sppf_c_out: int = 0    # 0 = the block default (c1)
-    igd_c_g: int = 0       # 0 = the p4 channel count
-    igd_passes: int = 2
 
     def __post_init__(self):
         if self.num_classes < 1:
             raise DomainError("model_config", f"num_classes must be >= 1, got {self.num_classes}")
         if self.reg_max < 2:
             raise DomainError("model_config", f"reg_max must be >= 2, got {self.reg_max}")
-        if self.igd_passes not in (1, 2):
-            raise DomainError("model_config", f"igd_passes must be 1 or 2, got {self.igd_passes}")
-        if min(self.sppf_c_mid, self.sppf_c_out, self.igd_c_g) < 0:
-            raise DomainError("model_config", "channel overrides must be non-negative")
         if self.activation not in ACTIVATION_KINDS:
             raise DomainError("model_config", f"activation {self.activation!r} not in "
                                               f"{ACTIVATION_KINDS}")
@@ -159,18 +151,13 @@ class MicroDetector(Module):
             _Stage(c1 if i == 0 else ch[i - 1], ch[i], reps[i], cfg, rng)
             for i in range(3)
         ])
-        sppf_spec = SimSppfSpec(ch[2], c_mid=cfg.sppf_c_mid or None,
-                                c_out=cfg.sppf_c_out or None)
         # the Sim pyramid block is Conv-BN-Mish by definition; the plain one
         # keeps the SiLU baseline regardless of the global activation toggle
-        self.sppf = (SimSppf(sppf_spec, activation="mish", rng=rng) if cfg.use_simsppf
-                     else PlainSppf(sppf_spec, rng=rng))
-        out_ch = (ch[0], ch[1], sppf_spec.resolved()[1])
-        self.neck = (IgdNeck(out_ch, c_g=cfg.igd_c_g or None, activation=act,
-                             rng=rng, passes=cfg.igd_passes)
-                     if cfg.use_igd else None)
+        self.sppf = (SimSppf(ch[2], activation="mish", rng=rng) if cfg.use_simsppf
+                     else PlainSppf(ch[2], rng=rng))
+        self.neck = IgdNeck(ch, activation=act, rng=rng) if cfg.use_igd else None
         self.heads = ModuleList([
-            _Head(out_ch[i], cfg.num_classes, cfg.reg_max, act, rng) for i in range(3)
+            _Head(ch[i], cfg.num_classes, cfg.reg_max, act, rng) for i in range(3)
         ])
 
     def forward(self, image: Tensor4, tape: GradTape | None = None) -> RawPredictions:

@@ -80,12 +80,12 @@ class _Inject(Module):
 
 
 class _GatherPass(Module):
-    """Align every level to c_g, pool them at p4 resolution, fuse with a 1x1 SimConv."""
+    """Align every level to the p4 width c_g, pool them at p4 resolution, fuse
+    with a 1x1 SimConv."""
 
-    def __init__(self, channels, c_g, activation, rng: np.random.Generator,
-                 inject_levels):
+    def __init__(self, channels, activation, rng: np.random.Generator, inject_levels):
         super().__init__()
-        self.c_g = c_g
+        c_g = channels[1]
         self.inject_levels = inject_levels
         self.align3 = SimConv(channels[0], c_g, k=1, activation=activation, rng=rng)
         self.align4 = SimConv(channels[1], c_g, k=1, activation=activation, rng=rng)
@@ -116,28 +116,17 @@ class _GatherPass(Module):
 
 
 class IgdNeck(Module):
-    """Sequential gather/distribute passes: top-down into p3/p4, then bottom-up
-    into p4/p5. passes=1 keeps only the top-down pass."""
+    """Two sequential gather/distribute passes: top-down into p3/p4, then
+    bottom-up into p4/p5."""
 
-    def __init__(self, channels, c_g=None, activation="mish",
-                 rng: np.random.Generator | None = None, passes=2):
+    def __init__(self, channels, activation="mish", rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
-        if passes not in (1, 2):
-            raise ShapeError("igd", f"passes must be 1 or 2, got {passes}")
-        c_g = c_g if c_g is not None else channels[1]
         self.channels = tuple(channels)
-        self.c_g = c_g
-        self.passes = passes
-        self.top_down = _GatherPass(channels, c_g, activation, rng, inject_levels=(3, 4))
-        if passes == 2:
-            self.bottom_up = _GatherPass(channels, c_g, activation, rng,
-                                         inject_levels=(4, 5))
+        self.top_down = _GatherPass(channels, activation, rng, inject_levels=(3, 4))
+        self.bottom_up = _GatherPass(channels, activation, rng, inject_levels=(4, 5))
 
     def forward(self, feats: PyramidFeatures, tape: GradTape | None = None) -> PyramidFeatures:
         if feats.channels() != self.channels:
             raise ShapeError("igd", f"level channels {feats.channels()} != {self.channels}")
-        mid = self.top_down.forward(feats, tape)
-        if self.passes == 1:
-            return mid
-        return self.bottom_up.forward(mid, tape)
+        return self.bottom_up.forward(self.top_down.forward(feats, tape), tape)

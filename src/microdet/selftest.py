@@ -20,7 +20,7 @@ from .metrics import Detection, GroundTruth, average_precision
 from .model import ModelConfig, build_model
 from .neck import IgdNeck, PyramidFeatures
 from .simam import SimamConfig, energy_numeric_oracle, simam_energy_min, simam_forward
-from .sppf import SimConv, SimSppf, SimSppfSpec
+from .sppf import SimConv, SimSppf
 from .tensor import (
     BatchNormState,
     DomainError,
@@ -207,7 +207,7 @@ def suite_mish_values():
 
 def suite_sppf():
     rng = np.random.default_rng(4)
-    block = SimSppf(SimSppfSpec(4), rng=rng)
+    block = SimSppf(4, rng=rng)
     x = Tensor4(rng.normal(size=(1, 4, 6, 6)))
     tape = GradTape()
     block.forward(x, tape)
@@ -444,7 +444,7 @@ def gradcheck_module(module: str, seeds=range(5), tol=1e-4):
             return conv.forward
 
         def sppf_f(rng):
-            block = SimSppf(SimSppfSpec(4), rng=rng)
+            block = SimSppf(4, rng=rng)
             block.set_training(True, track_stats=False)
             return block.forward
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,13 +32,12 @@ class SimConv(Module):
     """
 
     def __init__(self, c_in, c_out, k=1, s=1, g=1, activation="mish",
-                 rng: np.random.Generator | None = None,
-                 bn_eps=0.01, bn_momentum=0.1):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
         self.spec = ConvSpec(c_in, c_out, k=k, s=s, p=k // 2, g=g, has_bias=False)
         self.weight = he_weight(rng, c_out, c_in // g, k)
-        self.bn = BatchNormState.create(c_out, eps=bn_eps, momentum=bn_momentum)
+        self.bn = BatchNormState.create(c_out)
         self.activation = activation
         self._folded = None
 
@@ -68,24 +67,9 @@ class SimConv(Module):
 POOL_K, POOL_S, POOL_P = 5, 1, 2
 
 
-@dataclass(frozen=True)
-class SimSppfSpec:
-    """c_mid defaults to c1/2 and c_out to c1."""
-
-    c1: int
-    c_mid: int | None = None
-    c_out: int | None = None
-
-    def resolved(self):
-        c_mid = self.c_mid if self.c_mid is not None else max(1, self.c1 // 2)
-        c_out = self.c_out if self.c_out is not None else self.c1
-        if c_mid < 1:
-            raise ShapeError("simsppf", f"c_mid must be >= 1, got {c_mid}")
-        return c_mid, c_out
-
-
 class SimSppf(Module):
-    """Spatial pyramid: 1x1 SimConv, three chained maxpools, concat, fuse SimConv.
+    """Spatial pyramid: 1x1 SimConv to c1/2, three chained maxpools, concat,
+    fuse SimConv back to c1.
 
     The 5x5 pool cascade reproduces 9x9 and 13x13 receptive fields while
     preserving spatial dims end to end. The fuse is 3x3 here.
@@ -93,19 +77,16 @@ class SimSppf(Module):
 
     fuse_k = 3
 
-    def __init__(self, spec: SimSppfSpec, activation="mish",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, c1, activation="mish", rng: np.random.Generator | None = None):
         super().__init__()
-        c_mid, c_out = spec.resolved()
-        self.spec = spec
-        self.cv1 = SimConv(spec.c1, c_mid, k=1, s=1, activation=activation, rng=rng)
-        self.cv2 = SimConv(4 * c_mid, c_out, k=self.fuse_k, s=1, activation=activation,
-                           rng=rng)
+        c_mid = max(1, c1 // 2)
+        self.c1 = c1
+        self.cv1 = SimConv(c1, c_mid, k=1, s=1, activation=activation, rng=rng)
+        self.cv2 = SimConv(4 * c_mid, c1, k=self.fuse_k, s=1, activation=activation, rng=rng)
 
     def forward(self, x: Tensor4, tape: GradTape | None = None) -> Tensor4:
-        sp = self.spec
-        if x.shape[1] != sp.c1:
-            raise ShapeError("simsppf", f"input channels {x.shape[1]} != c1 {sp.c1}")
+        if x.shape[1] != self.c1:
+            raise ShapeError("simsppf", f"input channels {x.shape[1]} != c1 {self.c1}")
         x1 = self.cv1.forward(x, tape)
         y1 = maxpool2d(x1, POOL_K, POOL_S, POOL_P, tape)
         y2 = maxpool2d(y1, POOL_K, POOL_S, POOL_P, tape)
@@ -119,9 +100,8 @@ class PlainSppf(SimSppf):
 
     fuse_k = 1
 
-    def __init__(self, spec: SimSppfSpec, rng: np.random.Generator | None = None,
-                 activation="silu"):
-        super().__init__(spec, activation=activation, rng=rng)
+    def __init__(self, c1, rng: np.random.Generator | None = None):
+        super().__init__(c1, activation="silu", rng=rng)
 
     # perfbench/tracer.py wraps `forward` only in a class that defines it
     # itself, and it wraps PlainSppf's by name

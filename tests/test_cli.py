@@ -47,6 +47,23 @@ class TestDroiCommands:
         assert "mean_roi_fraction" in out
         assert out_csv.read_text().startswith("t,w_c,regime")
 
+    @pytest.mark.parametrize("theta, speed", [("nan", "3"), ("0", "inf")])
+    def test_non_finite_input_exits_one(self, capsys, theta, speed):
+        code, out, err = run_cli(capsys, "droi", "--theta", theta, "--speed", speed)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+        assert "w_c" not in out
+
+    def test_replay_non_finite_row(self, capsys, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text("t,theta_deg,speed_mps\n0,nan,5\n")
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "droi-replay", "--log", str(log),
+                                 "--out", str(out_csv))
+        assert code == 1
+        assert err == f"error: droi: {log}:2: non-finite value in '0,nan,5'\n"
+        assert "mean_roi_fraction" not in out and not out_csv.exists()
+
     def test_replay_bad_log(self, capsys, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text("t,theta_deg,speed_mps\n1,0,0\n1,0,0\n")

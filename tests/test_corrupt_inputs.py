@@ -149,6 +149,27 @@ class TestConfigs:
         assert f"{cfg}:2:" in err and "duplicate key 'w0'" in err
 
 
+class TestToyDataCounts:
+    @pytest.mark.parametrize("flag, value, detail", [
+        ("--classes", "0", "0 class(es)"), ("--images", "0", "0 image(s)")])
+    def test_gen_toy(self, tmp_path, capsys, flag, value, detail):
+        err = expect_one_error(capsys, ["gen-toy", "--out", str(tmp_path / "d"), flag, value])
+        assert detail in err
+        assert not (tmp_path / "d" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("lines, detail", [
+        ("min_objects = 3\nmax_objects = 1", "got 3 and 1"),
+        ("min_objects = -1", "got -1 and 3"),
+        ("toy_images = 0", "0 image(s)")])
+    def test_train_toy(self, tmp_path, capsys, lines, detail):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(f"steps = 1\n{lines}\n")
+        err = expect_one_error(capsys, ["train-toy", "--config", str(cfg),
+                                        "--out", str(tmp_path / "run")])
+        assert detail in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestNonUtf8Text:
     def test_droi_replay_log(self, tmp_path, capsys):
         log = tmp_path / "traj.csv"

@@ -1,6 +1,8 @@
 """File formats, manifests, and the synthetic scene generator."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from microdet.dataio import (
     load_config,
     load_manifest,
     load_predictions,
-    parse_config,
     read_t4,
     save_annotations,
     save_manifest,
@@ -141,21 +142,26 @@ class TestAnnotations:
         assert back[0].box == dets[0].box
 
 
+def load_every_kind(path):
+    return load_config(path, ModelConfig, TrainParams, ToyData, DroiConfig)
+
+
 class TestConfig:
     def test_parse_with_comments(self, tmp_path):
         path = tmp_path / "m.cfg"
-        path.write_text("# model\nnum_classes = 2\nwidth = 1.0  # multiplier\n\n")
-        assert parse_config(path) == {"num_classes": "2", "width": "1.0"}
+        path.write_text("# model\nnum_classes = 3\nwidth = 0.5  # multiplier\n\n")
+        assert load_config(path, ModelConfig) == (ModelConfig(num_classes=3, width=0.5),)
 
     def test_write_then_parse(self, tmp_path):
         path = tmp_path / "m.cfg"
-        write_config(path, ModelConfig(num_classes=3, activation="silu", use_igd=False))
-        raw = parse_config(path)
-        assert list(raw)[:2] == ["num_classes", "width"]  # dataclass field order
-        assert raw["num_classes"] == "3"
-        assert raw["activation"] == "silu"
-        assert raw["use_igd"] == "false"
-        assert list(raw) == [f.name for f in dataclasses.fields(ModelConfig)]
+        cfg = ModelConfig(num_classes=3, activation="silu", use_igd=False)
+        write_config(path, cfg)
+        lines = path.read_text().splitlines()
+        # every field, in dataclass field order
+        assert [line.split(" = ")[0] for line in lines] == [
+            f.name for f in dataclasses.fields(ModelConfig)]
+        assert {"num_classes = 3", "activation = silu", "use_igd = false"} <= set(lines)
+        assert load_config(path, ModelConfig) == (cfg,)
 
     def test_load_defaults_without_path(self):
         assert load_config(None, ModelConfig, TrainParams) == (ModelConfig(), TrainParams())
@@ -200,16 +206,35 @@ class TestConfig:
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "m.cfg"
         path.write_text("just words\n")
-        with pytest.raises(AnnotationError):
-            parse_config(path)
+        with pytest.raises(AnnotationError, match="expected key = value") as err:
+            load_config(path, ModelConfig)
+        assert err.value.line_no == 1
 
-    @pytest.mark.parametrize("read", [parse_config, lambda p: load_config(p, DroiConfig)])
+    @pytest.mark.parametrize("read", [load_every_kind, lambda p: load_config(p, DroiConfig)])
     def test_duplicate_key_names_second_line(self, tmp_path, read):
         path = tmp_path / "droi.cfg"
         path.write_text("w0 = 5\n# again\nw0 = 7\n")
         with pytest.raises(AnnotationError, match="duplicate key 'w0'.*line 1") as err:
             read(path)
         assert err.value.line_no == 3
+
+
+class TestReadme:
+    KINDS = {"Model": ModelConfig, "Training": TrainParams, "Toy data": ToyData,
+             "ROI planner": DroiConfig}
+
+    def test_config_keys_match_the_code(self):
+        """Each "Configuration keys" bullet's first sentence names exactly the
+        fields of its dataclass, in order."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+        bullets = {}
+        for bullet in section.split("\n- ")[1:]:
+            label, text = bullet.split(":", 1)
+            bullets[label] = re.findall(r"`([a-z][a-z0-9_]*)`", text.split(". ", 1)[0])
+        assert set(bullets) == set(self.KINDS)
+        for label, kind in self.KINDS.items():
+            assert bullets[label] == [f.name for f in dataclasses.fields(kind)], label
 
 
 class TestToyScene:

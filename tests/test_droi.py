@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from microdet.droi import (
+    HORIZON_BAND,
     DroiConfig,
     critical_width,
     load_trajectory_csv,
@@ -83,6 +84,12 @@ class TestCriticalWidth:
         with pytest.raises(DomainError, match="speed"):
             critical_width(0.0, -1.0, DroiConfig())
 
+    @pytest.mark.parametrize("theta, v", [(float("nan"), 3.0), (0.0, float("inf")),
+                                          (float("-inf"), 0.0), (0.0, float("nan"))])
+    def test_non_finite_input_rejected(self, theta, v):
+        with pytest.raises(DomainError, match="finite"):
+            critical_width(theta, v, DroiConfig())
+
     def test_mechanical_bound(self):
         with pytest.raises(DomainError, match="540"):
             critical_width(600.0, 0.0, DroiConfig())
@@ -127,9 +134,11 @@ class TestRoiRectangle:
             widths.append(x2 - x1)
         assert all(a <= b + 1e-12 for a, b in zip(widths, widths[1:]))
 
-    def test_bad_horizon_band(self):
-        with pytest.raises(DomainError, match="horizon"):
-            roi_rectangle(3.0, 0.0, DroiConfig(), horizon_band=(0.9, 0.2))
+    def test_roi_spans_the_horizon_band(self):
+        assert HORIZON_BAND == (0.45, 0.95)
+        for w_c, shift in ((3.0, 0.0), (12.0, 0.0), (5.0, -2.0)):
+            _, y1, _, y2 = roi_rectangle(w_c, shift, DroiConfig())
+            assert (y1, y2) == HORIZON_BAND
 
 
 class TestReplay:
@@ -179,4 +188,11 @@ class TestReplay:
         path = tmp_path / "log.csv"
         path.write_text("t,theta_deg,speed_mps\n1.0,bad,2.0\n")
         with pytest.raises(DomainError, match="unparsable"):
+            load_trajectory_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,nan,5", "inf,0,5", "0,0,-inf"])
+    def test_csv_non_finite_row(self, tmp_path, row):
+        path = tmp_path / "log.csv"
+        path.write_text(f"t,theta_deg,speed_mps\n{row}\n")
+        with pytest.raises(DomainError, match=f"{path}:2: non-finite"):
             load_trajectory_csv(path)

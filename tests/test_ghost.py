@@ -94,17 +94,19 @@ class TestC3Ghost:
         a_out = bn.forward(a_in)
         np.testing.assert_array_equal(a_out.data, a_in.data)
 
+    def test_ghost_bottleneck_adds_its_input(self):
+        """c -> 2c -> c, and the input is always added back."""
+        rng = np.random.default_rng(8)
+        blk = GhostBottleneck(8, rng=rng)
+        assert (blk.expand.spec.c_out, blk.project.spec.c_out) == (16, 8)
+        x = Tensor4(rng.normal(size=(1, 8, 4, 4)))
+        branch = blk.project.forward(blk.expand.forward(x))
+        np.testing.assert_array_equal(blk.forward(x).data, x.data + branch.data)
+
     def test_channel_mismatch(self):
         blk = C3Block(C3GhostSpec(8, 8), rng=np.random.default_rng(7))
         with pytest.raises(ShapeError):
             blk.forward(Tensor4.zeros(1, 4, 4, 4))
-
-    def test_ghost_bottleneck_residual_condition(self):
-        rng = np.random.default_rng(8)
-        assert GhostBottleneck(8, 8, rng=rng).residual
-        assert not GhostBottleneck(8, 4, rng=rng).residual
-        out = GhostBottleneck(8, 4, rng=rng).forward(Tensor4.zeros(1, 8, 4, 4))
-        assert out.shape == (1, 4, 4, 4)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_check(self, seed):

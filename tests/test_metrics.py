@@ -295,13 +295,12 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate([], [], [])
 
-    @pytest.mark.parametrize("thresholds, confusion_iou", [
-        ([], 0.5), ([0.5, float("nan")], 0.5), ([1.5], 0.5), ([float("inf")], 0.5),
-        ([0.0], 0.5), ([-1.0], 0.5), ([0.5], float("nan")), ([0.5], 0.0)])
-    def test_meaningless_iou_thresholds(self, thresholds, confusion_iou):
+    @pytest.mark.parametrize("thresholds", [
+        [], [0.5, float("nan")], [1.5], [float("inf")], [0.0], [-1.0]])
+    def test_meaningless_iou_thresholds(self, thresholds):
         with pytest.raises(DomainError, match="IoU thresholds"):
             evaluate([det(0, 0.9, 0.5, 0.5)], [gt(0, 0.5, 0.5)], ["a"],
-                     iou_thresholds=thresholds, confusion_iou=confusion_iou)
+                     iou_thresholds=thresholds)
 
     def test_pr_curve_rows(self):
         gts = [gt(0, 0.5, 0.5)]

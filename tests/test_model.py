@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from microdet.dataio import load_config, write_config
+from microdet.dataio import AnnotationError, load_config, write_config
 from microdet.losses import (
     Box,
     LossWeights,
@@ -66,7 +66,7 @@ class TestConfig:
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = ModelConfig(num_classes=3, width=0.5, activation="silu", use_igd=False,
-                          simam_lambda=1.25e-5, igd_passes=1)
+                          simam_lambda=1.25e-5, nms_iou=0.625)
         write_config(tmp_path / "m.cfg", cfg)
         assert load_config(tmp_path / "m.cfg", ModelConfig) == (cfg,)
 
@@ -78,25 +78,32 @@ class TestConfig:
         with pytest.raises(DomainError, match="channels"):
             ModelConfig(width=0.01).stage_channels()
 
-    def test_sppf_channel_overrides(self):
-        cfg = ModelConfig(sppf_c_mid=8, sppf_c_out=32)
-        model = build_model(cfg, 0)
-        preds = model.forward(Tensor4.zeros(1, 3, 64, 64))
-        assert model.sppf.cv1.spec.c_out == 8
-        assert preds.levels[2].cls.shape[2:] == (2, 2)
-        default_mid = build_model(ModelConfig(), 0).sppf.cv1.spec.c_out
-        assert default_mid == 24  # c1 // 2 of the 48-channel deep stage
+    @staticmethod
+    def assert_not_a_key(tmp_path, key, value):
+        """Neither a ModelConfig field nor a config-file key: an old file fails."""
+        with pytest.raises(TypeError, match=key):
+            ModelConfig(**{key: value})
+        path = tmp_path / "old.cfg"
+        path.write_text(f"num_classes = 2\n{key} = {value}\n")
+        with pytest.raises(AnnotationError, match=f"unknown key '{key}'"):
+            load_config(path, ModelConfig)
 
-    def test_igd_knobs(self):
-        narrow = build_model(ModelConfig(igd_c_g=8), 0)
-        assert narrow.neck.c_g == 8
-        single = build_model(ModelConfig(igd_passes=1), 0)
-        double = build_model(ModelConfig(igd_passes=2), 0)
-        assert single.param_count() < double.param_count()
-        preds = single.forward(Tensor4.zeros(1, 3, 64, 64))
-        assert preds.levels[0].cls.shape[2:] == (8, 8)
-        with pytest.raises(DomainError, match="passes"):
-            ModelConfig(igd_passes=3)
+    def test_sppf_channel_overrides(self, tmp_path):
+        """The pyramid's widths are fixed: hidden c1 // 2, output c1."""
+        for key in ("sppf_c_mid", "sppf_c_out"):
+            self.assert_not_a_key(tmp_path, key, 8)
+        for use_simsppf in (True, False):
+            sppf = build_model(ModelConfig(use_simsppf=use_simsppf), 0).sppf
+            assert (sppf.cv1.spec.c_in, sppf.cv1.spec.c_out, sppf.cv2.spec.c_out) == (48, 24, 48)
+
+    def test_igd_knobs(self, tmp_path):
+        """The neck fuses at the p4 width and always runs both passes."""
+        for key, value in (("igd_c_g", 8), ("igd_passes", 1)):
+            self.assert_not_a_key(tmp_path, key, value)
+        neck = build_model(ModelConfig(), 0).neck
+        for gather in (neck.top_down, neck.bottom_up):
+            assert gather.fuse.spec.c_out == 32
+        assert (neck.top_down.inject_levels, neck.bottom_up.inject_levels) == ((3, 4), (4, 5))
 
 
 class TestBuildForward:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from microdet.activations import mish_np
-from microdet.sppf import PlainSppf, SimConv, SimSppf, SimSppfSpec
+from microdet.sppf import PlainSppf, SimConv, SimSppf
 from microdet.tensor import GradTape, ShapeError, Tensor4, backward, grad_check, maxpool2d
 
 
@@ -56,7 +56,7 @@ class TestSimSppf:
     def test_256_channel_shapes(self):
         """(1,256,8,8) with c_mid 128: concat has 512 channels, output 256."""
         rng = np.random.default_rng(6)
-        block = SimSppf(SimSppfSpec(256), rng=rng)
+        block = SimSppf(256, rng=rng)
         x = Tensor4(rng.normal(size=(1, 256, 8, 8)))
         tape = GradTape()
         out = block.forward(x, tape)
@@ -67,7 +67,7 @@ class TestSimSppf:
 
     def test_spatial_preserved_any_size(self):
         rng = np.random.default_rng(7)
-        block = SimSppf(SimSppfSpec(8), rng=rng)
+        block = SimSppf(8, rng=rng)
         for h, w in ((1, 1), (2, 3), (7, 5)):
             out = block.forward(Tensor4(rng.normal(size=(1, 8, h, w))))
             assert out.shape == (1, 8, h, w)
@@ -75,7 +75,7 @@ class TestSimSppf:
     def test_constant_input_stacks_four_copies(self):
         """Pooling a constant map is the identity, so concat = 4 x x1."""
         rng = np.random.default_rng(8)
-        block = SimSppf(SimSppfSpec(6), rng=rng)
+        block = SimSppf(6, rng=rng)
         block.cv1.bn.training = False
         block.cv2.bn.training = False
         x = Tensor4(np.full((1, 6, 5, 5), 0.37))
@@ -90,7 +90,7 @@ class TestSimSppf:
     def test_cascade_equals_wide_kernels(self):
         """y2 == 9x9 pool of x1 and y3 == 13x13 pool, element-exact."""
         rng = np.random.default_rng(9)
-        block = SimSppf(SimSppfSpec(8), rng=rng)
+        block = SimSppf(8, rng=rng)
         x = Tensor4(rng.normal(size=(2, 8, 6, 7)))
         tape = GradTape()
         block.forward(x, tape)
@@ -108,7 +108,7 @@ class TestSimSppf:
 
     def test_monotone_receptive_field(self):
         rng = np.random.default_rng(10)
-        block = SimSppf(SimSppfSpec(4), rng=rng)
+        block = SimSppf(4, rng=rng)
         x = Tensor4(rng.normal(size=(1, 4, 8, 8)))
         tape = GradTape()
         block.forward(x, tape)
@@ -118,19 +118,20 @@ class TestSimSppf:
         assert (y2.data <= y3.data).all()
 
     def test_channel_mismatch(self):
-        block = SimSppf(SimSppfSpec(8), rng=np.random.default_rng(11))
+        block = SimSppf(8, rng=np.random.default_rng(11))
         with pytest.raises(ShapeError, match="channels"):
             block.forward(Tensor4.zeros(1, 4, 4, 4))
 
-    def test_custom_mid_and_out(self):
-        block = SimSppf(SimSppfSpec(8, c_mid=2, c_out=5), rng=np.random.default_rng(12))
-        out = block.forward(Tensor4.zeros(1, 8, 4, 4))
-        assert out.shape == (1, 5, 4, 4)
+    @pytest.mark.parametrize("c1, c_mid", [(8, 4), (7, 3), (1, 1)])
+    def test_hidden_width_is_half_the_input(self, c1, c_mid):
+        block = SimSppf(c1, rng=np.random.default_rng(12))
+        assert (block.cv1.spec.c_out, block.cv2.spec.c_in) == (c_mid, 4 * c_mid)
+        assert block.forward(Tensor4.zeros(1, c1, 4, 4)).shape == (1, c1, 4, 4)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_check(self, seed):
         rng = np.random.default_rng(500 + seed)
-        block = SimSppf(SimSppfSpec(4), rng=rng)
+        block = SimSppf(4, rng=rng)
         for bn in block.batchnorms():
             bn.track_stats = False
         rep = grad_check(block.forward, Tensor4(rng.normal(size=(1, 4, 5, 5))),
@@ -139,7 +140,7 @@ class TestSimSppf:
 
     def test_backward_runs_through_block(self):
         rng = np.random.default_rng(13)
-        block = SimSppf(SimSppfSpec(4), rng=rng)
+        block = SimSppf(4, rng=rng)
         x = Tensor4(rng.normal(size=(1, 4, 5, 5)))
         tape = GradTape()
         block.forward(x, tape)
@@ -150,12 +151,12 @@ class TestSimSppf:
 
 class TestPlainSppf:
     def test_parameter_count_differs_from_sim_variant(self):
-        sim = SimSppf(SimSppfSpec(16), rng=np.random.default_rng(14))
-        plain = PlainSppf(SimSppfSpec(16), rng=np.random.default_rng(14))
+        sim = SimSppf(16, rng=np.random.default_rng(14))
+        plain = PlainSppf(16, rng=np.random.default_rng(14))
         assert plain.param_count() < sim.param_count()
 
     def test_forward_shape(self):
-        block = PlainSppf(SimSppfSpec(8), rng=np.random.default_rng(15))
+        block = PlainSppf(8, rng=np.random.default_rng(15))
         assert block.forward(Tensor4.zeros(1, 8, 4, 4)).shape == (1, 8, 4, 4)
         assert (block.cv2.spec.k, block.cv1.activation, block.cv2.activation) == (1, "silu",
                                                                                   "silu")
