@@ -67,6 +67,8 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_bench(args):
+    if args.reps < 1:
+        raise DomainError("bench", f"--reps must be at least 1, got {args.reps}")
     print("block hxw params flops")
     blocks = [
         ("conv3x3_c64", ConvSpec(64, 64, k=3, p=1), (8, 8)),

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import Box, iou
+from .losses import Box, box_iou
 from .metrics import Detection, GroundTruth
 from .tensor import DomainError, ShapeError, Tensor4
 
@@ -342,7 +342,7 @@ def generate_toy_scene(seed, image_size=64, num_classes=2, num_objects=2,
         y0 = int(rng.integers(2, image_size - h - 1))
         box = Box((x0 + w / 2) / image_size, (y0 + h / 2) / image_size,
                   w / image_size, h / image_size)
-        if any(iou(box, other) > 0.1 for other in placed):
+        if (box_iou(np.array([box.corners()]), np.array(placed).reshape(-1, 4)) > 0.1).any():
             continue
         cls = int(rng.integers(num_classes))
         color = _PALETTE[cls % len(_PALETTE)] * (1.0 - 0.3 * (cls // len(_PALETTE)))
@@ -351,7 +351,7 @@ def generate_toy_scene(seed, image_size=64, num_classes=2, num_objects=2,
             patch[:, ::4, :] *= 0.65
         patch += 0.02 * rng.standard_normal((3, h, w))
         img[0, :, y0:y0 + h, x0:x0 + w] = patch
-        placed.append(box)
+        placed.append(box.corners())
         gts.append(GroundTruth(cls, box, "0"))
     np.clip(img, 0.0, 1.0, out=img)
     return Tensor4(img), gts

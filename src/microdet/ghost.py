@@ -18,20 +18,20 @@ from .sppf import SimConv
 from .tensor import ConvSpec, GradTape, ShapeError, Tensor4, add, concat_channels
 
 
+PRIMARY_K = 1  # kernel of the conv that makes the intrinsic maps
+CHEAP_K = 3  # kernel of the depthwise transform that makes the ghost maps
+
+
 @dataclass(frozen=True)
 class GhostSpec:
     c_in: int
     c_out: int
-    primary_k: int = 1
-    cheap_k: int = 3
     activation: str = "mish"
 
     def __post_init__(self):
         if self.c_out % 2:
             raise ShapeError("ghost", f"c_out {self.c_out} must be even: half intrinsic, "
                                       f"half ghost")
-        if self.cheap_k % 2 == 0:
-            raise ShapeError("ghost", f"cheap_k must be odd for same-padding, got {self.cheap_k}")
 
     @property
     def intrinsic(self):
@@ -61,9 +61,9 @@ class GhostConv(Module):
         super().__init__()
         self.spec = spec
         ci = spec.intrinsic
-        self.primary = SimConv(spec.c_in, ci, k=spec.primary_k, activation=spec.activation,
+        self.primary = SimConv(spec.c_in, ci, k=PRIMARY_K, activation=spec.activation,
                                rng=rng)
-        self.cheap = SimConv(ci, ci, k=spec.cheap_k, g=ci,
+        self.cheap = SimConv(ci, ci, k=CHEAP_K, g=ci,
                              activation=spec.activation, rng=rng)
 
     def forward(self, x: Tensor4, tape: GradTape | None = None) -> Tensor4:
@@ -155,8 +155,8 @@ def count_params_flops(spec, h, w, include_bn=False, ghost=True):
                           bias=spec.has_bias)
     if isinstance(spec, GhostSpec):
         ci = spec.intrinsic
-        p1, f1 = _conv_cost(spec.c_in, ci, spec.primary_k, 1, h, w, bn=include_bn)
-        p2, f2 = _conv_cost(ci, ci, spec.cheap_k, ci, h, w, bn=include_bn)
+        p1, f1 = _conv_cost(spec.c_in, ci, PRIMARY_K, 1, h, w, bn=include_bn)
+        p2, f2 = _conv_cost(ci, ci, CHEAP_K, ci, h, w, bn=include_bn)
         return p1 + p2, f1 + f2
     if isinstance(spec, C3GhostSpec):
         hch = spec.hidden

@@ -97,6 +97,15 @@ def box_iou(a, b):
         return np.where(disjoint, 0.0, inter / union)
 
 
+def _check_extents(*arrays):
+    """Reject the first (cx, cy, w, h) row with w <= 0 or h <= 0, as `Box.validate` does."""
+    for boxes in arrays:
+        bad = np.flatnonzero((boxes[:, 2] <= 0) | (boxes[:, 3] <= 0))
+        if bad.size:
+            w, h = boxes[bad[0], 2:]
+            raise DomainError("box", f"degenerate extents w={w}, h={h}")
+
+
 def ciou(pred, gt, alpha=None):
     """CIoU loss of P box pairs: 1 - IoU + rho^2/c^2 + alpha * v (Zheng et al. 2020).
 
@@ -108,11 +117,7 @@ def ciou(pred, gt, alpha=None):
     denominator 1 - IoU + v is 0, and the intersection gradient is 0 for
     disjoint pairs.
     """
-    for boxes in (pred, gt):
-        bad = np.flatnonzero((boxes[:, 2] <= 0) | (boxes[:, 3] <= 0))
-        if bad.size:
-            w, h = boxes[bad[0], 2:]
-            raise DomainError("box", f"degenerate extents w={w}, h={h}")
+    _check_extents(pred, gt)
     pcx, pcy, pw, ph = pred.T
     gcx, gcy, gw, gh = gt.T
     px1, py1, px2, py2 = pcx - pw / 2, pcy - ph / 2, pcx + pw / 2, pcy + ph / 2
@@ -253,47 +258,42 @@ class LevelGrid:
     w: int
 
 
-def assign_targets(gts, grids: list[LevelGrid]):
-    """Center-inside + best-scale-match assignment.
+def assign_targets(boxes, image, grids: list[LevelGrid]):
+    """Center-inside + best-scale-match assignment of a batch's (G, 4) table of
+    (cx, cy, w, h) ground-truth rows, row g in batch element image[g].
 
-    A ground truth goes to the level whose 4*stride is closest to its max
-    side (ties to the finer level); within that level every cell whose
-    center falls inside the box is positive. A cell contested by several
-    ground truths takes the one with the highest IoU against the cell's
-    stride-sized square, ties to the smaller index. Returns, per level, a
-    list of (cell_i, cell_j, gt_index).
+    Rows with w <= 0 or h <= 0 are rejected. A ground truth goes to the level
+    whose 4*stride is closest to its max side (ties to the finer level), where
+    every cell whose center lies inside the box, bounds included, is positive.
+    A cell contested within an image takes the ground truth of highest IoU
+    against the cell's stride-sized square, ties to the smaller row. Returns
+    per level an int (P, 4) array of sorted (image, i, j, row) positives.
     """
-    img_h = grids[0].h * grids[0].stride
-    img_w = grids[0].w * grids[0].stride
-    per_level = [dict() for _ in grids]  # (i,j) -> (metric, gt_idx)
-    for gi, gt in enumerate(gts):
-        box = gt.box
-        x1 = (box.cx - box.w / 2) * img_w
-        x2 = (box.cx + box.w / 2) * img_w
-        y1 = (box.cy - box.h / 2) * img_h
-        y2 = (box.cy + box.h / 2) * img_h
-        max_side = max(x2 - x1, y2 - y1)
-        best_level = min(range(len(grids)),
-                         key=lambda l: (abs(max_side - 4 * grids[l].stride), l))
-        g = grids[best_level]
-        s = g.stride
-        for ci in range(g.h):
-            cyc = (ci + 0.5) * s
-            if not y1 <= cyc <= y2:
-                continue
-            for cj in range(g.w):
-                cxc = (cj + 0.5) * s
-                if not x1 <= cxc <= x2:
-                    continue
-                cell = Box(cxc / img_w, cyc / img_h, s / img_w, s / img_h)
-                metric = iou(cell, box)
-                cur = per_level[best_level].get((ci, cj))
-                if cur is None or metric > cur[0]:
-                    per_level[best_level][(ci, cj)] = (metric, gi)
-    return [
-        sorted((i, j, gi) for (i, j), (_, gi) in lvl.items())
-        for lvl in per_level
-    ]
+    _check_extents(boxes)
+    img_h, img_w = grids[0].h * grids[0].stride, grids[0].w * grids[0].stride
+    cx, cy, w, h = boxes.T
+    corners = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
+    x1, y1, x2, y2 = (corners * [img_w, img_h, img_w, img_h]).T
+    sides = np.maximum(x2 - x1, y2 - y1)
+    best_level = np.abs(sides[:, None] - [4 * g.stride for g in grids]).argmin(axis=1)
+    per_level = []
+    for li, g in enumerate(grids):
+        cxc, cyc = (np.arange(g.w) + 0.5) * g.stride, (np.arange(g.h) + 0.5) * g.stride
+        k = np.flatnonzero(best_level == li)
+        n, i, j = np.nonzero(((y1[k, None] <= cyc) & (cyc <= y2[k, None]))[:, :, None]
+                             & ((x1[k, None] <= cxc) & (cxc <= x2[k, None]))[:, None, :])
+        # cell i * w + j as Box(cxc / img_w, cyc / img_h, stride / img_w, stride / img_h)
+        # gives its corners, so that every entry equals iou(cell, box)
+        centres = np.stack([np.tile(cxc / img_w, g.h), np.repeat(cyc / img_h, g.w)], axis=1)
+        half = (g.stride / img_w / 2, g.stride / img_h / 2)
+        metric = box_iou(np.hstack([centres - half, centres + half]), corners[k])[i * g.w + j, n]
+        k = k[n]
+        key = image[k] * (g.h * g.w) + i * g.w + j
+        # per (image, cell) the highest IoU first; the stable sort keeps row order on ties
+        order = np.lexsort((-metric, key))
+        first = order[np.diff(key[order], prepend=-1) != 0]
+        per_level.append(np.stack([image[k], i, j, k], axis=1)[first])
+    return per_level
 
 
 # ---------------------------------------------------------------------------
@@ -368,29 +368,24 @@ def loss_and_grads(preds, gts_per_image, weights: LossWeights, frozen_alphas=Non
     img_w = grids[0].w * grids[0].stride
     cls_den = batch * sum(g.h * g.w for g in grids) * preds.num_classes
 
-    assignments = [assign_targets(gts, grids) for gts in gts_per_image]
-    n_pos = sum(len(lvl) for asn in assignments for lvl in asn)
+    # every ground truth of the batch as one table, in image order
+    flat = [g for gts in gts_per_image for g in gts]
+    gt_cls = np.array([g.class_id for g in flat], dtype=np.intp)
+    gt_box = np.array([(g.box.cx, g.box.cy, g.box.w, g.box.h) for g in flat],
+                      dtype=np.float64).reshape(-1, 4)
+    gt_img = np.repeat(np.arange(batch), [len(gts) for gts in gts_per_image])
+    assignments = assign_targets(gt_box, gt_img, grids)
+    n_pos = sum(len(rows) for rows in assignments)
     if frozen_alphas is not None:
         frozen_alphas = np.asarray(frozen_alphas, dtype=np.float64)
         if frozen_alphas.shape != (n_pos,):
             raise DomainError("loss", f"{frozen_alphas.size} frozen alphas "
                                       f"for {n_pos} positive cells")
 
-    # every ground truth of the batch as one table; first_gt[b] is image b's first row
-    flat = [g for gts in gts_per_image for g in gts]
-    gt_cls = np.array([g.class_id for g in flat], dtype=np.intp)
-    gt_box = np.array([(g.box.cx, g.box.cy, g.box.w, g.box.h) for g in flat],
-                      dtype=np.float64).reshape(-1, 4)
-    first_gt = np.cumsum([0] + [len(gts) for gts in gts_per_image])[:-1]
-
     cls_sum = box_sum = dfl_sum = 0.0
     grads, alphas = [], []
-    for li, lv in enumerate(preds.levels):
-        cells = [np.asarray(asn[li], dtype=np.intp).reshape(-1, 3) for asn in assignments]
-        b = np.repeat(np.arange(batch), [len(c) for c in cells])
-        i, j, gi = np.concatenate(cells).T
-        k = first_gt[b] + gi
-
+    for lv, rows in zip(preds.levels, assignments):
+        b, i, j, k = rows.T
         targets = np.zeros_like(lv.cls.data)
         targets[b, gt_cls[k], i, j] = 1.0
         loss_map, grad_map = bce_logits(lv.cls.data, targets)

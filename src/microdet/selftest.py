@@ -382,6 +382,8 @@ def _loss_fd_rows(seeds):
 
 def gradcheck_module(module: str, seeds=range(5), tol=1e-4):
     """Returns rows of (op name, max relative error, passed)."""
+    if not seeds:
+        raise DomainError("gradcheck", f"no seeds to check in {seeds!r}")
     rows = []
 
     def run(name, make_f, shape, per_seed_tol=tol):

@@ -3,16 +3,19 @@
 Everything here is deliberately slow and written from the definitions, with
 no code shared with the package paths it checks. The scalar convolution and
 the exhaustive AP sweep (with its corner IoU) live in `microdet.selftest`,
-since the CLI selftest runs them too, and are re-exported here. The loss
-oracle loops over positive cells with the scalar CIoU, DFL and BCE below; it
-shares only `assign_targets` with the package. The masked sigmoid, the
-two-exp softplus and the gradient formulas built on them are the engine's
-earlier elementwise kernels, kept as the bit-exact reference for the
-one-exp ones. `mf1_sweep_oracle` is the earlier mF1 sweep, which rematches
-every class at every distinct confidence; it shares only `match` with the
-prefix-sum sweep it checks. `decode_loop_oracle` is the earlier per-cell
-decode with its tuple NMS over the scalar `iou`, the bit-exact reference for
-the array decode; it shares only `_stable_sigmoid`, `Box` and `iou` with it.
+since the CLI selftest runs them too, and are re-exported here.
+`assign_loop_oracle` is the earlier assigner, a loop over each ground truth
+and each cell with the scalar `iou`, the bit-exact reference for the batched
+`assign_targets`. The loss oracle takes its cells from it and loops over them
+with the scalar CIoU, DFL and BCE below, so it shares no code with
+`loss_and_grads`. The masked sigmoid, the two-exp softplus and the gradient
+formulas built on them are the engine's earlier elementwise kernels, kept as
+the bit-exact reference for the one-exp ones. `mf1_sweep_oracle` is the
+earlier mF1 sweep, which rematches every class at every distinct confidence;
+it shares only `match` with the prefix-sum sweep it checks.
+`decode_loop_oracle` is the earlier per-cell decode with its tuple NMS over
+the scalar `iou`, the bit-exact reference for the array decode; it shares
+only `_stable_sigmoid`, `Box` and `iou` with it.
 `conv2d_grouped_einsum_oracle` is the einsum loop of a conv with any group
 count, the bit-exact reference for the engine's depthwise path.
 """
@@ -21,7 +24,7 @@ import math
 
 import numpy as np
 
-from microdet.losses import Box, LevelGrid, assign_targets, iou
+from microdet.losses import Box, LevelGrid, iou
 from microdet.metrics import Detection, match
 from microdet.selftest import ap_exhaustive_oracle, conv2d_scalar_oracle  # re-exported
 from microdet.tensor import DomainError, _stable_sigmoid
@@ -260,6 +263,54 @@ def bce_oracle(x, t):
     return np.logaddexp(0.0, x) - x * t, 0.5 * (1.0 + np.tanh(x / 2)) - t
 
 
+def gt_table(gts_per_image):
+    """The (boxes, image) arrays `losses.assign_targets` takes, from GroundTruth lists."""
+    boxes = np.array([(g.box.cx, g.box.cy, g.box.w, g.box.h)
+                      for gts in gts_per_image for g in gts], dtype=np.float64).reshape(-1, 4)
+    image = np.repeat(np.arange(len(gts_per_image)), [len(gts) for gts in gts_per_image])
+    return boxes, image
+
+
+def assign_loop_oracle(boxes, image, grids):
+    """`losses.assign_targets` as a loop over each ground truth and each cell of
+    its level, one scalar `iou` per candidate cell.
+
+    Same arguments and the same per-level (P, 4) int arrays of (image, i, j,
+    k) rows. Unlike the package it raises on a degenerate box only where a
+    cell centre falls inside it.
+    """
+    img_h = grids[0].h * grids[0].stride
+    img_w = grids[0].w * grids[0].stride
+    per_level = [dict() for _ in grids]  # (image, i, j) -> (metric, k)
+    for k, (row, b) in enumerate(zip(boxes, image)):
+        box = Box(*(float(v) for v in row))
+        x1 = (box.cx - box.w / 2) * img_w
+        x2 = (box.cx + box.w / 2) * img_w
+        y1 = (box.cy - box.h / 2) * img_h
+        y2 = (box.cy + box.h / 2) * img_h
+        max_side = max(x2 - x1, y2 - y1)
+        best_level = min(range(len(grids)),
+                         key=lambda l: (abs(max_side - 4 * grids[l].stride), l))
+        g = grids[best_level]
+        s = g.stride
+        for ci in range(g.h):
+            cyc = (ci + 0.5) * s
+            if not y1 <= cyc <= y2:
+                continue
+            for cj in range(g.w):
+                cxc = (cj + 0.5) * s
+                if not x1 <= cxc <= x2:
+                    continue
+                cell = Box(cxc / img_w, cyc / img_h, s / img_w, s / img_h)
+                metric = iou(cell, box)
+                cur = per_level[best_level].get((int(b), ci, cj))
+                if cur is None or metric > cur[0]:
+                    per_level[best_level][(int(b), ci, cj)] = (metric, k)
+    return [np.array(sorted((*cell, k) for cell, (_, k) in lvl.items()),
+                     dtype=np.intp).reshape(-1, 4)
+            for lvl in per_level]
+
+
 def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
     """`losses.loss_and_grads` as a loop over positive cells, one scalar CIoU and
     four scalar DFL calls each, with one BCE map per image and level.
@@ -283,24 +334,24 @@ def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
     grads = [(np.zeros_like(lv.cls.data), np.zeros_like(lv.box.data))
              for lv in preds.levels]
 
-    assignments = [assign_targets(gts, grids) for gts in gts_per_image]
-    n_pos = sum(len(lvl) for asn in assignments for lvl in asn)
+    flat = [g for gts in gts_per_image for g in gts]
+    assignments = assign_loop_oracle(*gt_table(gts_per_image), grids)
+    n_pos = sum(len(rows) for rows in assignments)
     alphas = []
 
     for li, lv in enumerate(preds.levels):
         g = grids[li]
         for b in range(batch):
-            gts = gts_per_image[b]
-            asn = assignments[b]
+            cells = [(ci, cj, flat[k]) for bi, ci, cj, k in assignments[li] if bi == b]
             targets = np.zeros((nc, g.h, g.w))
-            for ci, cj, gi in asn[li]:
-                targets[gts[gi].class_id, ci, cj] = 1.0
+            for ci, cj, gt in cells:
+                targets[gt.class_id, ci, cj] = 1.0
             loss_map, grad_map = bce_oracle(lv.cls.data[b], targets)
             cls_sum += loss_map.sum()
             grads[li][0][b] += grad_map
 
-            for ci, cj, gi in asn[li]:
-                gt = gts[gi].box
+            for ci, cj, gt in cells:
+                gt = gt.box
                 gt_box = (gt.cx, gt.cy, gt.w, gt.h)
                 gx1, gy1 = gt.cx - gt.w / 2, gt.cy - gt.h / 2
                 gx2, gy2 = gt.cx + gt.w / 2, gt.cy + gt.h / 2

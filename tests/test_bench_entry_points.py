@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 import microdet
+from microdet.losses import Box, LossWeights
+from microdet.metrics import GroundTruth
 from microdet.model import LevelPreds, ModelConfig, RawPredictions
 from microdet.tensor import Tensor4
 
@@ -62,6 +64,30 @@ def test_tracer_counts_every_decode_candidate():
     counts = tracer.op_counts[0]
     assert counts["model.decode.candidates"] == 168
     assert counts["model.decode.kept"] == len(dets) > 0
+
+
+def test_tracer_counts_one_positive_per_alpha():
+    """`losses.positives` reads the assigner's per-level row counts: one per alpha.
+
+    An assigner returning a tuple of index arrays per level would count 4 a level.
+    """
+    rng = np.random.default_rng(0)
+    levels = [LevelPreds(Tensor4(rng.normal(size=(2, 2, 64 // s, 64 // s))),
+                         Tensor4(rng.normal(size=(2, 32, 64 // s, 64 // s))), s)
+              for s in (8, 16, 32)]
+    preds = RawPredictions(levels, 2, 8)
+    # the 58 px box goes to stride 16, the others to stride 8
+    gts = [[GroundTruth(0, Box(0.3, 0.3, 0.3, 0.25)), GroundTruth(1, Box(0.5, 0.5, 0.9, 0.9))],
+           [GroundTruth(1, Box(0.7, 0.6, 0.2, 0.3))]]
+    tracer = load_tracer_module().Tracer(microdet)
+    tracer.install()
+    try:
+        span = tracer.begin_op(0)
+        alphas = microdet.losses.loss_and_grads(preds, gts, LossWeights())[3]
+        tracer.end_op(span)
+    finally:
+        tracer.remove()
+    assert tracer.op_counts[0]["losses.positives"] == alphas.size > 0
 
 
 def test_infer_op_runs_folded_convs(tmp_path):

@@ -170,6 +170,20 @@ class TestToyDataCounts:
         assert not (tmp_path / "run").exists()
 
 
+class TestRepeatCounts:
+    """A count of zero repetitions is an error, not a run that checks or times nothing."""
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bench_reps(self, capsys, value):
+        err = expect_one_error(capsys, ["bench", "--reps", value])
+        assert f"--reps must be at least 1, got {value}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_gradcheck_seeds(self, capsys, value):
+        err = expect_one_error(capsys, ["gradcheck", "--seeds", value])
+        assert "gradcheck: no seeds to check" in err
+
+
 class TestNonUtf8Text:
     def test_droi_replay_log(self, tmp_path, capsys):
         log = tmp_path / "traj.csv"

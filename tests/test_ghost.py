@@ -6,6 +6,8 @@ import pytest
 from oracles import batchnorm_scalar_oracle, conv2d_scalar_oracle, mish_scalar
 
 from microdet.ghost import (
+    CHEAP_K,
+    PRIMARY_K,
     C3Block,
     C3GhostSpec,
     GhostBottleneck,
@@ -136,13 +138,13 @@ class TestCounting:
         assert flops == 2 * params * 10 * 10
 
     def test_ghost_cheaper_across_grid(self):
-        """Economy holds wherever the cheap kernel costs less than a primary column."""
-        d = 3
+        """Economy holds wherever the cheap kernel costs less than a primary column,
+        against a plain conv of the primary's size and of the cheap kernel's."""
         for c in (8, 16, 32, 64):
-            for k in (1, 3):
-                if d * d >= c * k * k:  # cheap op would not be cheap here
-                    continue
-                g, _ = count_params_flops(GhostSpec(c, c, primary_k=k, cheap_k=d), 8, 8)
+            if CHEAP_K * CHEAP_K >= c * PRIMARY_K * PRIMARY_K:  # cheap op would not be cheap
+                continue
+            g, _ = count_params_flops(GhostSpec(c, c), 8, 8)
+            for k in (PRIMARY_K, CHEAP_K):
                 s, _ = count_params_flops(ConvSpec(c, c, k=k, p=k // 2), 8, 8)
                 assert g < s, (c, k)
 

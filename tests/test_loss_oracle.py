@@ -9,7 +9,7 @@ array's largest magnitude, since single entries can cancel to near zero.
 import numpy as np
 import pytest
 
-from oracles import ciou_oracle, loss_per_cell_oracle
+from oracles import assign_loop_oracle, ciou_oracle, gt_table, loss_per_cell_oracle
 
 from microdet import losses
 from microdet.dataio import generate_toy_dataset, load_manifest
@@ -74,8 +74,13 @@ def assert_matches_oracle(preds, gts, weights=LossWeights(), frozen_alphas=None)
     return total, breakdown, grads, alphas
 
 
+def assign(gts, grids=GRIDS):
+    """`assign_targets` on a batch given as GroundTruth lists."""
+    return assign_targets(*gt_table(gts), grids)
+
+
 def n_positives(gts):
-    return sum(len(lvl) for per_image in gts for lvl in assign_targets(per_image, GRIDS))
+    return sum(len(lvl) for lvl in assign(gts))
 
 
 def set_sides(preds, li, b, i, j, side_logits):
@@ -96,7 +101,7 @@ class TestLossMatchesPerCellLoop:
             [_Gt(2, px_box(10, 30, 40, 44)), _Gt(1, px_box(-20, -16, 84, 82))],
         ]
         _, _, _, alphas = assert_matches_oracle(preds, gts)
-        per_level = [sum(len(assign_targets(g, GRIDS)[li]) for g in gts) for li in range(3)]
+        per_level = [len(lvl) for lvl in assign(gts)]
         assert all(per_level), per_level
         assert np.all(alphas > 0)
 
@@ -106,9 +111,9 @@ class TestLossMatchesPerCellLoop:
         preds = make_preds(rng, batch=1, reg_max=4)
         gt = _Gt(1, px_box(10, 12, 50, 50))
         gts = [[gt]]
-        cells = assign_targets(gts[0], GRIDS)[0]
+        cells = assign(gts)[0]
         x1 = gt.box.corners()[0] * 64
-        assert max((j + 0.5) * 8 - x1 for _, j, _ in cells) / 8 > 3
+        assert max((j + 0.5) * 8 - x1 for _, _, j, _ in cells) / 8 > 3
         assert_matches_oracle(preds, gts)
 
     def test_predicted_box_only_touching_its_gt(self):
@@ -116,7 +121,7 @@ class TestLossMatchesPerCellLoop:
         rng = np.random.default_rng(4)
         preds = make_preds(rng, batch=1)
         gts = [[_Gt(0, px_box(12, 12, 28, 28))]]
-        assert (1, 1, 0) in assign_targets(gts[0], GRIDS)[0]
+        assert [0, 1, 1, 0] in assign(gts)[0].tolist()
         far_left = np.full(8, -30.0)
         far_left[2] = 0.0
         nothing_right = np.full(8, -30.0)
@@ -157,7 +162,7 @@ class TestLossMatchesPerCellLoop:
         rng = np.random.default_rng(6)
         preds = make_preds(rng, batch=1)
         gts = [[_Gt(0, Box(12 / 64, 20 / 64, 1e-9, 2e-9))]]
-        assert assign_targets(gts[0], GRIDS)[0] == [(2, 1, 0)]
+        assert assign(gts)[0].tolist() == [[0, 2, 1, 0]]
         point = np.full(8, -30.0)
         point[0] = 0.0
         set_sides(preds, 0, 0, 2, 1, [point] * 4)
@@ -170,9 +175,10 @@ class TestLossMatchesPerCellLoop:
         # identical boxes tie on every cell: the lower index keeps them all
         identical = [_Gt(2, px_box(20, 8, 44, 40)), _Gt(0, px_box(20, 8, 44, 40))]
         gts = [overlapping, identical]
-        owners = {gi for _, _, gi in assign_targets(overlapping, GRIDS)[0]}
-        assert owners == {0, 1}
-        assert {gi for lvl in assign_targets(identical, GRIDS) for _, _, gi in lvl} == {0}
+        per_level = assign(gts)
+        owners = {(b, k) for b, _, _, k in per_level[0]}
+        assert owners == {(0, 0), (0, 1), (1, 2)}
+        assert {k for lvl in per_level for b, _, _, k in lvl if b == 1} == {2}
         assert_matches_oracle(preds, gts)
 
     def test_image_without_gts(self):
@@ -208,6 +214,54 @@ class TestLossMatchesPerCellLoop:
         preds = make_preds(rng, batch=1)
         gts = [[_Gt(0, px_box(6, 8, 24, 30))]]
         assert_matches_oracle(preds, gts, LossWeights(2.0, 0.5, 3.0))
+
+
+def random_batch(rng):
+    """A batch of 1-3 images at 32-128 px with 0-8 boxes each, as (boxes, image, grids).
+
+    Half the boxes have edges on the half-stride grid of the finest level, so
+    cell centres land exactly on their bounds; some repeat an earlier box of
+    the same image; the rest are random, out to larger than the image.
+    """
+    size = int(rng.choice([32, 64, 96, 128]))
+    grids = [LevelGrid(s, size // s, size // s) for s in (8, 16, 32)]
+    rows, image = [], []
+    for b in range(int(rng.integers(1, 4))):
+        first = len(rows)
+        for _ in range(int(rng.integers(0, 9))):
+            if len(rows) > first and rng.random() < 0.15:
+                rows.append(rows[int(rng.integers(first, len(rows)))])
+            elif rng.random() < 0.5:
+                x1, x2, y1, y2 = rng.integers(-2, size // 4 + 3, size=4) * 4
+                x2, y2 = max(x2, x1 + 4), max(y2, y1 + 4)
+                rows.append(((x1 + x2) / 2 / size, (y1 + y2) / 2 / size,
+                             (x2 - x1) / size, (y2 - y1) / size))
+            else:
+                rows.append((*rng.uniform(-0.1, 1.1, 2), *rng.uniform(0.01, 1.3, 2)))
+            image.append(b)
+    return np.array(rows, dtype=np.float64).reshape(-1, 4), np.array(image, dtype=np.intp), grids
+
+
+def test_assign_matches_loop_on_random_batches():
+    """The batched assigner equals the per-cell loop bit for bit, 1000 seeded batches."""
+    rng = np.random.default_rng(12)
+    n_pos = contested = 0
+    for _ in range(1000):
+        boxes, image, grids = random_batch(rng)
+        got = assign_targets(boxes, image, grids)
+        want = assign_loop_oracle(boxes, image, grids)
+        assert len(got) == len(want) == 3
+        for rows, o_rows in zip(got, want):
+            assert rows.dtype == o_rows.dtype and rows.shape == o_rows.shape
+            assert np.array_equal(rows, o_rows), (boxes, image, rows, o_rows)
+            n_pos += len(rows)
+        # a repeated box claims nothing: every cell it covers stays with its first copy
+        for k in range(len(boxes)):
+            twin = (image[:k] == image[k]) & (boxes[:k] == boxes[k]).all(axis=1)
+            contested += twin.any()
+            if twin.any():
+                assert all(k not in lvl[:, 3] for lvl in got)
+    assert n_pos > 10_000 and contested > 100
 
 
 def test_one_softmax_per_level_with_positives(monkeypatch):

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import iou_raster_oracle
+from oracles import gt_table, iou_raster_oracle
 
 from microdet.losses import (
     Box,
@@ -326,38 +326,59 @@ class _Gt:
 class TestAssign:
     GRIDS = [LevelGrid(8, 8, 8), LevelGrid(16, 4, 4), LevelGrid(32, 2, 2)]
 
+    def assign(self, *gts_per_image):
+        return assign_targets(*gt_table(gts_per_image), self.GRIDS)
+
     def test_full_image_gt_assigns_best_level(self):
         """A 60-px box (image 64) sits closest to 4*16, so level 1 is chosen."""
         gt = _Gt(0, Box(0.5, 0.5, 60 / 64, 60 / 64))
-        per_level = assign_targets([gt], self.GRIDS)
-        assert per_level[0] == []
+        per_level = self.assign([gt])
+        assert per_level[0].shape == (0, 4)
         assert len(per_level[1]) > 0
-        assert per_level[2] == []
-        for ci, cj, gi in per_level[1]:
-            assert gi == 0
+        assert per_level[2].shape == (0, 4)
+        for b, ci, cj, k in per_level[1]:
+            assert b == k == 0
 
     def test_no_gts_all_negative(self):
-        per_level = assign_targets([], self.GRIDS)
-        assert all(lvl == [] for lvl in per_level)
+        per_level = self.assign([], [])
+        assert all(lvl.shape == (0, 4) for lvl in per_level)
 
     def test_disjoint_gts_disjoint_cells(self):
         a = _Gt(0, Box(0.25, 0.25, 0.3, 0.3))
         b = _Gt(1, Box(0.75, 0.75, 0.3, 0.3))
-        per_level = assign_targets([a, b], self.GRIDS)
+        per_level = self.assign([a, b])
         cells_a = {(l, i, j) for l, lvl in enumerate(per_level)
-                   for i, j, gi in lvl if gi == 0}
+                   for _, i, j, k in lvl if k == 0}
         cells_b = {(l, i, j) for l, lvl in enumerate(per_level)
-                   for i, j, gi in lvl if gi == 1}
+                   for _, i, j, k in lvl if k == 1}
         assert cells_a and cells_b
         assert not cells_a & cells_b
 
     def test_contested_cell_prefers_higher_cell_iou(self):
         big = _Gt(0, Box(0.25, 0.25, 0.45, 0.45))
         small = _Gt(1, Box(0.25, 0.25, 0.2, 0.2))
-        per_level = assign_targets([big, small], self.GRIDS)
+        per_level = self.assign([big, small])
         # both land on the stride-8 level; the small box overlaps cell squares more
-        owners = {(i, j): gi for i, j, gi in per_level[0]}
+        owners = {(i, j): k for _, i, j, k in per_level[0]}
         assert owners[(2, 2)] == 1  # center cell of the small box
+
+    def test_images_do_not_contest_cells(self):
+        """The same box in two images claims the same cells in each, under its own row."""
+        gt = _Gt(0, Box(0.25, 0.25, 0.2, 0.2))
+        per_level = self.assign([gt], [], [gt])
+        rows = per_level[0]
+        n = len(rows) // 2
+        assert n > 0 and len(rows) == 2 * n
+        assert np.array_equal(rows[:n, 1:3], rows[n:, 1:3])
+        assert rows[:n, 0].tolist() == rows[:n, 3].tolist() == [0] * n
+        assert rows[n:, 0].tolist() == [2] * n and rows[n:, 3].tolist() == [1] * n
+
+    @pytest.mark.parametrize("w, h", [(0.0, 0.1), (0.1, -0.05)])
+    def test_degenerate_box_rejected_without_a_cell_inside(self, w, h):
+        """Rejected up front, even where no cell centre falls inside the box."""
+        gt = _Gt(0, Box(0.5, 0.5, w, h))  # x = 32 px lies between two cell centres
+        with pytest.raises(DomainError, match="degenerate extents"):
+            self.assign([_Gt(1, Box(0.25, 0.25, 0.2, 0.2))], [gt])
 
 
 class TestWeights:
@@ -419,12 +440,12 @@ class TestTotalLoss:
             lv.cls.data[:] = -20.0
         grids = [LevelGrid(lv.stride, lv.cls.shape[2], lv.cls.shape[3])
                  for lv in preds.levels]
-        per_level = assign_targets(gts[0], grids)
+        per_level = assign_targets(*gt_table(gts), grids)
         assert sum(len(l) for l in per_level) == 25
         for li, cells in enumerate(per_level):
             lv = preds.levels[li]
             s = lv.stride
-            for ci, cj, _ in cells:
+            for _, ci, cj, _ in cells:
                 lv.cls.data[0, 1, ci, cj] = 20.0
                 cxc, cyc = (cj + 0.5) * s, (ci + 0.5) * s
                 x1, y1, x2, y2 = gt_box.corners()

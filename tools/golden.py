@@ -4,6 +4,9 @@ Each step runs `python -m microdet.cli` in a fresh process against the
 sources under ROOT/src, inside a temporary directory:
 
     weights     SHA-256 of `weights.w1` from `train-toy` on a fixed config
+    weights_crowded
+                the same with 4-6 objects per image, so that ground truths
+                contest cells of the assigner
     detections  SHA-256 of the `forward` detections on one training image
     selftest    SHA-256 of `selftest` stdout
     gradcheck   SHA-256 of `gradcheck --module all` stdout
@@ -13,7 +16,7 @@ sources under ROOT/src, inside a temporary directory:
                 ground-truth file is empty
 
 Run it on two checkouts and compare the lines: a change that keeps these
-outputs bit-identical prints the same five hashes. With `--expect FILE`, a
+outputs bit-identical prints the same six hashes. With `--expect FILE`, a
 saved output of an earlier run, it prints the rows, then each differing
 name with the expected and the actual digest, and exits 1 on a mismatch.
 
@@ -33,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 TRAIN_CFG = "num_classes = 2\nsteps = 8\nseed = 5\ntoy_images = 4\n"
+CROWDED_CFG = TRAIN_CFG + "min_objects = 4\nmax_objects = 6\n"
 # a zero threshold sends every cell through decode and NMS
 FORWARD_CFG = "num_classes = 2\nconf_threshold = 0.0\n"
 
@@ -81,12 +85,14 @@ def _cli(root: Path, work: Path, *argv) -> bytes:
 
 
 def golden(root: Path):
-    """(name, hex digest) rows for the five outputs."""
+    """(name, hex digest) rows for the six outputs."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "train.cfg").write_text(TRAIN_CFG)
+        (work / "crowded.cfg").write_text(CROWDED_CFG)
         (work / "forward.cfg").write_text(FORWARD_CFG)
         _cli(root, work, "train-toy", "--config", "train.cfg", "--out", "run")
+        _cli(root, work, "train-toy", "--config", "crowded.cfg", "--out", "crowded")
         _cli(root, work, "forward", "--weights", "run/weights.w1",
              "--input", "run/data/images/img_000.t4", "--config", "forward.cfg",
              "--out", "dets.txt")
@@ -97,6 +103,7 @@ def golden(root: Path):
             report += path.name.encode() + b"\n" + path.read_bytes()
         return [
             ("weights", _sha((work / "run" / "weights.w1").read_bytes())),
+            ("weights_crowded", _sha((work / "crowded" / "weights.w1").read_bytes())),
             ("detections", _sha((work / "dets.txt").read_bytes())),
             ("selftest", _sha(_cli(root, work, "selftest"))),
             ("gradcheck", _sha(_cli(root, work, "gradcheck", "--module", "all"))),
