@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .dataio import (
     AnnotationError,
+    ToyData,
     _read_lines,
     generate_toy_dataset,
     load_annotations,
@@ -37,6 +38,7 @@ from .droi import (
 from .ghost import C3GhostSpec, GhostSpec, count_params_flops
 from .metrics import DEFAULT_IOU_THRESHOLDS, evaluate
 from .model import (
+    STRIDES,
     ModelConfig,
     build_model,
     decode,
@@ -45,7 +47,7 @@ from .model import (
 )
 from .selftest import gradcheck_module, run_selftest
 from .tensor import ConvSpec, DomainError, ShapeError, Tensor4
-from .train import load_run_config, train_toy
+from .train import TrainParams, train_toy
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,10 @@ def _cmd_bench(args):
 
 
 def _cmd_train_toy(args):
-    model_cfg, params, data = load_run_config(args.config)
+    model_cfg, params, data = load_config(args.config, ModelConfig, TrainParams, ToyData)
+    if data.image_size % STRIDES[-1]:
+        raise ShapeError("train-toy", f"image_size {data.image_size} not divisible "
+                                      f"by {STRIDES[-1]}")
     out = Path(args.out)
     manifest_path = generate_toy_dataset(
         out / "data", seed=params.seed, n_images=data.toy_images,
@@ -118,18 +123,17 @@ def _cmd_train_toy(args):
         fh.write("step,lr,total,cls,box,dfl\n")
         for row in curve:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    first = curve[0][2] if curve else float("nan")
-    last = curve[-1][2] if curve else float("nan")
     print(f"steps {len(curve)}")
-    print(f"initial_total {first:.6f}")
-    print(f"final_total {last:.6f}")
+    print(f"initial_total {curve[0][2]:.6f}")
+    print(f"final_total {curve[-1][2]:.6f}")
     return 0
 
 
 def _cmd_forward(args):
     weights = Path(args.weights)
     cfg_path = Path(args.config) if args.config else weights.parent / "model.cfg"
-    model_cfg, _, _ = load_run_config(cfg_path if cfg_path.exists() else None)
+    model_cfg, _, _ = load_config(cfg_path if cfg_path.exists() else None,
+                                  ModelConfig, TrainParams, ToyData)
     model = build_model(model_cfg, 0)
     load_weights(model, weights)
     model.set_training(False)

@@ -315,17 +315,26 @@ _PALETTE = np.array([
 ])
 
 
+# the longest side a toy object can have, in pixels
+TOY_MAX_SIZE = 30
+
+
+def _check_fit(image_size, max_size):
+    """Raise unless an object of side max_size fits with margin."""
+    if max_size + 4 >= image_size:
+        raise DomainError("toy_scene", f"objects up to {max_size}px cannot fit "
+                                       f"with margin in a {image_size}px image")
+
+
 def generate_toy_scene(seed, image_size=64, num_classes=2, num_objects=2,
-                       min_size=14, max_size=30):
+                       min_size=14, max_size=TOY_MAX_SIZE):
     """Noise background plus colored rectangles; annotations are exact.
 
     Rectangles land on integer pixel bounds and the emitted normalized box
     is computed from those same bounds, so a rasterization round trip agrees
     within one pixel by construction. Deterministic per seed.
     """
-    if max_size + 4 >= image_size:
-        raise DomainError("toy_scene", f"objects up to {max_size}px cannot fit "
-                                       f"with margin in a {image_size}px image")
+    _check_fit(image_size, max_size)
     rng = np.random.default_rng(seed)
     img = 0.25 + 0.08 * rng.random((1, 3, image_size, image_size))
     gts = []
@@ -380,6 +389,7 @@ def generate_toy_dataset(out_dir, seed=0, n_images=20, image_size=64, num_classe
     if not 0 <= min_objects <= max_objects:
         raise DomainError("toy_data", f"need 0 <= min_objects <= max_objects, got "
                                       f"{min_objects} and {max_objects}")
+    _check_fit(image_size, TOY_MAX_SIZE)
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)

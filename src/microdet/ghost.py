@@ -129,14 +129,14 @@ class C3Block(Module):
 # ---------------------------------------------------------------------------
 # closed-form parameter / FLOP accounting
 #
-# Convention: params count conv weights (+bias); include_bn adds 2*c per
+# Convention: params count conv weights (no bias); include_bn adds 2*c per
 # normalized stage. FLOPs are 2 * (weight multiplies) * output positions;
 # activation and normalization arithmetic are not counted.
 
 
-def _conv_cost(c_in, c_out, k, g, h_out, w_out, bias=False, bn=False):
+def _conv_cost(c_in, c_out, k, g, h_out, w_out, bn=False):
     weights = c_out * (c_in // g) * k * k
-    params = weights + (c_out if bias else 0) + (2 * c_out if bn else 0)
+    params = weights + (2 * c_out if bn else 0)
     flops = 2 * weights * h_out * w_out
     return params, flops
 
@@ -151,8 +151,7 @@ def count_params_flops(spec, h, w, include_bn=False, ghost=True):
     C3Block(ghost=False) builds it.
     """
     if isinstance(spec, ConvSpec):
-        return _conv_cost(spec.c_in, spec.c_out, spec.k, spec.g, *spec.out_hw(h, w),
-                          bias=spec.has_bias)
+        return _conv_cost(spec.c_in, spec.c_out, spec.k, spec.g, *spec.out_hw(h, w))
     if isinstance(spec, GhostSpec):
         ci = spec.intrinsic
         p1, f1 = _conv_cost(spec.c_in, ci, PRIMARY_K, 1, h, w, bn=include_bn)

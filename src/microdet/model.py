@@ -10,7 +10,7 @@ activation, ghost bottlenecks) can each be switched independently.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,12 +99,12 @@ class _Head(Module):
     def __init__(self, c, num_classes, reg_max, activation, rng):
         super().__init__()
         self.cls_stem = SimConv(c, c, k=1, activation=activation, rng=rng)
-        self.cls_spec = ConvSpec(c, num_classes, k=1, has_bias=True)
+        self.cls_spec = ConvSpec(c, num_classes, k=1)
         self.cls_weight = he_weight(rng, num_classes, c, 1)
         # start object confidence near 1% so early training is not flooded
         self.cls_bias = Tensor4(np.full((1, num_classes, 1, 1), -np.log(99.0)))
         self.box_stem = SimConv(c, c, k=1, activation=activation, rng=rng)
-        self.box_spec = ConvSpec(c, 4 * reg_max, k=1, has_bias=True)
+        self.box_spec = ConvSpec(c, 4 * reg_max, k=1)
         self.box_weight = he_weight(rng, 4 * reg_max, c, 1)
         self.box_bias = Tensor4(np.zeros((1, 4 * reg_max, 1, 1)))
 
@@ -319,9 +319,8 @@ def load_weights(model: MicroDetector, path):
         raise DomainError("weights", f"missing records: {sorted(missing)[:4]}")
 
 
-def ablation_configs(base: ModelConfig | None = None):
+def ablation_configs():
     """The five cumulative ablation rows: baseline through the full model."""
-    base = base if base is not None else ModelConfig()
     rows = {
         "expr1_baseline": dict(use_simsppf=False, use_simam=False, use_igd=False,
                                use_c3ghost=False, activation="silu"),
@@ -334,4 +333,4 @@ def ablation_configs(base: ModelConfig | None = None):
         "exp5_mish": dict(use_simsppf=True, use_simam=True, use_igd=True,
                           use_c3ghost=False, activation="mish"),
     }
-    return {name: replace(base, **kw) for name, kw in rows.items()}
+    return {name: ModelConfig(**kw) for name, kw in rows.items()}

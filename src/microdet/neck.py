@@ -61,10 +61,10 @@ class _Inject(Module):
 
     def __init__(self, c_fused, c_level, rng: np.random.Generator):
         super().__init__()
-        self.proj_spec = ConvSpec(c_fused, c_level, k=1, has_bias=True)
+        self.proj_spec = ConvSpec(c_fused, c_level, k=1)
         self.proj_weight = he_weight(rng, c_level, c_fused, 1)
         self.proj_bias = Tensor4(np.zeros((1, c_level, 1, 1)))
-        self.gate_spec = ConvSpec(c_level, c_level, k=1, has_bias=True)
+        self.gate_spec = ConvSpec(c_level, c_level, k=1)
         self.gate_weight = he_weight(rng, c_level, c_level, 1)
         self.gate_bias = Tensor4(np.zeros((1, c_level, 1, 1)))
 

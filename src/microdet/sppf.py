@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .activations import apply_activation
@@ -35,7 +33,7 @@ class SimConv(Module):
                  rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.spec = ConvSpec(c_in, c_out, k=k, s=s, p=k // 2, g=g, has_bias=False)
+        self.spec = ConvSpec(c_in, c_out, k=k, s=s, p=k // 2, g=g)
         self.weight = he_weight(rng, c_out, c_in // g, k)
         self.bn = BatchNormState.create(c_out)
         self.activation = activation
@@ -50,7 +48,7 @@ class SimConv(Module):
         scale = bn.gamma.data.reshape(-1) / np.sqrt(bn.running_var + bn.eps)
         weight = Tensor4(self.weight.data * scale.reshape(-1, 1, 1, 1))
         bias = Tensor4((bn.beta.data.reshape(-1) - bn.running_mean * scale).reshape(1, -1, 1, 1))
-        return replace(self.spec, has_bias=True), weight, bias
+        return self.spec, weight, bias
 
     def forward(self, x: Tensor4, tape: GradTape | None = None) -> Tensor4:
         if tape is None and not self.bn.training:

@@ -84,7 +84,6 @@ class ConvSpec:
     s: int = 1
     p: int = 0
     g: int = 1
-    has_bias: bool = False
 
     def __post_init__(self):
         if self.k < 1 or self.s < 1 or self.p < 0:
@@ -229,9 +228,8 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
            tape: GradTape | None = None) -> Tensor4:
     """Dense or depthwise 2-D cross-correlation (no kernel flip).
 
-    weight is (c_out, c_in/g, k, k); bias, when the spec asks for one, is a
-    (1, c_out, 1, 1) tensor. Output spatial dims follow
-    floor((d + 2p - k)/s) + 1.
+    weight is (c_out, c_in/g, k, k); bias, when given, is a (1, c_out, 1, 1)
+    tensor. Output spatial dims follow floor((d + 2p - k)/s) + 1.
     """
     n, c, h, w = x.shape
     if c != spec.c_in:
@@ -240,12 +238,8 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
         raise ShapeError(
             "conv2d", f"weight shape {weight.shape} != expected {spec.weight_shape()}"
         )
-    if spec.has_bias:
-        if bias is None or bias.shape != (1, spec.c_out, 1, 1):
-            got = None if bias is None else bias.shape
-            raise ShapeError("conv2d", f"bias shape {got} != (1,{spec.c_out},1,1)")
-    elif bias is not None:
-        raise ShapeError("conv2d", "bias passed but spec.has_bias is False")
+    if bias is not None and bias.shape != (1, spec.c_out, 1, 1):
+        raise ShapeError("conv2d", f"bias shape {bias.shape} != (1,{spec.c_out},1,1)")
 
     k, s, p = spec.k, spec.s, spec.p
     ho, wo = spec.out_hw(h, w)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import DatasetManifest, ToyData, load_config
+from .dataio import DatasetManifest
 from .losses import LossWeights, detection_loss
 from .metrics import Detection, GroundTruth
 from .model import MicroDetector, ModelConfig, build_model, decode
@@ -22,7 +21,6 @@ class TrainParams:
     beta2: float = 0.999
     eps: float = 1e-8
     steps: int = 600
-    batch_size: int = 0          # 0 = full batch
     warmup_steps: int = 30
     lr_final_frac: float = 0.05
     seed: int = 0
@@ -30,23 +28,12 @@ class TrainParams:
     lambda_box: float = 7.5
     lambda_dfl: float = 1.5
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise DomainError("train_params", f"steps must be >= 1, got {self.steps}")
+
     def loss_weights(self):
         return LossWeights(self.lambda_cls, self.lambda_box, self.lambda_dfl)
-
-
-def load_run_config(path=None):
-    """(ModelConfig, TrainParams, ToyData) from one config file, defaults without one.
-
-    The environment variable APD_SEED, when set, overrides the configured seed.
-    """
-    model_cfg, params, data = load_config(path, ModelConfig, TrainParams, ToyData)
-    if "APD_SEED" in os.environ:
-        try:
-            params = replace(params, seed=int(os.environ["APD_SEED"]))
-        except ValueError:
-            raise DomainError("train", f"APD_SEED={os.environ['APD_SEED']!r} "
-                                       f"is not an integer") from None
-    return model_cfg, params, data
 
 
 @dataclass
@@ -103,27 +90,29 @@ def adamw_step(state: TrainState, params: TrainParams):
     return lr
 
 
-def _stack_images(manifest: DatasetManifest, indices):
-    imgs = [manifest.load_image(i) for i in indices]
+def _stack_images(manifest: DatasetManifest):
+    """The whole manifest as one (n, 3, h, w) batch; every image must share a shape."""
+    imgs = [manifest.load_image(i) for i in range(len(manifest.entries))]
     shape = imgs[0].shape
-    for i, img in zip(indices, imgs):
+    for i, img in enumerate(imgs):
         if img.shape != shape:
             raise ShapeError("train", f"image {i} shape {img.shape} != {shape}")
-    h, w = shape[2], shape[3]
-    if h % 32 or w % 32:
-        raise ShapeError("train", f"image dims ({h},{w}) not divisible by 32")
     return Tensor4(np.concatenate([im.data for im in imgs], axis=0))
 
 
 def train_toy(manifest: DatasetManifest, model_cfg: ModelConfig,
-              params: TrainParams, log_every=0, stop_loss_frac=None):
+              params: TrainParams, log_every=0):
     """Optimize the detection loss on a toy manifest; deterministic per seed.
 
-    Returns (TrainState, curve) where curve rows are
-    (step, lr, total, cls, box, dfl). Non-finite losses abort with the
-    offending term named. stop_loss_frac, when set, ends training once the
-    total drops below that fraction of the step-0 total.
+    Every one of the `params.steps` steps runs the whole manifest as one
+    batch. Returns (TrainState, curve) where curve holds one
+    (step, lr, total, cls, box, dfl) row per step. Non-finite losses abort
+    with the offending term named.
     """
+    if not manifest.entries:
+        raise DomainError("train", "manifest has no images")
+    batch = _stack_images(manifest)
+    gts = [manifest.load_gts(i) for i in range(len(manifest.entries))]
     model = build_model(model_cfg, params.seed)
     model.set_training(True, track_stats=True)
     state = TrainState(model=model, seed=params.seed,
@@ -131,31 +120,11 @@ def train_toy(manifest: DatasetManifest, model_cfg: ModelConfig,
                                            params.warmup_steps, params.lr_final_frac))
     state.init_moments()
     weights = params.loss_weights()
-    n = len(manifest.entries)
-    if n == 0:
-        raise DomainError("train", "manifest has no images")
-    gts_all = [manifest.load_gts(i) for i in range(n)]
-    rng = np.random.default_rng(params.seed)
-
-    full_batch = params.batch_size <= 0 or params.batch_size >= n
-    if full_batch:
-        batch = _stack_images(manifest, list(range(n)))
-        batch_gts = gts_all
-
-    order = []
     curve = []
-    initial_total = None
     for step in range(params.steps):
-        if not full_batch:
-            if len(order) < params.batch_size:
-                order.extend(rng.permutation(n).tolist())
-            idx = [order.pop(0) for _ in range(params.batch_size)]
-            batch = _stack_images(manifest, idx)
-            batch_gts = [gts_all[i] for i in idx]
-
         tape = GradTape()
         preds = model.forward(batch, tape)
-        _, breakdown = detection_loss(preds, batch_gts, weights, tape)
+        _, breakdown = detection_loss(preds, gts, weights, tape)
         for term in ("cls", "box", "dfl", "total"):
             if not np.isfinite(breakdown[term]):
                 raise DomainError("train", f"non-finite {term} loss at step {step}")
@@ -163,15 +132,10 @@ def train_toy(manifest: DatasetManifest, model_cfg: ModelConfig,
         lr = adamw_step(state, params)
         curve.append((step, lr, breakdown["total"], breakdown["cls"],
                       breakdown["box"], breakdown["dfl"]))
-        if initial_total is None:
-            initial_total = breakdown["total"]
         if log_every and step % log_every == 0:
             print(f"step {step} lr {lr:.5f} total {breakdown['total']:.5f} "
                   f"cls {breakdown['cls']:.5f} box {breakdown['box']:.5f} "
                   f"dfl {breakdown['dfl']:.5f}")
-        if (stop_loss_frac is not None and initial_total > 0
-                and breakdown["total"] <= stop_loss_frac * initial_total):
-            break
     return state, curve
 
 

@@ -199,7 +199,7 @@ def test_criterion_09_toy_overfit(toy_twenty):
     t0 = time.time()
     cfg = ModelConfig()
     params = TrainParams(steps=1500, seed=11)
-    state, curve = train_toy(toy_twenty, cfg, params, stop_loss_frac=0.06)
+    state, curve = train_toy(toy_twenty, cfg, params)
     initial, final = curve[0][2], curve[-1][2]
     assert len(curve) <= 1500
     assert final <= 0.10 * initial, (initial, final)

@@ -4,11 +4,11 @@ import pytest
 
 from microdet import metrics
 from microdet.cli import main
-from microdet.dataio import ToyData, load_predictions, write_config
+from microdet.dataio import ToyData, load_config, load_predictions, write_config
 from microdet.droi import DroiConfig
 from microdet.metrics import DEFAULT_IOU_THRESHOLDS
 from microdet.model import ModelConfig
-from microdet.train import TrainParams, load_run_config
+from microdet.train import TrainParams
 
 
 def run_cli(capsys, *argv):
@@ -143,8 +143,9 @@ class TestTrainForwardEval:
         assert len(curve) == 9
 
     def test_model_cfg_reads_back(self, trained_run):
-        echoed = load_run_config(trained_run / "run" / "model.cfg")
-        assert echoed == load_run_config(trained_run / "toy.cfg")
+        kinds = ModelConfig, TrainParams, ToyData
+        echoed = load_config(trained_run / "run" / "model.cfg", *kinds)
+        assert echoed == load_config(trained_run / "toy.cfg", *kinds)
         assert echoed[1].steps == 8 and echoed[2].toy_images == 4
 
     def test_forward_writes_predictions(self, trained_run, capsys):

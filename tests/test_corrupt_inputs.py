@@ -150,17 +150,22 @@ class TestConfigs:
 
 
 class TestToyDataCounts:
+    """Bad toy-data counts and image sizes are rejected before any directory is made."""
+
     @pytest.mark.parametrize("flag, value, detail", [
-        ("--classes", "0", "0 class(es)"), ("--images", "0", "0 image(s)")])
+        ("--classes", "0", "0 class(es)"), ("--images", "0", "0 image(s)"),
+        ("--size", "32", "cannot fit")])
     def test_gen_toy(self, tmp_path, capsys, flag, value, detail):
         err = expect_one_error(capsys, ["gen-toy", "--out", str(tmp_path / "d"), flag, value])
         assert detail in err
-        assert not (tmp_path / "d" / "manifest.txt").exists()
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("lines, detail", [
         ("min_objects = 3\nmax_objects = 1", "got 3 and 1"),
         ("min_objects = -1", "got -1 and 3"),
-        ("toy_images = 0", "0 image(s)")])
+        ("toy_images = 0", "0 image(s)"),
+        ("image_size = 32", "cannot fit"),
+        ("image_size = 48", "image_size 48 not divisible by 32")])
     def test_train_toy(self, tmp_path, capsys, lines, detail):
         cfg = tmp_path / "toy.cfg"
         cfg.write_text(f"steps = 1\n{lines}\n")
@@ -182,6 +187,15 @@ class TestRepeatCounts:
     def test_gradcheck_seeds(self, capsys, value):
         err = expect_one_error(capsys, ["gradcheck", "--seeds", value])
         assert "gradcheck: no seeds to check" in err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_train_toy_steps(self, tmp_path, capsys, value):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(f"toy_images = 2\nsteps = {value}\n")
+        err = expect_one_error(capsys, ["train-toy", "--config", str(cfg),
+                                        "--out", str(tmp_path / "run")])
+        assert f"steps must be >= 1, got {value}" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestNonUtf8Text:

@@ -185,7 +185,7 @@ class TestConv1x1Columns:
         w = rng.normal(size=(7, 6, 1, 1))
         bias = rng.normal(size=(1, 7, 1, 1)) if with_bias else None
         up = rng.normal(size=(n, 7, 5, 4))
-        out, dx, dw = _conv_grads(x, ConvSpec(6, 7, k=1, has_bias=with_bias), w, up, bias)
+        out, dx, dw = _conv_grads(x, ConvSpec(6, 7, k=1), w, up, bias)
         col = _im2col(x, 1, 1, 5, 4).reshape(n, 6, 20)
         want = np.matmul(w.reshape(7, 6), col).reshape(n, 7, 5, 4)
         if with_bias:

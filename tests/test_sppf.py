@@ -34,7 +34,7 @@ class TestSimConv:
 
     def test_bias_free(self):
         conv = SimConv(2, 3, k=3, rng=np.random.default_rng(4))
-        assert not conv.spec.has_bias
+        assert not any("bias" in name for name, _ in conv.named_params())
 
     def test_registry_names(self):
         conv = SimConv(2, 3, k=3, rng=np.random.default_rng(5))

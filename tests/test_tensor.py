@@ -90,11 +90,17 @@ class TestConv2d:
 
     def test_bias_applied(self):
         x = Tensor4(np.zeros((1, 2, 2, 2)))
-        spec = ConvSpec(2, 3, k=1, has_bias=True)
+        spec = ConvSpec(2, 3, k=1)
         w = Tensor4(np.zeros((3, 2, 1, 1)))
         b = Tensor4(np.arange(3.0).reshape(1, 3, 1, 1))
         out = conv2d(x, spec, w, bias=b)
         np.testing.assert_array_equal(out.data[0, :, 0, 0], [0.0, 1.0, 2.0])
+
+    def test_bias_shape_error(self):
+        x = Tensor4(np.zeros((1, 2, 2, 2)))
+        w = Tensor4(np.zeros((3, 2, 1, 1)))
+        with pytest.raises(ShapeError, match=r"bias shape \(1, 2, 1, 1\)"):
+            conv2d(x, ConvSpec(2, 3, k=1), w, bias=Tensor4(np.zeros((1, 2, 1, 1))))
 
     def test_channel_mismatch_error(self):
         x = Tensor4.zeros(1, 3, 4, 4)
@@ -388,7 +394,7 @@ class TestGradCheck:
     def test_core_ops_five_seeds(self, seed):
         """conv, bn, pool, resize, elementwise all pass grad_check on 5 seeds."""
         rng = np.random.default_rng(100 + seed)
-        spec = ConvSpec(3, 4, k=3, s=2, p=1, has_bias=True)
+        spec = ConvSpec(3, 4, k=3, s=2, p=1)
         w = Tensor4(rng.normal(size=(4, 3, 3, 3)))
         b = Tensor4(rng.normal(size=(1, 4, 1, 1)))
         st = BatchNormState.create(3)

@@ -75,7 +75,7 @@ def _write_eval_corpus(work: Path):
 
 def _cli(root: Path, work: Path, *argv) -> bytes:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("APD_SEED", None)
+    env.pop("APD_SEED", None)  # older checkouts let this variable override the seed
     proc = subprocess.run([sys.executable, "-m", "microdet.cli", *argv], cwd=work,
                           env=env, capture_output=True)
     if proc.returncode != 0:
