@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DomainError, GradTape, ShapeError, Tensor4, _exp_neg_abs, _stable_sigmoid
+from .tensor import (
+    DomainError,
+    GradTape,
+    ShapeError,
+    Tensor4,
+    _exp_neg_abs,
+    _stable_sigmoid,
+    accumulate_grad,
+)
 
 
 @dataclass(frozen=True)
@@ -427,8 +435,8 @@ def detection_loss(preds, gts_per_image, weights: LossWeights, tape: GradTape | 
         def back(up):
             scale = up.reshape(())
             for lv, (dcls, dbox) in zip(preds.levels, grads):
-                lv.cls.grad += scale * dcls
-                lv.box.grad += scale * dbox
+                accumulate_grad(lv.cls, scale * dcls)
+                accumulate_grad(lv.box, scale * dbox)
 
         tape.record(tuple(inputs), out, back)
     return out, breakdown

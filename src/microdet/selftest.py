@@ -24,10 +24,10 @@ from .sppf import SimConv, SimSppf
 from .tensor import (
     BatchNormState,
     DomainError,
-    GradTape,
     Tensor4,
     add,
     batchnorm2d,
+    concat_channels,
     conv2d,
     grad_check,
     maxpool2d,
@@ -206,17 +206,15 @@ def suite_mish_values():
 
 
 def suite_sppf():
+    # the chained 5x5 pools equal single 5, 9 and 13 pools on cv1's output
     rng = np.random.default_rng(4)
     block = SimSppf(4, rng=rng)
     x = Tensor4(rng.normal(size=(1, 4, 6, 6)))
-    tape = GradTape()
-    block.forward(x, tape)
-    outs = [e.output for e in tape._entries]
-    x1, y2, y3 = outs[2], outs[4], outs[5]
-    if not np.array_equal(y2.data, maxpool2d(x1, 9, 1, 4).data):
-        return "sppf cascade y2 != 9x9 pool"
-    if not np.array_equal(y3.data, maxpool2d(x1, 13, 1, 6).data):
-        return "sppf cascade y3 != 13x13 pool"
+    x1 = block.cv1.forward(x)
+    pools = [maxpool2d(x1, k, 1, k // 2) for k in (5, 9, 13)]
+    want = block.cv2.forward(concat_channels([x1] + pools))
+    if not np.array_equal(block.forward(x).data, want.data):
+        return "sppf cascade != cv2(concat[x1, pool5, pool9, pool13](cv1(x)))"
     return None
 
 

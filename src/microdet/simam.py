@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DomainError, GradTape, ShapeError, Tensor4, _stable_sigmoid
+from .tensor import (
+    DomainError,
+    GradTape,
+    ShapeError,
+    Tensor4,
+    _stable_sigmoid,
+    accumulate_grad,
+)
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,8 @@ def simam_forward(x: Tensor4, cfg: SimamConfig, tape: GradTape | None = None) ->
             a = up * xd * s * (1.0 - s)
             a1 = (a * d).sum(axis=(2, 3), keepdims=True)
             a2 = (a * d * d).sum(axis=(2, 3), keepdims=True)
-            x.grad += (up * s + a * d / (2.0 * v) - a1 / (2.0 * v * m)
-                       - d * a2 / (2.0 * v * v * (m - 1)))
+            accumulate_grad(x, up * s + a * d / (2.0 * v) - a1 / (2.0 * v * m)
+                            - d * a2 / (2.0 * v * v * (m - 1)))
 
         tape.record((x,), out, back)
     return out

@@ -3,7 +3,10 @@
 Every array is (batch, channels, rows, cols) in row-major float64. Forward
 ops are pure; when handed a GradTape they record a closure that replays the
 analytic backward rule. backward() walks the tape in reverse execution
-order, accumulating into .grad buffers additively, so fan-out just works.
+order. Leaves (tensors no entry produced: parameters, inputs) accumulate into
+zero-filled .grad buffers, so fan-out just works. A produced tensor holds a
+gradient only from its first contribution until its own closure takes it;
+after backward only the leaves hold one.
 """
 
 from __future__ import annotations
@@ -177,29 +180,44 @@ class GradTape:
         return list(seen.values())
 
 
-def backward(tape: GradTape, seed: Tensor4 | None = None):
-    """Replay the tape in reverse, accumulating grads into every recorded tensor.
+def accumulate_grad(t: Tensor4, g):
+    """Add g into t.grad; the first contribution to a tensor without one becomes it.
 
-    The seed is applied to the output of the last recorded op; it defaults
-    to ones. All tensors referenced by the tape get zero-initialized grads
-    first, so leaves the graph never touched report zero gradient.
+    g must be an array that no other grad holds, since it may be adopted and
+    later added into.
+    """
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
+
+
+def backward(tape: GradTape, seed: Tensor4 | None = None):
+    """Replay the tape in reverse, handing each gradient to its tensor once.
+
+    The seed is copied to the output of the last recorded op; it defaults to
+    ones. Leaves get zero-filled grads first, so a leaf the graph never
+    touched reports zero gradient. A produced tensor starts with no grad;
+    before its entry's closure runs, the engine hands the closure its grad
+    (zeros if nothing consumed the output) and clears it, so the closure owns
+    that array. Afterwards only the leaves hold .grad.
     """
     if len(tape) == 0:
         raise ShapeError("backward", "tape is empty")
     final = tape._entries[-1].output
-    if seed is None:
-        seed_arr = np.ones_like(final.data)
-    else:
-        if seed.shape != final.shape:
-            raise ShapeError(
-                "backward", f"seed shape {seed.shape} != final output shape {final.shape}"
-            )
-        seed_arr = seed.data
+    if seed is not None and seed.shape != final.shape:
+        raise ShapeError(
+            "backward", f"seed shape {seed.shape} != final output shape {final.shape}"
+        )
+    produced = {id(e.output) for e in tape._entries}
     for t in tape.tensors():
-        t.grad = np.zeros_like(t.data)
-    final.grad += seed_arr
+        t.grad = None if id(t) in produced else np.zeros_like(t.data)
+    final.grad = np.ones_like(final.data) if seed is None else seed.data.copy()
     for entry in reversed(tape._entries):
-        entry.backfn(entry.output.grad)
+        out = entry.output
+        up = out.grad if out.grad is not None else np.zeros_like(out.data)
+        out.grad = None
+        entry.backfn(up)
 
 
 # ---------------------------------------------------------------------------
@@ -286,24 +304,24 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
             if spec.g == 1:
                 up2 = up.reshape(n, spec.c_out, ho * wo)
                 w2b = weight.data.reshape(spec.c_out, c * k * k)
-                weight.grad += np.matmul(up2, columns(xpb).transpose(0, 2, 1)).sum(
-                    axis=0).reshape(weight.shape)
+                accumulate_grad(weight, np.matmul(up2, columns(xpb).transpose(0, 2, 1)).sum(
+                    axis=0).reshape(weight.shape))
                 dcol = np.matmul(w2b.T, up2)
                 if pointwise:
                     # the columns are the input itself, so dcol is already dx
-                    x.grad += dcol.reshape(n, c, h, w)
+                    accumulate_grad(x, dcol.reshape(n, c, h, w))
                 else:
                     dcol = dcol.reshape(n, c, k, k, ho, wo)
-                    x.grad += scatter(lambda ki, kj: dcol[:, :, ki, kj])
+                    accumulate_grad(x, scatter(lambda ki, kj: dcol[:, :, ki, kj]))
             else:
                 dw = np.zeros((c, k, k))
                 for ki in range(k):
                     for kj in range(k):
                         dw[:, ki, kj] = np.einsum("nchw,nchw->c", up, window(xpb, ki, kj))
-                weight.grad += dw.reshape(weight.shape)
-                x.grad += scatter(lambda ki, kj: wd[:, ki, kj] * up)
+                accumulate_grad(weight, dw.reshape(weight.shape))
+                accumulate_grad(x, scatter(lambda ki, kj: wd[:, ki, kj] * up))
             if bias is not None:
-                bias.grad += up.sum(axis=(0, 2, 3)).reshape(1, spec.c_out, 1, 1)
+                accumulate_grad(bias, up.sum(axis=(0, 2, 3)).reshape(1, spec.c_out, 1, 1))
 
         tape.record(inputs, out, back)
     return out
@@ -350,7 +368,7 @@ def maxpool2d(x: Tensor4, k: int, s: int, p: int, tape: GradTape | None = None) 
                     if mask.any():
                         dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += up * mask
                     i += 1
-            x.grad += dxp[:, :, p:p + h, p:p + w]
+            accumulate_grad(x, dxp[:, :, p:p + h, p:p + w])
 
         tape.record((x,), out, back)
     return out
@@ -395,8 +413,8 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None)
         def back(up):
             g = gamma.data.reshape(c)
             t = up * xhat
-            gamma.grad += t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            beta.grad += up.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+            accumulate_grad(gamma, t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
+            accumulate_grad(beta, up.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
             if training:
                 # inv * (gu - mean_gu - xhat * mean_gux), evaluated in place in that order
                 gu = up * g.reshape(1, c, 1, 1)
@@ -405,9 +423,9 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None)
                 gu -= mean_gu
                 gu -= np.multiply(xhat, mean_gux, out=t)
                 gu *= inv.reshape(1, c, 1, 1)
-                x.grad += gu
+                accumulate_grad(x, gu)
             else:
-                x.grad += up * (g * inv).reshape(1, c, 1, 1)
+                accumulate_grad(x, up * (g * inv).reshape(1, c, 1, 1))
 
         tape.record((x, gamma, beta), out, back)
     return out
@@ -435,8 +453,9 @@ def concat_channels(parts: list[Tensor4], tape: GradTape | None = None) -> Tenso
         splits = np.cumsum([p.shape[1] for p in parts])[:-1]
 
         def back(up):
+            # each part gets its own disjoint view of up
             for part, sl in zip(parts, np.split(up, splits, axis=1)):
-                part.grad += sl
+                accumulate_grad(part, sl)
 
         tape.record(tuple(parts), out, back)
     return out
@@ -454,6 +473,9 @@ def resize_nearest(x: Tensor4, target_h: int, target_w: int,
 
     if tape is not None:
         def back(up):
+            # np.add.at adds in place, so it needs a buffer, zero-filled if none yet
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
             np.add.at(x.grad, (slice(None), slice(None), src_r[:, None], src_c[None, :]), up)
 
         tape.record((x,), out, back)
@@ -490,7 +512,7 @@ def _record_unary(x, out_arr, dfn, tape):
     out = Tensor4(out_arr)
     if tape is not None:
         def back(up):
-            x.grad += up * dfn()
+            accumulate_grad(x, up * dfn())
 
         tape.record((x,), out, back)
     return out
@@ -535,8 +557,9 @@ def add(a: Tensor4, b: Tensor4, tape: GradTape | None = None) -> Tensor4:
     out = Tensor4(a.data + b.data)
     if tape is not None:
         def back(up):
-            a.grad += up
-            b.grad += up
+            # up to one input and its copy to the other: no two grads share it
+            accumulate_grad(a, up)
+            accumulate_grad(b, up.copy())
 
         tape.record((a, b), out, back)
     return out
@@ -547,8 +570,8 @@ def mul(a: Tensor4, b: Tensor4, tape: GradTape | None = None) -> Tensor4:
     out = Tensor4(a.data * b.data)
     if tape is not None:
         def back(up):
-            a.grad += up * b.data
-            b.grad += up * a.data
+            accumulate_grad(a, up * b.data)
+            accumulate_grad(b, up * a.data)
 
         tape.record((a, b), out, back)
     return out
@@ -558,7 +581,7 @@ def scalar_mul(x: Tensor4, c: float, tape: GradTape | None = None) -> Tensor4:
     out = Tensor4(x.data * float(c))
     if tape is not None:
         def back(up):
-            x.grad += up * float(c)
+            accumulate_grad(x, up * float(c))
 
         tape.record((x,), out, back)
     return out
@@ -569,7 +592,7 @@ def sum_all(x: Tensor4, tape: GradTape | None = None) -> Tensor4:
     out = Tensor4(np.full((1, 1, 1, 1), x.data.sum()))
     if tape is not None:
         def back(up):
-            x.grad += up.reshape(())
+            accumulate_grad(x, np.full(x.shape, up.reshape(())))
 
         tape.record((x,), out, back)
     return out

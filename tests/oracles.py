@@ -18,6 +18,9 @@ the scalar `iou`, the bit-exact reference for the array decode; it shares
 only `_stable_sigmoid`, `Box` and `iou` with it.
 `conv2d_grouped_einsum_oracle` is the einsum loop of a conv with any group
 count, the bit-exact reference for the engine's depthwise path.
+`backward_prezero_oracle` is the earlier tape replay, which gives every tape
+tensor a zero-filled grad before the first closure runs and keeps them all;
+it is the bit-exact reference for the engine's handoff `backward`.
 """
 
 import math
@@ -27,7 +30,7 @@ import numpy as np
 from microdet.losses import Box, LevelGrid, iou
 from microdet.metrics import Detection, match
 from microdet.selftest import ap_exhaustive_oracle, conv2d_scalar_oracle  # re-exported
-from microdet.tensor import DomainError, _stable_sigmoid
+from microdet.tensor import DomainError, ShapeError, _stable_sigmoid
 
 
 def maxpool_scalar_oracle(x, k, s, p):
@@ -487,3 +490,27 @@ def decode_loop_oracle(preds, cfg):
             for cls_id, confv, _, _, box in kept:
                 out.append(Detection(cls_id, confv, box, str(b)))
     return out
+
+
+def backward_prezero_oracle(tape, seed=None):
+    """Replay the tape in reverse after zero-filling the grad of every tape tensor.
+
+    Every closure adds into a buffer that already exists, and each reads its
+    output's buffer as `up` in place.
+    """
+    if len(tape) == 0:
+        raise ShapeError("backward", "tape is empty")
+    final = tape._entries[-1].output
+    if seed is None:
+        seed_arr = np.ones_like(final.data)
+    else:
+        if seed.shape != final.shape:
+            raise ShapeError(
+                "backward", f"seed shape {seed.shape} != final output shape {final.shape}"
+            )
+        seed_arr = seed.data
+    for t in tape.tensors():
+        t.grad = np.zeros_like(t.data)
+    final.grad += seed_arr
+    for entry in reversed(tape._entries):
+        entry.backfn(entry.output.grad)

@@ -11,6 +11,7 @@ from microdet.tensor import (
     GradTape,
     ShapeError,
     Tensor4,
+    accumulate_grad,
     add,
     backward,
     batchnorm2d,
@@ -29,7 +30,7 @@ from microdet.tensor import (
     tanh,
 )
 from microdet.activations import mish
-from oracles import conv2d_scalar_oracle, maxpool_scalar_oracle
+from oracles import backward_prezero_oracle, conv2d_scalar_oracle, maxpool_scalar_oracle
 
 
 class TestTensor4:
@@ -288,6 +289,35 @@ class TestElementwise:
         np.testing.assert_allclose(tanh(x).data.reshape(-1), [0.0, np.tanh(1.0)])
 
 
+def _mixed_tape(seed):
+    """A tape with fan-out, concat, resize and an output nothing consumes.
+
+    Returns the tape and its leaves. The unconsumed sigmoid of the pooled map
+    is recorded after the resize that also reads it, so the resize adds into
+    a grad that already exists.
+    """
+    rng = np.random.default_rng(seed)
+    x = Tensor4(rng.normal(size=(2, 3, 6, 6)))
+    w = Tensor4(rng.normal(size=(4, 3, 3, 3)))
+    b = Tensor4(rng.normal(size=(1, 4, 1, 1)))
+    st = BatchNormState.create(4)
+    st.track_stats = False
+    tape = GradTape()
+    y = batchnorm2d(conv2d(x, ConvSpec(3, 4, k=3, s=1, p=1), w, b, tape), st, tape)
+    pooled = maxpool2d(y, 3, 2, 1, tape)
+    upsampled = resize_nearest(pooled, 6, 6, tape)
+    sigmoid(pooled, tape)
+    cat = concat_channels([add(upsampled, y, tape), mul(sigmoid(y, tape), y, tape)], tape)
+    sum_all(mul(cat, cat, tape), tape)
+    return tape, [x, w, b, st.gamma, st.beta]
+
+
+def _leaf_grads(make, replay):
+    tape, leaves = make()
+    replay(tape)
+    return [t.grad.tobytes() for t in leaves]
+
+
 class TestBackward:
     def test_scalar_mul_gradient(self):
         x = Tensor4(np.random.default_rng(15).normal(size=(1, 2, 3, 3)))
@@ -318,6 +348,73 @@ class TestBackward:
         scalar_mul(x, 2.0, tape)
         backward(tape)
         np.testing.assert_array_equal(y.grad, np.zeros((1, 1, 2, 2)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_tape_matches_prezero_oracle(self, seed):
+        assert (_leaf_grads(lambda: _mixed_tape(seed), backward)
+                == _leaf_grads(lambda: _mixed_tape(seed), backward_prezero_oracle))
+
+    def test_seed_array_is_not_adopted(self):
+        """add hands the seed on to u, which the scalar_mul then adds into."""
+        rng = np.random.default_rng(23)
+        x = Tensor4(rng.normal(size=(1, 2, 3, 3)))
+        tape = GradTape()
+        u = mul(x, x, tape)
+        add(u, scalar_mul(u, 3.0, tape), tape)
+        seed_arr = rng.normal(size=x.shape)
+        seed = Tensor4(seed_arr.copy())
+        backward(tape, seed)
+        assert seed.data.tobytes() == seed_arr.tobytes()
+
+    def test_only_leaves_hold_grads_afterwards(self):
+        tape, leaves = _mixed_tape(0)
+        backward(tape)
+        leaf_ids = {id(t) for t in leaves}
+        assert leaf_ids <= {id(t) for t in tape.tensors()}
+        for t in tape.tensors():
+            if id(t) in leaf_ids:
+                assert t.grad.shape == t.shape
+            else:
+                assert t.grad is None
+
+    def test_unconsumed_output_sends_zeros(self):
+        """An output that nothing reads still runs its closure, on zeros of its shape."""
+        received = []
+
+        def make():
+            x = Tensor4(np.random.default_rng(25).normal(size=(1, 2, 3, 3)))
+            tape = GradTape()
+            sigmoid(x, tape)  # read by no later entry
+            entry = tape._entries[-1]
+            inner = entry.backfn
+
+            def probe(up):
+                received.append(up.copy())
+                inner(up)
+
+            entry.backfn = probe
+            sum_all(mul(x, x, tape), tape)
+            return tape, [x]
+
+        assert _leaf_grads(make, backward) == _leaf_grads(make, backward_prezero_oracle)
+        assert len(received) == 2
+        for up in received:
+            assert up.tobytes() == np.zeros((1, 2, 3, 3)).tobytes()
+
+    def test_add_of_intermediates_with_earlier_consumers(self):
+        """Both inputs adopt add's gradient before their other consumers add into them."""
+
+        def make():
+            x = Tensor4(np.random.default_rng(26).normal(size=(1, 2, 3, 3)))
+            tape = GradTape()
+            u = sigmoid(x, tape)
+            v = mul(x, x, tape)
+            cu = mul(u, u, tape)
+            cv = scalar_mul(v, 2.0, tape)
+            sum_all(mul(add(u, v, tape), add(cu, cv, tape), tape), tape)
+            return tape, [x]
+
+        assert _leaf_grads(make, backward) == _leaf_grads(make, backward_prezero_oracle)
 
     def test_seed_shape_mismatch(self):
         tape = GradTape()
@@ -377,7 +474,7 @@ class TestGradCheck:
                 from microdet.activations import mish_grad_np
 
                 def back(up):
-                    t.grad += up * mish_grad_np(t.data) * 1.01
+                    accumulate_grad(t, up * mish_grad_np(t.data) * 1.01)
 
                 tape.record((t,), out, back)
             return out
