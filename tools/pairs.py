@@ -6,12 +6,13 @@ change first in odd ones, one process at a time. Then it prints, per
 end-to-end metric, each side's median and quartiles, how many pairs the
 change won (ties count for neither side), and whether that is a gain: the
 change wins at least 9 in 10 pairs and the medians differ, in the better
-direction, by more than the distance between the parent's quartiles. The
-better direction of each metric comes from the change's BENCHMARK.json;
-a metric it does not list counts as lower-is-better.
+direction, by more than the distance between the parent's quartiles. That
+rule needs at least 10 pairs, so fewer are refused. The run length
+(`run_seconds`) and the better direction of each metric come from the
+change's BENCHMARK.json, so both checkouts run for the same time.
 
     python tools/pairs.py --parent ../parent --workload train --pairs 10
-    python tools/pairs.py --parent A --change B --workload infer --seconds 15
+    python tools/pairs.py --parent A --change B --workload infer --pairs 12
 
 Each run's metrics go to stderr as they finish. Nothing in either checkout is
 edited; the benchmark writes its usual `.perfbench_out/` there.
@@ -41,9 +42,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def directions(checkout: Path) -> dict:
+def benchmark_spec(checkout: Path) -> tuple[float, dict]:
+    """The run length and each end-to-end metric's better direction."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    return float(spec["run_seconds"]), {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
 def summarize(name, better, parent, change):
@@ -63,12 +65,11 @@ def main(argv=None):
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, default=ROOT, help="checkout of the change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=35.0)
+    ap.add_argument("--pairs", type=int, default=10, help="at least 10, for the 9-in-10 rule")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        print("error: --pairs must be at least 2, for quartiles", file=sys.stderr)
+    if args.pairs < 10:
+        print("error: --pairs must be at least 10, for the 9-in-10 rule", file=sys.stderr)
         return 1
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in sides.items():
@@ -79,30 +80,30 @@ def main(argv=None):
     values = {"parent": {}, "change": {}}
     failed = {"parent": [0, 0], "change": [0, 0]}
     try:
+        seconds, better = benchmark_spec(sides["change"])
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                res = run_once(sides[side], args.workload, seed, args.seconds)
+                res = run_once(sides[side], args.workload, seed, seconds)
                 failed[side][0] += res["failed"]
                 failed[side][1] += res["attempted"]
                 for name, m in res["metrics"].items():
                     values[side].setdefault(name, []).append(m["value"])
                 shown = " ".join(f"{k}={m['value']:.4g}" for k, m in res["metrics"].items())
                 print(f"pair {i + 1} seed {seed} {side}: {shown}", file=sys.stderr)
-    except (RuntimeError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        rows = [summarize(name, better[name], values["parent"][name], values["change"][name])
+                for name in values["parent"] if name in values["change"]]
+    except (OSError, RuntimeError, json.JSONDecodeError, KeyError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    better = directions(sides["change"])
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
+    print(f"{args.workload}: {args.pairs} pairs of {seconds:g} s, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}")
     print(f"{'metric':14s} {'better':6s} {'parent median [q1, q3]':>30s} "
           f"{'change median [q1, q3]':>30s} {'wins':>6s}  gain")
-    for name in values["parent"]:
-        if name in values["change"]:
-            print(summarize(name, better.get(name, "lower"),
-                            values["parent"][name], values["change"][name]))
+    for row in rows:
+        print(row)
     for side, (f, n) in failed.items():
         print(f"{side} failed ops: {f}/{n}")
     return 0
