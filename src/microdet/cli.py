@@ -131,9 +131,10 @@ def _cmd_train_toy(args):
 
 def _cmd_forward(args):
     weights = Path(args.weights)
-    cfg_path = Path(args.config) if args.config else weights.parent / "model.cfg"
-    model_cfg, _, _ = load_config(cfg_path if cfg_path.exists() else None,
-                                  ModelConfig, TrainParams, ToyData)
+    # only the implicit model.cfg beside the weights may be absent
+    beside = weights.parent / "model.cfg"
+    cfg_path = args.config or (beside if beside.exists() else None)
+    model_cfg, _, _ = load_config(cfg_path, ModelConfig, TrainParams, ToyData)
     model = build_model(model_cfg, 0)
     load_weights(model, weights)
     model.set_training(False)

@@ -105,63 +105,61 @@ def _read_lines(path):
     return enumerate(text.splitlines(), 1)
 
 
-def _parse_line(path, line_no, line, n_fields):
-    parts = line.split()
-    if len(parts) != n_fields:
-        raise AnnotationError(path, line_no, f"expected {n_fields} fields, got {len(parts)}")
-    try:
-        cls = int(parts[0])
-        vals = [float(v) for v in parts[1:]]
-    except ValueError as exc:
-        raise AnnotationError(path, line_no, f"unparsable number: {exc}") from None
-    if cls < 0:
-        raise AnnotationError(path, line_no, f"negative class id {cls}")
-    for v in vals:
-        if not 0.0 <= v <= 1.0:
-            raise AnnotationError(path, line_no, f"value {v} outside [0, 1]")
-    return cls, vals
+def _load_records(path, n_fields, record):
+    """One `record(class_id, *extra, box, image_id)` per non-empty line.
+
+    A line holds n_fields numbers: an integer class id >= 0, then floats in
+    [0, 1] that end with the box `cx cy w h`; w and h must be positive.
+    """
+    path = Path(path)
+    image_id = path.stem
+    out = []
+    for line_no, line in _read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != n_fields:
+            raise AnnotationError(path, line_no, f"expected {n_fields} fields, got {len(parts)}")
+        try:
+            cls = int(parts[0])
+            vals = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise AnnotationError(path, line_no, f"unparsable number: {exc}") from None
+        if cls < 0:
+            raise AnnotationError(path, line_no, f"negative class id {cls}")
+        for v in vals:
+            if not 0.0 <= v <= 1.0:
+                raise AnnotationError(path, line_no, f"value {v} outside [0, 1]")
+        *extra, cx, cy, w, h = vals
+        if w <= 0 or h <= 0:
+            raise AnnotationError(path, line_no, f"degenerate box w={w}, h={h}")
+        out.append(record(cls, *extra, Box(cx, cy, w, h), image_id))
+    return out
+
+
+def _save_records(path, rows):
+    """One line per row: the class id, then every value at full precision."""
+    lines = [" ".join([str(cls), *(f"{v:.17g}" for v in vals)]) for cls, *vals in rows]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_annotations(path) -> list[GroundTruth]:
     """`class_id cx cy w h` per line, all normalized; empty file = no objects."""
-    path = Path(path)
-    image_id = path.stem
-    out = []
-    for line_no, line in _read_lines(path):
-        if not line.strip():
-            continue
-        cls, (cx, cy, w, h) = _parse_line(path, line_no, line, 5)
-        if w <= 0 or h <= 0:
-            raise AnnotationError(path, line_no, f"degenerate box w={w}, h={h}")
-        out.append(GroundTruth(cls, Box(cx, cy, w, h), image_id))
-    return out
+    return _load_records(path, 5, GroundTruth)
 
 
 def save_annotations(path, gts):
-    lines = [f"{g.class_id} {g.box.cx:.17g} {g.box.cy:.17g} "
-             f"{g.box.w:.17g} {g.box.h:.17g}" for g in gts]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _save_records(path, ((g.class_id, g.box.cx, g.box.cy, g.box.w, g.box.h) for g in gts))
 
 
 def load_predictions(path) -> list[Detection]:
     """`class_id confidence cx cy w h` per line."""
-    path = Path(path)
-    image_id = path.stem
-    out = []
-    for line_no, line in _read_lines(path):
-        if not line.strip():
-            continue
-        cls, (conf, cx, cy, w, h) = _parse_line(path, line_no, line, 6)
-        if w <= 0 or h <= 0:
-            raise AnnotationError(path, line_no, f"degenerate box w={w}, h={h}")
-        out.append(Detection(cls, conf, Box(cx, cy, w, h), image_id))
-    return out
+    return _load_records(path, 6, Detection)
 
 
 def save_predictions(path, dets):
-    lines = [f"{d.class_id} {d.confidence:.17g} {d.box.cx:.17g} {d.box.cy:.17g} "
-             f"{d.box.w:.17g} {d.box.h:.17g}" for d in dets]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _save_records(path, ((d.class_id, d.confidence, d.box.cx, d.box.cy, d.box.w, d.box.h)
+                         for d in dets))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .losses import Box, box_iou
 from .metrics import Detection
 from .module import Module, ModuleList, he_weight
 from .neck import IgdNeck, PyramidFeatures
-from .simam import SimamConfig, simam_forward
+from .simam import simam_forward
 from .sppf import PlainSppf, SimConv, SimSppf
 from .tensor import (
     ConvSpec,
@@ -36,47 +36,29 @@ from .tensor import (
 # output strides of the three levels: two stride-2 stem convs, then a stride-2
 # downsample per stage
 STRIDES = (8, 16, 32)
+STEM_CHANNELS = (4, 8)
+STAGE_CHANNELS = (16, 32, 48)
+REPEATS = 2  # bottlenecks per stage's C3 block
+REG_MAX = 8  # distance bins per box side
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     num_classes: int = 2
-    width: float = 1.0
-    depth: float = 1.0
-    reg_max: int = 8
     activation: str = "mish"
     use_simsppf: bool = True
     use_simam: bool = True
     use_igd: bool = True
     use_c3ghost: bool = True
-    simam_lambda: float = 1e-4
     conf_threshold: float = 0.25
     nms_iou: float = 0.5
 
     def __post_init__(self):
         if self.num_classes < 1:
             raise DomainError("model_config", f"num_classes must be >= 1, got {self.num_classes}")
-        if self.reg_max < 2:
-            raise DomainError("model_config", f"reg_max must be >= 2, got {self.reg_max}")
         if self.activation not in ACTIVATION_KINDS:
             raise DomainError("model_config", f"activation {self.activation!r} not in "
                                               f"{ACTIVATION_KINDS}")
-
-    def scaled(self, base):
-        c = int(round(base * self.width))
-        if c < 1:
-            raise DomainError("model_config", f"width {self.width} collapses {base} channels to 0")
-        return max(2, c + (c % 2))  # keep channel counts even for ghost splits
-
-    def stage_channels(self):
-        return tuple(self.scaled(v) for v in (16, 32, 48))
-
-    def stem_channels(self):
-        return self.scaled(4), self.scaled(8)
-
-    def repeats(self):
-        n = max(1, int(round(2 * self.depth)))
-        return (n, n, n)
 
 
 @dataclass
@@ -88,15 +70,23 @@ class LevelPreds:
 
 @dataclass
 class RawPredictions:
+    """Per-level predictions; the class and bin counts are read off the tensors."""
+
     levels: list[LevelPreds]
-    num_classes: int
-    reg_max: int
+
+    @property
+    def num_classes(self):
+        return self.levels[0].cls.shape[1]
+
+    @property
+    def reg_max(self):
+        return self.levels[0].box.shape[1] // 4
 
 
 class _Head(Module):
     """Per-level decoupled branches for class logits and bin-distribution logits."""
 
-    def __init__(self, c, num_classes, reg_max, activation, rng):
+    def __init__(self, c, num_classes, activation, rng):
         super().__init__()
         self.cls_stem = SimConv(c, c, k=1, activation=activation, rng=rng)
         self.cls_spec = ConvSpec(c, num_classes, k=1)
@@ -104,9 +94,9 @@ class _Head(Module):
         # start object confidence near 1% so early training is not flooded
         self.cls_bias = Tensor4(np.full((1, num_classes, 1, 1), -np.log(99.0)))
         self.box_stem = SimConv(c, c, k=1, activation=activation, rng=rng)
-        self.box_spec = ConvSpec(c, 4 * reg_max, k=1)
-        self.box_weight = he_weight(rng, 4 * reg_max, c, 1)
-        self.box_bias = Tensor4(np.zeros((1, 4 * reg_max, 1, 1)))
+        self.box_spec = ConvSpec(c, 4 * REG_MAX, k=1)
+        self.box_weight = he_weight(rng, 4 * REG_MAX, c, 1)
+        self.box_bias = Tensor4(np.zeros((1, 4 * REG_MAX, 1, 1)))
 
     def forward(self, x: Tensor4, tape=None):
         cls = conv2d(self.cls_stem.forward(x, tape), self.cls_spec, self.cls_weight,
@@ -117,21 +107,20 @@ class _Head(Module):
 
 
 class _Stage(Module):
-    def __init__(self, c_in, c_out, n, cfg: ModelConfig, rng):
+    def __init__(self, c_in, c_out, cfg: ModelConfig, rng):
         super().__init__()
         self.down = SimConv(c_in, c_out, k=3, s=2, activation=cfg.activation, rng=rng)
         self.c3 = C3Block(
-            C3GhostSpec(c_out, c_out, n=n, expansion=1.0, activation=cfg.activation),
+            C3GhostSpec(c_out, c_out, n=REPEATS, expansion=1.0, activation=cfg.activation),
             ghost=cfg.use_c3ghost, rng=rng,
         )
         self.use_simam = cfg.use_simam
-        self.simam_cfg = SimamConfig(cfg.simam_lambda)
 
     def forward(self, x: Tensor4, tape=None):
         y = self.c3.forward(self.down.forward(x, tape), tape)
         # attention needs at least two spatial positions for a variance
         if self.use_simam and y.shape[2] * y.shape[3] >= 2:
-            y = simam_forward(y, self.simam_cfg, tape)
+            y = simam_forward(y, tape)
         return y
 
 
@@ -141,24 +130,19 @@ class MicroDetector(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        c0, c1 = cfg.stem_channels()
-        ch = cfg.stage_channels()
-        reps = cfg.repeats()
+        c0, c1 = STEM_CHANNELS
+        ch = STAGE_CHANNELS
         act = cfg.activation
         self.stem1 = SimConv(3, c0, k=3, s=2, activation=act, rng=rng)
         self.stem2 = SimConv(c0, c1, k=3, s=2, activation=act, rng=rng)
-        self.stages = ModuleList([
-            _Stage(c1 if i == 0 else ch[i - 1], ch[i], reps[i], cfg, rng)
-            for i in range(3)
-        ])
+        self.stages = ModuleList([_Stage(c_in, c_out, cfg, rng)
+                                  for c_in, c_out in zip((c1, *ch[:2]), ch)])
         # the Sim pyramid block is Conv-BN-Mish by definition; the plain one
         # keeps the SiLU baseline regardless of the global activation toggle
         self.sppf = (SimSppf(ch[2], activation="mish", rng=rng) if cfg.use_simsppf
                      else PlainSppf(ch[2], rng=rng))
         self.neck = IgdNeck(ch, activation=act, rng=rng) if cfg.use_igd else None
-        self.heads = ModuleList([
-            _Head(ch[i], cfg.num_classes, cfg.reg_max, act, rng) for i in range(3)
-        ])
+        self.heads = ModuleList([_Head(c, cfg.num_classes, act, rng) for c in ch])
 
     def forward(self, image: Tensor4, tape: GradTape | None = None) -> RawPredictions:
         n, c, h, w = image.shape
@@ -180,7 +164,7 @@ class MicroDetector(Module):
         for head, level, stride in zip(self.heads, pyramid.levels(), STRIDES):
             cls, box = head.forward(level, tape)
             levels.append(LevelPreds(cls, box, stride))
-        return RawPredictions(levels, self.cfg.num_classes, self.cfg.reg_max)
+        return RawPredictions(levels)
 
     def set_inference(self):
         self.set_training(False)
@@ -284,11 +268,15 @@ def save_weights(model: MicroDetector, path):
 
 
 def load_weights(model: MicroDetector, path):
-    """Fill the registry in place; unknown, missing or malformed records are errors."""
-    model.drop_caches()
+    """Fill the registry in place from a W1 file.
+
+    Every record is read and checked before any is assigned, so a file that
+    is malformed, truncated, or holds an unknown, repeated or missing record
+    raises and leaves the model untouched.
+    """
     params = dict(model.named_params())
     buffers = dict(model.named_buffers())
-    seen = set()
+    staged = {}
     with open(path, "rb") as fh:
         header = fh.readline(_MAX_HEADER)
         parts = header.split()
@@ -299,24 +287,30 @@ def load_weights(model: MicroDetector, path):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, f"{where} name length"))
             name = _read_exact(fh, name_len, f"{where} name").decode(errors="replace")
             arr = _read_t4_record(fh, f"{path}: record {name!r}")
+            if name in staged:
+                raise DomainError("weights", f"{where}: repeated record {name!r}")
             if name in params:
                 if params[name].shape != arr.shape:
                     raise ShapeError("weights", f"{name}: file shape {arr.shape} != "
                                                 f"model shape {params[name].shape}")
-                params[name].data = arr.copy()
             elif name in buffers:
                 if buffers[name].size != arr.size:
                     raise ShapeError("weights", f"{name}: file holds {arr.size} values, "
                                                 f"buffer {buffers[name].size}")
-                buffers[name][:] = arr.reshape(-1)
             else:
                 raise DomainError("weights", f"unknown record {name!r}")
-            seen.add(name)
+            staged[name] = arr
         if fh.read(1):
             raise DomainError("weights", f"{path}: bytes after the last record")
-    missing = (set(params) | set(buffers)) - seen
+    missing = (set(params) | set(buffers)) - set(staged)
     if missing:
         raise DomainError("weights", f"missing records: {sorted(missing)[:4]}")
+    model.drop_caches()
+    for name, arr in staged.items():
+        if name in params:
+            params[name].data = arr.copy()
+        else:
+            buffers[name][:] = arr.reshape(-1)
 
 
 def ablation_configs():

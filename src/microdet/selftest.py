@@ -19,7 +19,7 @@ from .losses import Box, bce_logits, ciou, dfl
 from .metrics import Detection, GroundTruth, average_precision
 from .model import ModelConfig, build_model
 from .neck import IgdNeck, PyramidFeatures
-from .simam import SimamConfig, energy_numeric_oracle, simam_energy_min, simam_forward
+from .simam import energy_numeric_oracle, simam_energy_min, simam_forward
 from .sppf import SimConv, SimSppf
 from .tensor import (
     BatchNormState,
@@ -186,7 +186,7 @@ def suite_simam():
         e_closed = simam_energy_min(t, float(xs.mean()), float(xs.var()), lam)
         if abs(e_num - e_closed) > 1e-6:
             return f"closed form {e_closed} != numeric oracle {e_num}"
-    out = simam_forward(Tensor4(np.full((1, 1, 3, 3), 2.0)), SimamConfig())
+    out = simam_forward(Tensor4(np.full((1, 1, 3, 3), 2.0)))
     expect = 2.0 / (1.0 + np.exp(-0.5))
     if abs(out.data[0, 0, 0, 0] - expect) > 1e-9:
         return "uniform-input attention weight is not sigmoid(0.5)"
@@ -421,9 +421,7 @@ def gradcheck_module(module: str, seeds=range(5), tol=1e-4):
 
         run("relu", relu_away_from_kink, (2, 2, 4, 4))
     if module in ("simam", "all"):
-        run("simam_forward",
-            lambda rng: (lambda t, tape: simam_forward(t, SimamConfig(), tape)),
-            (2, 3, 4, 4))
+        run("simam_forward", lambda rng: simam_forward, (2, 3, 4, 4))
     if module in ("ghost", "all"):
         def ghost_f(rng):
             gc = GhostConv(GhostSpec(3, 8), rng=rng)

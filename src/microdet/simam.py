@@ -7,8 +7,6 @@ and its channel neighbors. No learnable parameters anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import (
@@ -20,16 +18,7 @@ from .tensor import (
     accumulate_grad,
 )
 
-
-@dataclass(frozen=True)
-class SimamConfig:
-    """lam is the energy regularization coefficient; must stay positive."""
-
-    lam: float = 1e-4
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError("simam", f"lambda must be positive, got {self.lam}")
+LAMBDA = 1e-4  # the energy regularization coefficient of the attention
 
 
 def simam_energy_min(t: float, mu: float, sigma2: float, lam: float) -> float:
@@ -72,25 +61,24 @@ def energy_numeric_oracle(t: float, neighbors, lam: float):
     return e_min, float(w), float(b)
 
 
-def simam_forward(x: Tensor4, cfg: SimamConfig, tape: GradTape | None = None) -> Tensor4:
+def simam_forward(x: Tensor4, tape: GradTape | None = None) -> Tensor4:
     """Weight every position by sigmoid of its inverse minimum energy.
 
     Statistics are shared across each (sample, channel) slice: mean over all
     M = h*w positions, variance with divisor M-1. The inverse energy is
-    (t-mu)^2 / (4 (sigma2 + lam)) + 0.5, so a constant channel gets the
+    (t-mu)^2 / (4 (sigma2 + LAMBDA)) + 0.5, so a constant channel gets the
     uniform weight sigmoid(0.5).
     """
     n, c, h, w = x.shape
     m = h * w
     if m < 2:
         raise ShapeError("simam", f"spatial size {h}x{w} < 2, variance undefined")
-    lam = cfg.lam
 
     xd = x.data
     mu = xd.mean(axis=(2, 3), keepdims=True)
     d = xd - mu
     sigma2 = (d * d).sum(axis=(2, 3), keepdims=True) / (m - 1)
-    v = sigma2 + lam
+    v = sigma2 + LAMBDA
     inv_energy = d * d / (4.0 * v) + 0.5
     s = _stable_sigmoid(inv_energy)
     out = Tensor4(xd * s)

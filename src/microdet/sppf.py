@@ -25,8 +25,8 @@ class SimConv(Module):
     An inference forward (no tape, batchnorm not training) runs one conv with
     the batchnorm folded in: weight W*gamma/sqrt(var+eps), bias
     beta - mean*gamma/sqrt(var+eps). The folded pair is computed on first use
-    and cached until `drop_caches`, which `set_training` and `load_weights`
-    call.
+    and cached until `drop_caches`, which `set_training`, `load_weights`
+    and `adamw_step` call.
     """
 
     def __init__(self, c_in, c_out, k=1, s=1, g=1, activation="mish",
@@ -45,7 +45,7 @@ class SimConv(Module):
     def _fold(self):
         """(spec, weight, bias) of the conv with the inference batchnorm folded in."""
         bn = self.bn
-        scale = bn.gamma.data.reshape(-1) / np.sqrt(bn.running_var + bn.eps)
+        scale = bn.gamma.data.reshape(-1) / np.sqrt(bn.running_var + bn.EPS)
         weight = Tensor4(self.weight.data * scale.reshape(-1, 1, 1, 1))
         bias = Tensor4((bn.beta.data.reshape(-1) - bn.running_mean * scale).reshape(1, -1, 1, 1))
         return self.spec, weight, bias

@@ -120,30 +120,27 @@ class BatchNormState:
     gamma/beta are learnable (1,c,1,1) tensors; running stats are plain
     buffers. `training` selects batch vs running statistics; `track_stats`
     gates the running-stat update so finite-difference checks stay pure.
+    EPS is added to the variance, MOMENTUM weights each new batch in the
+    running statistics.
     """
+
+    EPS = 0.01
+    MOMENTUM = 0.1
 
     gamma: Tensor4
     beta: Tensor4
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 0.01
-    momentum: float = 0.1
     training: bool = True
     track_stats: bool = True
 
     @classmethod
-    def create(cls, c, eps=0.01, momentum=0.1):
-        if eps <= 0:
-            raise DomainError("batchnorm", f"eps must be positive, got {eps}")
-        if not 0 < momentum < 1:
-            raise DomainError("batchnorm", f"momentum must be in (0,1), got {momentum}")
+    def create(cls, c):
         return cls(
             gamma=Tensor4(np.ones((1, c, 1, 1))),
             beta=Tensor4(np.zeros((1, c, 1, 1))),
             running_mean=np.zeros(c),
             running_var=np.ones(c),
-            eps=eps,
-            momentum=momentum,
         )
 
     @property
@@ -393,14 +390,14 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None)
         var = (d * d).sum(axis=(0, 2, 3)) / cnt
         if state.track_stats:
             unbiased = var * cnt / (cnt - 1) if cnt > 1 else var
-            m = state.momentum
+            m = state.MOMENTUM
             state.running_mean = (1 - m) * state.running_mean + m * mu
             state.running_var = (1 - m) * state.running_var + m * unbiased
     else:
         d = x.data - state.running_mean.reshape(1, c, 1, 1)
         var = state.running_var
 
-    inv = 1.0 / np.sqrt(var + state.eps)
+    inv = 1.0 / np.sqrt(var + state.EPS)
     xhat = d
     xhat *= inv.reshape(1, c, 1, 1)
     out_arr = gamma.data * xhat
@@ -617,20 +614,21 @@ class GradCheckReport:
         )
 
 
-def grad_check(f, x: Tensor4, h: float = 1e-5, tol: float = 1e-4,
-               n_sample: int = 32, seed: int = 0) -> GradCheckReport:
+GRAD_CHECK_STEP = 1e-5  # central-difference step
+GRAD_CHECK_COORDS = 32  # coordinates checked per tensor, at most
+
+
+def grad_check(f, x: Tensor4, tol: float = 1e-4, seed: int = 0) -> GradCheckReport:
     """Compare f's recorded backward against central finite differences.
 
     f must be deterministic with signature f(t: Tensor4, tape) -> Tensor4.
     The output is projected onto a fixed random vector so a single backward
     pass yields the full Jacobian-transpose product; each checked coordinate
-    then needs two forward evaluations. Tensors larger than n_sample
-    coordinates are checked on a random coordinate sample (>= 32).
+    then needs two forward evaluations. Tensors larger than GRAD_CHECK_COORDS
+    coordinates are checked on a random sample of that many.
 
     Relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
     """
-    if h <= 0:
-        raise DomainError("grad_check", f"step h must be positive, got {h}")
     tape = GradTape()
     y = f(x, tape)
     rng = np.random.default_rng(seed)
@@ -643,11 +641,10 @@ def grad_check(f, x: Tensor4, h: float = 1e-5, tol: float = 1e-4,
         raise DomainError("grad_check", f"non-finite analytic gradient at {coord}")
 
     numel = x.numel
-    n_sample = max(32, n_sample)
-    if numel <= n_sample:
+    if numel <= GRAD_CHECK_COORDS:
         flat_coords = np.arange(numel)
     else:
-        flat_coords = np.sort(rng.choice(numel, size=n_sample, replace=False))
+        flat_coords = np.sort(rng.choice(numel, size=GRAD_CHECK_COORDS, replace=False))
 
     base = x.data
     max_rel = 0.0
@@ -655,15 +652,15 @@ def grad_check(f, x: Tensor4, h: float = 1e-5, tol: float = 1e-4,
     for flat in flat_coords:
         coord = np.unravel_index(int(flat), x.shape)
         xp = base.copy()
-        xp[coord] += h
+        xp[coord] += GRAD_CHECK_STEP
         xm = base.copy()
-        xm[coord] -= h
+        xm[coord] -= GRAD_CHECK_STEP
         yp = f(Tensor4(xp), None).data
         ym = f(Tensor4(xm), None).data
         if not (np.isfinite(yp).all() and np.isfinite(ym).all()):
             raise DomainError("grad_check", f"non-finite forward value perturbing {coord}")
         # elementwise difference first: untouched outputs cancel exactly
-        num = float((proj * (yp - ym)).sum() / (2.0 * h))
+        num = float((proj * (yp - ym)).sum() / (2.0 * GRAD_CHECK_STEP))
         ana = float(analytic[coord])
         rel = abs(num - ana) / max(abs(num), abs(ana), 1e-8)
         if rel > max_rel:

@@ -86,6 +86,7 @@ def adamw_step(state: TrainState, params: TrainParams):
         vhat = v / (1 - b2**t)
         p.data -= lr * (mhat / (np.sqrt(vhat) + params.eps)
                         + params.weight_decay * p.data)
+    state.model.drop_caches()  # folded inference weights are stale now
     state.step += 1
     return lr
 

@@ -27,7 +27,7 @@ from microdet.model import (
     save_weights,
 )
 from microdet.selftest import gradcheck_module, run_selftest
-from microdet.simam import SimamConfig, energy_numeric_oracle, simam_energy_min, simam_forward
+from microdet.simam import energy_numeric_oracle, simam_energy_min, simam_forward
 from microdet.tensor import Tensor4, maxpool2d
 from microdet.train import TrainParams, predict_manifest, train_toy
 from microdet.metrics import evaluate
@@ -77,7 +77,7 @@ def test_criterion_02_simam_energy():
         worst = max(worst, abs(e_num - e_closed))
     assert worst <= 1e-6, worst
 
-    out = simam_forward(Tensor4(np.full((2, 3, 4, 4), 1.7)), SimamConfig())
+    out = simam_forward(Tensor4(np.full((2, 3, 4, 4), 1.7)))
     weights = out.data / 1.7
     target = 1.0 / (1.0 + math.exp(-0.5))
     assert np.abs(weights - target).max() <= 1e-9

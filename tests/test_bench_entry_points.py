@@ -52,7 +52,7 @@ def test_tracer_counts_every_decode_candidate():
     """At conf_threshold 0 every (cell, class) reaches NMS: 84 cells x 2 classes at 64 px."""
     levels = [LevelPreds(Tensor4(np.full((1, 2, 64 // s, 64 // s), -40.0)),
                          Tensor4(np.zeros((1, 32, 64 // s, 64 // s))), s) for s in (8, 16, 32)]
-    preds = RawPredictions(levels, 2, 8)
+    preds = RawPredictions(levels)
     tracer = load_tracer_module().Tracer(microdet)
     tracer.install()
     try:
@@ -75,7 +75,7 @@ def test_tracer_counts_one_positive_per_alpha():
     levels = [LevelPreds(Tensor4(rng.normal(size=(2, 2, 64 // s, 64 // s))),
                          Tensor4(rng.normal(size=(2, 32, 64 // s, 64 // s))), s)
               for s in (8, 16, 32)]
-    preds = RawPredictions(levels, 2, 8)
+    preds = RawPredictions(levels)
     # the 58 px box goes to stride 16, the others to stride 8
     gts = [[GroundTruth(0, Box(0.3, 0.3, 0.3, 0.25)), GroundTruth(1, Box(0.5, 0.5, 0.9, 0.9))],
            [GroundTruth(1, Box(0.7, 0.6, 0.2, 0.3))]]

@@ -3,7 +3,7 @@
 The folded forward must stay within 1e-12 of the conv -> batchnorm forward,
 relative to the largest output of each level, and the cached folded
 parameters must never outlive the weights or statistics they were built from:
-`set_training` and `load_weights` drop them.
+`set_training`, `load_weights` and `adamw_step` drop them.
 """
 
 from dataclasses import replace
@@ -100,6 +100,21 @@ def test_load_weights_drops_the_fold(tmp_path):
     for lv_got, lv_want in zip(got.levels, want.levels):
         assert np.array_equal(lv_got.cls.data, lv_want.cls.data)
         assert np.array_equal(lv_got.box.data, lv_want.box.data)
+
+
+def test_adamw_step_drops_the_fold():
+    """A training step taken in inference mode is seen by the next tapeless forward."""
+    model = _model_with_moved_stats(ModelConfig(), seed=9)
+    x = _image(10)
+    model.forward(x)  # caches every fold
+    state = TrainState(model=model, schedule=LrSchedule(0.01, 10, warmup_steps=1))
+    state.init_moments()
+    gts = [[GroundTruth(0, Box(0.4, 0.4, 0.3, 0.3), "0")]]
+    tape = GradTape()
+    detection_loss(model.forward(_image(11), tape), gts, LossWeights(), tape)
+    backward(tape)
+    adamw_step(state, TrainParams())
+    _assert_within_fold_tolerance(model.forward(x), model.forward(x, GradTape()))
 
 
 def test_set_training_drops_the_fold():

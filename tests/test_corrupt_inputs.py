@@ -29,26 +29,37 @@ def expect_one_error(capsys, argv):
     return err
 
 
+def w1_record(data, pos):
+    """(name_end, header_end, end) offsets of the W1 record that starts at pos."""
+    (name_len,) = struct.unpack("<I", data[pos:pos + 4])
+    name_end = pos + 4 + name_len
+    header_end = data.index(b"\n", name_end) + 1
+    numel = int(np.prod([int(v) for v in data[name_end:header_end].split()[1:]]))
+    return name_end, header_end, header_end + 8 * numel
+
+
 def w1_cuts(data):
     """Offsets that cut a W1 file at every record boundary and inside every field."""
     pos = data.index(b"\n") + 1
     cuts = [0, pos - 1]
     while pos < len(data):
-        (name_len,) = struct.unpack("<I", data[pos:pos + 4])
-        name_end = pos + 4 + name_len
-        header_end = data.index(b"\n", name_end) + 1
-        numel = int(np.prod([int(v) for v in data[name_end:header_end].split()[1:]]))
-        end = header_end + 8 * numel
-        cuts += [pos, pos + 2, pos + 4 + name_len // 2, name_end + 2,
-                 header_end + 4 * numel, end - 1]
+        name_end, header_end, end = w1_record(data, pos)
+        cuts += [pos, pos + 2, (pos + 4 + name_end) // 2, name_end + 2,
+                 (header_end + end) // 2, end - 1]
         pos = end
     return cuts
 
 
+def model_bytes(model):
+    """Every parameter and running statistic of a model, as bytes."""
+    return ([p.data.tobytes() for _, p in model.named_params()]
+            + [buf.tobytes() for _, buf in model.named_buffers()])
+
+
 class TestW1Truncation:
     def test_every_cut_is_a_domain_error(self, tmp_path):
-        # a shallow model keeps the quadratic sweep to a second or two
-        model = build_model(ModelConfig(depth=0.5, use_igd=False, use_c3ghost=False), 0)
+        # without the neck and ghost blocks the quadratic sweep takes a few seconds
+        model = build_model(ModelConfig(use_igd=False, use_c3ghost=False), 0)
         path = tmp_path / "cut.w1"
         save_weights(model, path)
         data = path.read_bytes()
@@ -58,6 +69,29 @@ class TestW1Truncation:
             with pytest.raises(DomainError):
                 load_weights(model, path)
         assert len(cuts) > 6 * len(list(model.named_params()))
+
+    def test_failed_load_leaves_the_model_untouched(self, run_dir, tmp_path):
+        """A file cut inside its last record changes no parameter or statistic."""
+        path = tmp_path / "cut.w1"
+        path.write_bytes((run_dir / "weights.w1").read_bytes()[:-4])
+        model = build_model(ModelConfig(), 1)
+        before = model_bytes(model)
+        with pytest.raises(DomainError, match="truncated"):
+            load_weights(model, path)
+        assert model_bytes(model) == before
+
+    def test_repeated_record_rejected(self, run_dir, tmp_path):
+        data = (run_dir / "weights.w1").read_bytes()
+        first = data.index(b"\n") + 1
+        count = int(data[:first].split()[1])
+        _, _, end = w1_record(data, first)
+        path = tmp_path / "twice.w1"
+        path.write_bytes(f"W1 {count + 1}\n".encode() + data[first:] + data[first:end])
+        model = build_model(ModelConfig(), 1)
+        before = model_bytes(model)
+        with pytest.raises(DomainError, match="repeated record 'stem1.weight'"):
+            load_weights(model, path)
+        assert model_bytes(model) == before
 
     def test_trailing_bytes_rejected(self, run_dir, tmp_path):
         path = tmp_path / "long.w1"
@@ -133,6 +167,16 @@ class TestConfigs:
             "forward", "--weights", str(run_dir / "weights.w1"), "--config", str(cfg),
             "--input", str(run_dir / "image.t4"), "--out", str(tmp_path / "d.txt")])
         assert detail in err
+
+    def test_forward_missing_config(self, run_dir, tmp_path, capsys):
+        """Only the implicit model.cfg beside the weights may be absent."""
+        args = ["forward", "--weights", str(run_dir / "weights.w1"),
+                "--input", str(run_dir / "image.t4"), "--out", str(tmp_path / "d.txt")]
+        assert main(args) == 0
+        (tmp_path / "d.txt").unlink()
+        err = expect_one_error(capsys, args + ["--config", str(tmp_path / "missing.cfg")])
+        assert "missing.cfg" in err
+        assert not (tmp_path / "d.txt").exists()
 
     def test_droi(self, tmp_path, capsys):
         cfg = tmp_path / "droi.cfg"

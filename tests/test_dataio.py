@@ -149,8 +149,8 @@ def load_every_kind(path):
 class TestConfig:
     def test_parse_with_comments(self, tmp_path):
         path = tmp_path / "m.cfg"
-        path.write_text("# model\nnum_classes = 3\nwidth = 0.5  # multiplier\n\n")
-        assert load_config(path, ModelConfig) == (ModelConfig(num_classes=3, width=0.5),)
+        path.write_text("# model\nnum_classes = 3\nnms_iou = 0.625  # overlap\n\n")
+        assert load_config(path, ModelConfig) == (ModelConfig(num_classes=3, nms_iou=0.625),)
 
     def test_write_then_parse(self, tmp_path):
         path = tmp_path / "m.cfg"
@@ -186,7 +186,7 @@ class TestConfig:
         ("use_simam = flase", "not a boolean"),
         ("steps = 1.5", "steps"),
         ("lr = nan", "not finite"),
-        ("width = wide", "width"),
+        ("nms_iou = wide", "nms_iou"),
         ("strides = 8,16,32", "unknown key"),
     ])
     def test_load_rejects_bad_lines(self, tmp_path, line, detail):

@@ -59,7 +59,7 @@ def seeded_preds(seed, nc, batch=2, size=64):
         box[b, rng.integers(0, 4, 3), rng.integers(0, REG_MAX, 3), i, j] = [np.nan, np.inf,
                                                                             -np.inf]
         levels.append(LevelPreds(Tensor4(cls), Tensor4(box.reshape(batch, -1, g, g)), s))
-    return RawPredictions(levels, nc, REG_MAX)
+    return RawPredictions(levels)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -80,7 +80,7 @@ def test_decode_ties_follow_level_then_cell_then_class():
     levels = [LevelPreds(Tensor4(np.zeros((1, 2, 64 // s, 64 // s))),
                          Tensor4(np.zeros((1, 4 * REG_MAX, 64 // s, 64 // s))), s)
               for s in STRIDES]
-    preds = RawPredictions(levels, 2, REG_MAX)
+    preds = RawPredictions(levels)
     for nms_iou in (0.3, 0.5, 1.0):
         cfg = ModelConfig(conf_threshold=0.5, nms_iou=nms_iou)
         dets = decode(preds, cfg)
@@ -101,7 +101,7 @@ def test_nms_compares_the_stored_boxes():
     lv = levels[0]
     lv.cls.data[0, 0, 3, 3:5] = [5.0, 4.0]
     lv.box.data[0, :, 3, 3:5] = np.random.default_rng(3).normal(0.0, 2.0, (2, 4 * REG_MAX)).T
-    preds = RawPredictions(levels, 1, REG_MAX)
+    preds = RawPredictions(levels)
     cfg = ModelConfig(num_classes=1, conf_threshold=0.9, nms_iou=1.0)
     first, second = decode(preds, cfg)
     cfg = ModelConfig(num_classes=1, conf_threshold=0.9, nms_iou=iou(second.box, first.box))

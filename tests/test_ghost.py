@@ -48,7 +48,7 @@ class TestGhostConv:
             raw = conv2d_scalar_oracle(inp, conv.weight.data, conv.spec.s, conv.spec.p,
                                        g=conv.spec.g)
             normed = batchnorm_scalar_oracle(raw, conv.bn.gamma.data.reshape(-1),
-                                             conv.bn.beta.data.reshape(-1), conv.bn.eps)
+                                             conv.bn.beta.data.reshape(-1), 0.01)
             return mish_scalar(normed)
 
         intrinsic = stage(gc.primary, x)

@@ -41,7 +41,7 @@ def make_preds(rng, batch, nc=3, reg_max=8, scale=1.0):
                    g.stride)
         for g in GRIDS
     ]
-    return RawPredictions(levels, nc, reg_max)
+    return RawPredictions(levels)
 
 
 def px_box(x1, y1, x2, y2, size=64):

@@ -400,7 +400,7 @@ def _preds(nc=2, reg_max=8, grids=((8, 8), (4, 4), (2, 2)), strides=(8, 16, 32))
                    Tensor4(np.zeros((1, 4 * reg_max, h, w))), s)
         for (h, w), s in zip(grids, strides)
     ]
-    return RawPredictions(levels, nc, reg_max)
+    return RawPredictions(levels)
 
 
 class TestTotalLoss:

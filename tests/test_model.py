@@ -61,22 +61,16 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
             ModelConfig(num_classes=0)
-        with pytest.raises(DomainError):
-            ModelConfig(reg_max=1)
 
     def test_config_file_round_trip(self, tmp_path):
-        cfg = ModelConfig(num_classes=3, width=0.5, activation="silu", use_igd=False,
-                          simam_lambda=1.25e-5, nms_iou=0.625)
+        cfg = ModelConfig(num_classes=3, activation="silu", use_igd=False,
+                          conf_threshold=0.125, nms_iou=0.625)
         write_config(tmp_path / "m.cfg", cfg)
         assert load_config(tmp_path / "m.cfg", ModelConfig) == (cfg,)
 
     def test_rejects_unknown_activation(self):
         with pytest.raises(DomainError, match="activation"):
             ModelConfig(activation="bogus")
-
-    def test_zero_width_error(self):
-        with pytest.raises(DomainError, match="channels"):
-            ModelConfig(width=0.01).stage_channels()
 
     @staticmethod
     def assert_not_a_key(tmp_path, key, value):
@@ -104,6 +98,18 @@ class TestConfig:
         for gather in (neck.top_down, neck.bottom_up):
             assert gather.fuse.spec.c_out == 32
         assert (neck.top_down.inject_levels, neck.bottom_up.inject_levels) == ((3, 4), (4, 5))
+
+
+    def test_geometry_is_fixed(self, tmp_path):
+        """Widths, depth, bins and the SimAM lambda are constants, not keys."""
+        for key, value in (("width", 0.5), ("depth", 0.5), ("reg_max", 16),
+                           ("simam_lambda", 1e-3)):
+            self.assert_not_a_key(tmp_path, key, value)
+        model = build_model(ModelConfig(), 0)
+        assert (model.stem1.spec.c_out, model.stem2.spec.c_out) == (4, 8)
+        assert [st.down.spec.c_out for st in model.stages] == [16, 32, 48]
+        assert [len(st.c3.blocks) for st in model.stages] == [2, 2, 2]
+        assert [head.box_spec.c_out for head in model.heads] == [4 * 8] * 3
 
 
 class TestBuildForward:
@@ -237,10 +243,17 @@ def _empty_preds(nc=2, reg_max=8, grids=((8, 8), (4, 4), (2, 2)), strides=(8, 16
                    Tensor4(np.zeros((1, 4 * reg_max, h, w))), s)
         for (h, w), s in zip(grids, strides)
     ]
-    return RawPredictions(levels, nc, reg_max)
+    return RawPredictions(levels)
 
 
 class TestDecode:
+    def test_counts_come_from_the_tensors(self):
+        """A caller cannot pass class or bin counts that disagree with the tensors."""
+        preds = _empty_preds(nc=3, reg_max=5)
+        assert (preds.num_classes, preds.reg_max) == (3, 5)
+        with pytest.raises(TypeError):
+            RawPredictions(preds.levels, 2, 8)
+
     def test_point_mass_distribution_decodes_to_exact_strides(self):
         """One-hot at bin 3 on all sides: every distance is 3 stride units."""
         preds = _empty_preds()
@@ -364,7 +377,7 @@ class TestWeightsIO:
         model = build_model(ModelConfig(), 0)
         path = tmp_path / "weights.w1"
         save_weights(model, path)
-        other = build_model(ModelConfig(width=2.0), 0)
+        other = build_model(ModelConfig(num_classes=3), 0)
         with pytest.raises((ShapeError, DomainError)):
             load_weights(other, path)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from microdet.simam import (
-    SimamConfig,
     energy_numeric_oracle,
     simam_energy_min,
     simam_forward,
@@ -68,18 +67,18 @@ class TestForward:
     def test_constant_channel_uniform_weight(self):
         """All-equal values force inverse energy 0.5 everywhere."""
         x = Tensor4(np.full((2, 3, 4, 4), 2.5))
-        out = simam_forward(x, SimamConfig())
+        out = simam_forward(x)
         np.testing.assert_allclose(out.data, sigmoid(0.5) * x.data, rtol=1e-12)
         assert sigmoid(0.5) == pytest.approx(0.6224593, abs=1e-7)
 
     def test_2x2_known_weights(self):
-        """Independent scalar recomputation of the 1x1x2x2 example."""
+        """Independent scalar recomputation of the 1x1x2x2 example at the SimAM paper's lambda."""
         vals = np.array([1.0, 2.0, 3.0, 4.0])
         lam = 1e-4
         mu = vals.mean()
         s2 = ((vals - mu) ** 2).sum() / (len(vals) - 1)
         expect_w = sigmoid((vals - mu) ** 2 / (4 * (s2 + lam)) + 0.5)
-        out = simam_forward(Tensor4(vals.reshape(1, 1, 2, 2)), SimamConfig(lam))
+        out = simam_forward(Tensor4(vals.reshape(1, 1, 2, 2)))
         np.testing.assert_allclose(out.data.reshape(-1), vals * expect_w, rtol=1e-12)
         np.testing.assert_allclose(expect_w, [0.6980, 0.6312, 0.6312, 0.6980], atol=1e-4)
         np.testing.assert_allclose(out.data.reshape(-1), [0.698, 1.262, 1.894, 2.792], atol=1e-3)
@@ -88,8 +87,8 @@ class TestForward:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 2, 4, 4))
         for scale in (0.1, 3.0, 42.0):
-            w1 = simam_forward(Tensor4(x), SimamConfig()).data / x
-            w2 = simam_forward(Tensor4(scale * x), SimamConfig()).data / (scale * x)
+            w1 = simam_forward(Tensor4(x)).data / x
+            w2 = simam_forward(Tensor4(scale * x)).data / (scale * x)
             for c in range(2):
                 o1 = np.argsort(w1[0, c].reshape(-1), kind="stable")
                 o2 = np.argsort(w2[0, c].reshape(-1), kind="stable")
@@ -98,20 +97,16 @@ class TestForward:
     def test_weights_in_halfsigmoid_band(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 5, 5)) + 0.7
-        out = simam_forward(Tensor4(x), SimamConfig())
+        out = simam_forward(Tensor4(x))
         w = out.data / x
         assert (w >= sigmoid(0.5) - 1e-12).all()
         assert (w < 1.0).all()
 
     def test_shape_preserved_and_spatial_error(self):
         x = Tensor4(np.random.default_rng(3).normal(size=(2, 4, 3, 5)))
-        assert simam_forward(x, SimamConfig()).shape == x.shape
+        assert simam_forward(x).shape == x.shape
         with pytest.raises(ShapeError, match="spatial"):
-            simam_forward(Tensor4.zeros(1, 2, 1, 1), SimamConfig())
-
-    def test_config_rejects_nonpositive_lambda(self):
-        with pytest.raises(DomainError):
-            SimamConfig(0.0)
+            simam_forward(Tensor4.zeros(1, 2, 1, 1))
 
 
 class TestBackward:
@@ -119,10 +114,10 @@ class TestBackward:
         """One pixel moves every weight in its channel, none elsewhere."""
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 3, 3, 3))
-        base = simam_forward(Tensor4(x), SimamConfig()).data
+        base = simam_forward(Tensor4(x)).data
         xp = x.copy()
         xp[0, 1, 0, 0] += 0.25
-        pert = simam_forward(Tensor4(xp), SimamConfig()).data
+        pert = simam_forward(Tensor4(xp)).data
         diff = np.abs(pert - base)
         assert (diff[0, 1] > 0).all()
         assert diff[0, 0].max() == 0.0
@@ -130,22 +125,21 @@ class TestBackward:
 
     def test_constant_input_gradient_matches_fd(self):
         x = Tensor4(np.full((1, 2, 3, 3), 1.3))
-        rep = grad_check(lambda t, tape: simam_forward(t, SimamConfig(), tape), x, tol=1e-4)
+        rep = grad_check(simam_forward, x, tol=1e-4)
         assert rep.passed, rep
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_check_random_seeds(self, seed):
         rng = np.random.default_rng(300 + seed)
         x = Tensor4(rng.normal(size=(2, 3, 4, 4)))
-        rep = grad_check(lambda t, tape: simam_forward(t, SimamConfig(), tape), x,
-                         tol=1e-4, seed=seed)
+        rep = grad_check(simam_forward, x, tol=1e-4, seed=seed)
         assert rep.passed, rep
 
     def test_contributes_no_parameters(self):
         """The op records only its input on the tape; nothing learnable."""
         tape = GradTape()
         x = Tensor4(np.random.default_rng(5).normal(size=(1, 2, 3, 3)))
-        simam_forward(x, SimamConfig(), tape)
+        simam_forward(x, tape)
         assert len(tape) == 1
         backward(tape)
         assert x.grad is not None

@@ -27,7 +27,7 @@ class TestSimConv:
         conv.weight = Tensor4(np.eye(2).reshape(2, 2, 1, 1))
         conv.bn.training = False
         conv.bn.running_mean[:] = 0.0
-        conv.bn.running_var[:] = 1.0 - conv.bn.eps  # so inv std is exactly 1
+        conv.bn.running_var[:] = 1.0 - 0.01  # eps is 0.01, so inv std is exactly 1
         x = np.random.default_rng(3).normal(size=(1, 2, 4, 4))
         out = conv.forward(Tensor4(x))
         np.testing.assert_allclose(out.data, mish_np(x), rtol=1e-12)

@@ -34,7 +34,7 @@ class TestSchedule:
 
 class TestAdamw:
     def test_single_step_matches_hand_computation(self):
-        model = build_model(ModelConfig(width=0.25), 0)
+        model = build_model(ModelConfig(), 0)
         state = TrainState(model=model, seed=0,
                            schedule=LrSchedule(0.1, 10, warmup_steps=1, final_frac=1.0))
         state.init_moments()
@@ -49,7 +49,7 @@ class TestAdamw:
         np.testing.assert_allclose(p.data, expect, rtol=1e-12)
 
     def test_decoupled_weight_decay(self):
-        model = build_model(ModelConfig(width=0.25), 0)
+        model = build_model(ModelConfig(), 0)
         state = TrainState(model=model, seed=0,
                            schedule=LrSchedule(0.1, 10, warmup_steps=1, final_frac=1.0))
         state.init_moments()
