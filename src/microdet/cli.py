@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,7 @@ from .model import (
     save_weights,
 )
 from .selftest import gradcheck_module, run_selftest
-from .tensor import ConvSpec, DomainError, ShapeError, Tensor4
+from .tensor import ConvSpec, DomainError, ShapeError
 from .train import TrainParams, train_toy
 
 
@@ -69,8 +68,6 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_bench(args):
-    if args.reps < 1:
-        raise DomainError("bench", f"--reps must be at least 1, got {args.reps}")
     print("block hxw params flops")
     blocks = [
         ("conv3x3_c64", ConvSpec(64, 64, k=3, p=1), (8, 8)),
@@ -91,15 +88,6 @@ def _cmd_bench(args):
     print(f"model_ghost_params {gp}")
     print(f"model_plain_params {pp}")
     print(f"ghost_to_plain_ratio {gp / pp:.4f}")
-    ghost_model.set_training(False)
-    x = Tensor4(np.random.default_rng(0).normal(size=(1, 3, 64, 64)))
-    ghost_model.forward(x)  # warm up
-    times = []
-    for _ in range(args.reps):
-        t0 = time.perf_counter()
-        ghost_model.forward(x)
-        times.append(time.perf_counter() - t0)
-    print(f"forward_64x64_median_ms {1000 * sorted(times)[len(times) // 2]:.2f}")
     return 0
 
 
@@ -235,9 +223,8 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=5)
     p.set_defaults(fn=_cmd_gradcheck)
 
-    p = sub.add_parser("bench", help="parameter/FLOP table and forward timing")
-    p.add_argument("--reps", type=int, default=10)
-    p.set_defaults(fn=_cmd_bench)
+    sub.add_parser("bench", help="parameter/FLOP table and model totals").set_defaults(
+        fn=_cmd_bench)
 
     p = sub.add_parser("train-toy", help="train the micro model on a synthetic set")
     p.add_argument("--config", default=None, help="flat key = value config file")

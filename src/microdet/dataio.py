@@ -387,6 +387,8 @@ def generate_toy_dataset(out_dir, seed=0, n_images=20, image_size=64, num_classe
     if not 0 <= min_objects <= max_objects:
         raise DomainError("toy_data", f"need 0 <= min_objects <= max_objects, got "
                                       f"{min_objects} and {max_objects}")
+    if seed < 0:
+        raise DomainError("toy_data", f"seed must be >= 0, got {seed}")
     _check_fit(image_size, TOY_MAX_SIZE)
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)

@@ -15,25 +15,33 @@ from .tensor import DomainError, GradTape, ShapeError, Tensor4, backward
 
 @dataclass
 class TrainParams:
-    lr: float = 0.01
-    weight_decay: float = 0.0005
-    momentum: float = 0.937      # first-moment coefficient
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """A run: `steps` full-batch steps from `seed`.
+
+    The recipe is YOLOv8's and fixed, so these are class constants, not
+    config keys: AdamW with first-moment coefficient `momentum`, linear
+    warmup over `warmup_steps` then cosine decay from `lr` to
+    `lr_final_frac * lr`, and the loss gains of `LossWeights`.
+    """
+
+    lr = 0.01
+    weight_decay = 0.0005
+    momentum = 0.937
+    beta2 = 0.999
+    eps = 1e-8
+    warmup_steps = 30
+    lr_final_frac = 0.05
+
     steps: int = 600
-    warmup_steps: int = 30
-    lr_final_frac: float = 0.05
     seed: int = 0
-    lambda_cls: float = 0.5
-    lambda_box: float = 7.5
-    lambda_dfl: float = 1.5
 
     def __post_init__(self):
         if self.steps < 1:
             raise DomainError("train_params", f"steps must be >= 1, got {self.steps}")
+        if self.seed < 0:
+            raise DomainError("train_params", f"seed must be >= 0, got {self.seed}")
 
     def loss_weights(self):
-        return LossWeights(self.lambda_cls, self.lambda_box, self.lambda_dfl)
+        return LossWeights()
 
 
 @dataclass
@@ -42,14 +50,12 @@ class LrSchedule:
 
     base_lr: float
     total_steps: int
-    warmup_steps: int = 30
-    final_frac: float = 0.05
+    warmup_steps: int
+    final_frac: float
 
     def lr(self, step):
-        if self.total_steps <= 0:
-            return self.base_lr
         if step < self.warmup_steps:
-            return self.base_lr * (step + 1) / max(1, self.warmup_steps)
+            return self.base_lr * (step + 1) / self.warmup_steps
         span = max(1, self.total_steps - self.warmup_steps)
         t = min(1.0, (step - self.warmup_steps) / span)
         lo = self.base_lr * self.final_frac
@@ -59,10 +65,10 @@ class LrSchedule:
 @dataclass
 class TrainState:
     model: MicroDetector
+    schedule: LrSchedule
     moment1: dict = field(default_factory=dict)
     moment2: dict = field(default_factory=dict)
     step: int = 0
-    schedule: LrSchedule | None = None
     seed: int = 0
 
     def init_moments(self):

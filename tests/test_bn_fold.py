@@ -107,7 +107,7 @@ def test_adamw_step_drops_the_fold():
     model = _model_with_moved_stats(ModelConfig(), seed=9)
     x = _image(10)
     model.forward(x)  # caches every fold
-    state = TrainState(model=model, schedule=LrSchedule(0.01, 10, warmup_steps=1))
+    state = TrainState(model=model, schedule=LrSchedule(0.01, 10, 1, 0.05))
     state.init_moments()
     gts = [[GroundTruth(0, Box(0.4, 0.4, 0.3, 0.3), "0")]]
     tape = GradTape()
@@ -124,7 +124,7 @@ def test_set_training_drops_the_fold():
     x = _image(6)
     model.forward(x)
     model.set_training(True, track_stats=True)
-    state = TrainState(model=model, schedule=LrSchedule(0.01, 10, warmup_steps=1))
+    state = TrainState(model=model, schedule=LrSchedule(0.01, 10, 1, 0.05))
     state.init_moments()
     gts = [[GroundTruth(0, Box(0.4, 0.4, 0.3, 0.3), "0"),
             GroundTruth(1, Box(0.75, 0.7, 0.2, 0.25), "0")]]

@@ -121,6 +121,17 @@ class TestSelftestCommand:
         assert "FAIL" not in out
 
 
+class TestBenchCommand:
+    def test_table_and_totals(self, capsys):
+        code, out, _ = run_cli(capsys, "bench")
+        assert code == 0
+        lines = out.splitlines()
+        assert any(line.startswith("ghost_c64 8x8 2336 ") for line in lines)
+        ratio = [line.split()[1] for line in lines if line.startswith("ghost_to_plain_ratio ")]
+        assert len(ratio) == 1 and float(ratio[0]) <= 0.75
+        assert "forward_64x64_median_ms" not in out
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     """A short CLI training run shared by the pipeline tests."""

@@ -220,12 +220,7 @@ class TestToyDataCounts:
 
 
 class TestRepeatCounts:
-    """A count of zero repetitions is an error, not a run that checks or times nothing."""
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_bench_reps(self, capsys, value):
-        err = expect_one_error(capsys, ["bench", "--reps", value])
-        assert f"--reps must be at least 1, got {value}" in err
+    """A count of zero repetitions is an error, not a run that checks or trains nothing."""
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_gradcheck_seeds(self, capsys, value):
@@ -239,6 +234,37 @@ class TestRepeatCounts:
         err = expect_one_error(capsys, ["train-toy", "--config", str(cfg),
                                         "--out", str(tmp_path / "run")])
         assert f"steps must be >= 1, got {value}" in err
+        assert not (tmp_path / "run").exists()
+
+
+class TestRunSettings:
+    """A bad seed or a removed recipe key is one error line, before anything is written."""
+
+    def test_gen_toy_negative_seed(self, tmp_path, capsys):
+        err = expect_one_error(capsys, ["gen-toy", "--seed", "-1", "--out",
+                                        str(tmp_path / "toy")])
+        assert "seed must be >= 0, got -1" in err
+        assert not (tmp_path / "toy").exists()
+
+    def test_train_toy_negative_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("toy_images = 2\nsteps = 1\nseed = -5\n")
+        err = expect_one_error(capsys, ["train-toy", "--config", str(cfg),
+                                        "--out", str(tmp_path / "run")])
+        assert "seed must be >= 0, got -5" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("line", [
+        "lr = -0.01", "weight_decay = 0.0005", "momentum = 0.937", "beta2 = 1.0",
+        "eps = 0", "warmup_steps = 30", "lr_final_frac = 0.05", "lambda_cls = 0.5",
+        "lambda_box = 7.5", "lambda_dfl = 1.5",
+    ])
+    def test_train_toy_recipe_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(f"steps = 1\n{line}\n")
+        err = expect_one_error(capsys, ["train-toy", "--config", str(cfg),
+                                        "--out", str(tmp_path / "run")])
+        assert f"{cfg}:2:" in err and f"unknown key {line.split()[0]!r}" in err
         assert not (tmp_path / "run").exists()
 
 

@@ -168,10 +168,10 @@ class TestConfig:
 
     def test_load_splits_keys_by_kind(self, tmp_path):
         path = tmp_path / "m.cfg"
-        path.write_text("num_classes = 4\nlr = 0.5\nuse_simam = off\ntoy_images = 3\n")
+        path.write_text("num_classes = 4\nseed = 5\nuse_simam = off\ntoy_images = 3\n")
         model, params, data = load_config(path, ModelConfig, TrainParams, ToyData)
         assert (model.num_classes, model.use_simam) == (4, False)
-        assert params.lr == 0.5
+        assert params == TrainParams(seed=5)
         assert data == ToyData(toy_images=3)
 
     @pytest.mark.parametrize("text", ["1", "true", "Yes", "ON", "0", "false", "no", "Off"])
@@ -185,7 +185,7 @@ class TestConfig:
         ("num_clases = 5", "unknown key"),
         ("use_simam = flase", "not a boolean"),
         ("steps = 1.5", "steps"),
-        ("lr = nan", "not finite"),
+        ("conf_threshold = nan", "not finite"),
         ("nms_iou = wide", "nms_iou"),
         ("strides = 8,16,32", "unknown key"),
     ])
