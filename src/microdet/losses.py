@@ -26,7 +26,6 @@ from .tensor import (
     Tensor4,
     _exp_neg_abs,
     _stable_sigmoid,
-    accumulate_grad,
 )
 
 
@@ -428,6 +427,7 @@ def detection_loss(preds, gts_per_image, weights: LossWeights, tape: GradTape | 
     total, breakdown, grads, _ = loss_and_grads(preds, gts_per_image, weights)
     out = Tensor4.scalar(total)
     if tape is not None:
+        sink = tape.sink
         inputs = []
         for lv in preds.levels:
             inputs.extend((lv.cls, lv.box))
@@ -435,8 +435,8 @@ def detection_loss(preds, gts_per_image, weights: LossWeights, tape: GradTape | 
         def back(up):
             scale = up.reshape(())
             for lv, (dcls, dbox) in zip(preds.levels, grads):
-                accumulate_grad(lv.cls, scale * dcls)
-                accumulate_grad(lv.box, scale * dbox)
+                sink.accumulate(lv.cls, scale * dcls)
+                sink.accumulate(lv.box, scale * dbox)
 
         tape.record(tuple(inputs), out, back)
     return out, breakdown

@@ -308,7 +308,7 @@ def load_weights(model: MicroDetector, path):
     model.drop_caches()
     for name, arr in staged.items():
         if name in params:
-            params[name].data = arr.copy()
+            params[name].data[...] = arr  # in place: the optimizer's buffer may hold it
         else:
             buffers[name][:] = arr.reshape(-1)
 

@@ -10,8 +10,9 @@ from .tensor import BatchNormState, Tensor4
 class Module:
     """Composable block tracking parameters, batchnorm states and submodules.
 
-    Assigning a Tensor4 attribute registers a learnable parameter, a
-    BatchNormState registers its gamma/beta plus running-stat buffers, and a
+    Assigning a Tensor4 attribute registers a learnable parameter (and marks
+    it requires_grad, so backward gives it a gradient), a BatchNormState
+    registers its gamma/beta plus running-stat buffers, and a
     Module registers a child. Iteration order is insertion order, so the
     parameter registry is deterministic given a deterministic build.
     """
@@ -23,6 +24,7 @@ class Module:
 
     def __setattr__(self, name, value):
         if isinstance(value, Tensor4):
+            value.requires_grad = True
             self._params[name] = value
         elif isinstance(value, BatchNormState):
             self._bns[name] = value

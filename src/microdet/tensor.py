@@ -3,10 +3,12 @@
 Every array is (batch, channels, rows, cols) in row-major float64. Forward
 ops are pure; when handed a GradTape they record a closure that replays the
 analytic backward rule. backward() walks the tape in reverse execution
-order. Leaves (tensors no entry produced: parameters, inputs) accumulate into
-zero-filled .grad buffers, so fan-out just works. A produced tensor holds a
-gradient only from its first contribution until its own closure takes it;
-after backward only the leaves hold one.
+order. Gradients go only where they are read: to parameters (leaves marked
+requires_grad, as a Module marks what it registers) and to the inputs a caller
+names. Those leaves accumulate into zero-filled .grad buffers, so fan-out just
+works; other leaves get none. A produced tensor holds a gradient only from its
+first contribution until its own closure takes it; after backward only the
+leaves that take gradients hold one.
 """
 
 from __future__ import annotations
@@ -35,9 +37,13 @@ class DomainError(ValueError):
 
 
 class Tensor4:
-    """Dense (n, c, h, w) float64 array with an optional gradient buffer."""
+    """Dense (n, c, h, w) float64 array with an optional gradient buffer.
 
-    __slots__ = ("data", "grad")
+    requires_grad marks a parameter: backward gives it a gradient whenever it
+    is on the tape. Any other leaf gets one only when the caller names it.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, grad=None):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
@@ -45,6 +51,7 @@ class Tensor4:
             raise ShapeError("tensor", f"expected 4 axes (n,c,h,w), got {arr.ndim}")
         self.data = arr
         self.grad = grad
+        self.requires_grad = False
 
     @classmethod
     def zeros(cls, n, c, h, w):
@@ -117,9 +124,10 @@ class ConvSpec:
 class BatchNormState:
     """Per-channel affine + running statistics for batch normalization.
 
-    gamma/beta are learnable (1,c,1,1) tensors; running stats are plain
-    buffers. `training` selects batch vs running statistics; `track_stats`
-    gates the running-stat update so finite-difference checks stay pure.
+    gamma/beta are learnable (1,c,1,1) tensors: whatever tensor is assigned
+    to either is marked requires_grad. Running stats are plain buffers. `training` selects batch vs running
+    statistics; `track_stats` gates the running-stat update so
+    finite-difference checks stay pure.
     EPS is added to the variance, MOMENTUM weights each new batch in the
     running statistics.
     """
@@ -133,6 +141,11 @@ class BatchNormState:
     running_var: np.ndarray
     training: bool = True
     track_stats: bool = True
+
+    def __setattr__(self, name, value):
+        if name in ("gamma", "beta"):
+            value.requires_grad = True
+        object.__setattr__(self, name, value)
 
     @classmethod
     def create(cls, c):
@@ -157,11 +170,47 @@ class _TapeEntry:
         self.backfn = backfn
 
 
+class GradSink:
+    """Where the backward closures of one tape send their gradients.
+
+    It holds no reference to the tape, so closures that capture it form no
+    reference cycle with the tape that holds them, and a tape is freed as soon
+    as its last user drops it.
+    """
+
+    __slots__ = ("takes",)
+
+    def __init__(self):
+        self.takes = None  # while backward runs: ids of the tensors given gradients
+
+    def takes_grad(self, t: Tensor4):
+        """Whether the running backward gives t a gradient; outside one, every tensor does."""
+        return self.takes is None or id(t) in self.takes
+
+    def accumulate(self, t: Tensor4, g):
+        """Add g into t.grad; the first contribution to a tensor without one becomes it.
+
+        g must be an array that no other grad holds, since it may be adopted and
+        later added into. A tensor that takes no gradient drops g.
+        """
+        if not self.takes_grad(t):
+            return
+        if t.grad is None:
+            t.grad = g
+        else:
+            t.grad += g
+
+
 class GradTape:
-    """Ordered record of executed ops, replayed once in reverse by backward()."""
+    """Ordered record of executed ops, replayed once in reverse by backward().
+
+    An op's backward closure sends its gradients to `tape.sink`; it must not
+    capture the tape itself.
+    """
 
     def __init__(self):
         self._entries = []
+        self.sink = GradSink()
 
     def record(self, inputs, output, backfn):
         self._entries.append(_TapeEntry(tuple(inputs), output, backfn))
@@ -177,27 +226,19 @@ class GradTape:
         return list(seen.values())
 
 
-def accumulate_grad(t: Tensor4, g):
-    """Add g into t.grad; the first contribution to a tensor without one becomes it.
-
-    g must be an array that no other grad holds, since it may be adopted and
-    later added into.
-    """
-    if t.grad is None:
-        t.grad = g
-    else:
-        t.grad += g
-
-
-def backward(tape: GradTape, seed: Tensor4 | None = None):
+def backward(tape: GradTape, seed: Tensor4 | None = None, inputs=()):
     """Replay the tape in reverse, handing each gradient to its tensor once.
 
+    Gradients go to the parameters on the tape (leaves that require grad) and
+    to the tensors named in `inputs`, e.g. `backward(tape, seed, inputs=(x,))`
+    for the gradient of an input image; other leaves get no .grad, and an
+    entry none of whose inputs leads back to one of these is not replayed.
     The seed is copied to the output of the last recorded op; it defaults to
-    ones. Leaves get zero-filled grads first, so a leaf the graph never
+    ones. Those leaves get zero-filled grads first, so one the graph never
     touched reports zero gradient. A produced tensor starts with no grad;
     before its entry's closure runs, the engine hands the closure its grad
     (zeros if nothing consumed the output) and clears it, so the closure owns
-    that array. Afterwards only the leaves hold .grad.
+    that array. Afterwards only those leaves hold .grad.
     """
     if len(tape) == 0:
         raise ShapeError("backward", "tape is empty")
@@ -206,15 +247,33 @@ def backward(tape: GradTape, seed: Tensor4 | None = None):
         raise ShapeError(
             "backward", f"seed shape {seed.shape} != final output shape {final.shape}"
         )
+    # a tensor takes a gradient if it is a parameter, is named, or is made from one
+    takes = {id(t) for t in inputs}
+    for e in tape._entries:
+        takes.update(id(t) for t in e.inputs if t.requires_grad)
+        if any(id(t) in takes for t in e.inputs):
+            takes.add(id(e.output))
     produced = {id(e.output) for e in tape._entries}
-    for t in tape.tensors():
-        t.grad = None if id(t) in produced else np.zeros_like(t.data)
+    tensors = tape.tensors()
+    for t in tensors:
+        t.grad = None
+    for t in (*inputs, *(t for t in tensors if t.requires_grad)):
+        if id(t) not in produced:
+            t.grad = np.zeros_like(t.data)
+    if id(final) not in takes:
+        return
     final.grad = np.ones_like(final.data) if seed is None else seed.data.copy()
-    for entry in reversed(tape._entries):
-        out = entry.output
-        up = out.grad if out.grad is not None else np.zeros_like(out.data)
-        out.grad = None
-        entry.backfn(up)
+    tape.sink.takes = takes
+    try:
+        for entry in reversed(tape._entries):
+            out = entry.output
+            if id(out) not in takes:
+                continue
+            up = out.grad if out.grad is not None else np.zeros_like(out.data)
+            out.grad = None
+            entry.backfn(up)
+    finally:
+        tape.sink.takes = None
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +345,7 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
     out = Tensor4(out_arr)
 
     if tape is not None:
+        sink = tape.sink
         inputs = (x, weight) + ((bias,) if bias is not None else ())
 
         def scatter(cell_grad):
@@ -298,27 +358,31 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
 
         def back(up):
             xpb = _pad2d(x.data, p)
+            # an input that takes no gradient (the image) costs no dx
+            wants_dx = sink.takes_grad(x)
             if spec.g == 1:
                 up2 = up.reshape(n, spec.c_out, ho * wo)
                 w2b = weight.data.reshape(spec.c_out, c * k * k)
-                accumulate_grad(weight, np.matmul(up2, columns(xpb).transpose(0, 2, 1)).sum(
+                sink.accumulate(weight, np.matmul(up2, columns(xpb).transpose(0, 2, 1)).sum(
                     axis=0).reshape(weight.shape))
-                dcol = np.matmul(w2b.T, up2)
-                if pointwise:
-                    # the columns are the input itself, so dcol is already dx
-                    accumulate_grad(x, dcol.reshape(n, c, h, w))
-                else:
-                    dcol = dcol.reshape(n, c, k, k, ho, wo)
-                    accumulate_grad(x, scatter(lambda ki, kj: dcol[:, :, ki, kj]))
+                if wants_dx:
+                    dcol = np.matmul(w2b.T, up2)
+                    if pointwise:
+                        # the columns are the input itself, so dcol is already dx
+                        sink.accumulate(x, dcol.reshape(n, c, h, w))
+                    else:
+                        dcol = dcol.reshape(n, c, k, k, ho, wo)
+                        sink.accumulate(x, scatter(lambda ki, kj: dcol[:, :, ki, kj]))
             else:
                 dw = np.zeros((c, k, k))
                 for ki in range(k):
                     for kj in range(k):
                         dw[:, ki, kj] = np.einsum("nchw,nchw->c", up, window(xpb, ki, kj))
-                accumulate_grad(weight, dw.reshape(weight.shape))
-                accumulate_grad(x, scatter(lambda ki, kj: wd[:, ki, kj] * up))
+                sink.accumulate(weight, dw.reshape(weight.shape))
+                if wants_dx:
+                    sink.accumulate(x, scatter(lambda ki, kj: wd[:, ki, kj] * up))
             if bias is not None:
-                accumulate_grad(bias, up.sum(axis=(0, 2, 3)).reshape(1, spec.c_out, 1, 1))
+                sink.accumulate(bias, up.sum(axis=(0, 2, 3)).reshape(1, spec.c_out, 1, 1))
 
         tape.record(inputs, out, back)
     return out
@@ -356,6 +420,7 @@ def maxpool2d(x: Tensor4, k: int, s: int, p: int, tape: GradTape | None = None) 
     out = Tensor4(out_arr)
 
     if tape is not None:
+        sink = tape.sink
         def back(up):
             dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
             i = 0
@@ -365,7 +430,7 @@ def maxpool2d(x: Tensor4, k: int, s: int, p: int, tape: GradTape | None = None) 
                     if mask.any():
                         dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += up * mask
                     i += 1
-            accumulate_grad(x, dxp[:, :, p:p + h, p:p + w])
+            sink.accumulate(x, dxp[:, :, p:p + h, p:p + w])
 
         tape.record((x,), out, back)
     return out
@@ -405,13 +470,14 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None)
     out = Tensor4(out_arr)
 
     if tape is not None:
+        sink = tape.sink
         training = state.training
 
         def back(up):
             g = gamma.data.reshape(c)
             t = up * xhat
-            accumulate_grad(gamma, t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
-            accumulate_grad(beta, up.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
+            sink.accumulate(gamma, t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
+            sink.accumulate(beta, up.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
             if training:
                 # inv * (gu - mean_gu - xhat * mean_gux), evaluated in place in that order
                 gu = up * g.reshape(1, c, 1, 1)
@@ -420,9 +486,9 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None)
                 gu -= mean_gu
                 gu -= np.multiply(xhat, mean_gux, out=t)
                 gu *= inv.reshape(1, c, 1, 1)
-                accumulate_grad(x, gu)
+                sink.accumulate(x, gu)
             else:
-                accumulate_grad(x, up * (g * inv).reshape(1, c, 1, 1))
+                sink.accumulate(x, up * (g * inv).reshape(1, c, 1, 1))
 
         tape.record((x, gamma, beta), out, back)
     return out
@@ -447,12 +513,13 @@ def concat_channels(parts: list[Tensor4], tape: GradTape | None = None) -> Tenso
     out = Tensor4(np.concatenate([p.data for p in parts], axis=1))
 
     if tape is not None:
+        sink = tape.sink
         splits = np.cumsum([p.shape[1] for p in parts])[:-1]
 
         def back(up):
             # each part gets its own disjoint view of up
             for part, sl in zip(parts, np.split(up, splits, axis=1)):
-                accumulate_grad(part, sl)
+                sink.accumulate(part, sl)
 
         tape.record(tuple(parts), out, back)
     return out
@@ -469,7 +536,10 @@ def resize_nearest(x: Tensor4, target_h: int, target_w: int,
     out = Tensor4(x.data[:, :, src_r[:, None], src_c[None, :]])
 
     if tape is not None:
+        sink = tape.sink
         def back(up):
+            if not sink.takes_grad(x):
+                return
             # np.add.at adds in place, so it needs a buffer, zero-filled if none yet
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
@@ -508,8 +578,9 @@ def _stable_softplus(a, e=None):
 def _record_unary(x, out_arr, dfn, tape):
     out = Tensor4(out_arr)
     if tape is not None:
+        sink = tape.sink
         def back(up):
-            accumulate_grad(x, up * dfn())
+            sink.accumulate(x, up * dfn())
 
         tape.record((x,), out, back)
     return out
@@ -553,10 +624,11 @@ def add(a: Tensor4, b: Tensor4, tape: GradTape | None = None) -> Tensor4:
     _check_same_shape("add", a, b)
     out = Tensor4(a.data + b.data)
     if tape is not None:
+        sink = tape.sink
         def back(up):
             # up to one input and its copy to the other: no two grads share it
-            accumulate_grad(a, up)
-            accumulate_grad(b, up.copy())
+            sink.accumulate(a, up)
+            sink.accumulate(b, up.copy())
 
         tape.record((a, b), out, back)
     return out
@@ -566,9 +638,10 @@ def mul(a: Tensor4, b: Tensor4, tape: GradTape | None = None) -> Tensor4:
     _check_same_shape("mul", a, b)
     out = Tensor4(a.data * b.data)
     if tape is not None:
+        sink = tape.sink
         def back(up):
-            accumulate_grad(a, up * b.data)
-            accumulate_grad(b, up * a.data)
+            sink.accumulate(a, up * b.data)
+            sink.accumulate(b, up * a.data)
 
         tape.record((a, b), out, back)
     return out
@@ -577,8 +650,9 @@ def mul(a: Tensor4, b: Tensor4, tape: GradTape | None = None) -> Tensor4:
 def scalar_mul(x: Tensor4, c: float, tape: GradTape | None = None) -> Tensor4:
     out = Tensor4(x.data * float(c))
     if tape is not None:
+        sink = tape.sink
         def back(up):
-            accumulate_grad(x, up * float(c))
+            sink.accumulate(x, up * float(c))
 
         tape.record((x,), out, back)
     return out
@@ -588,8 +662,9 @@ def sum_all(x: Tensor4, tape: GradTape | None = None) -> Tensor4:
     """Reduce to a (1,1,1,1) scalar tensor; backward broadcasts the seed."""
     out = Tensor4(np.full((1, 1, 1, 1), x.data.sum()))
     if tape is not None:
+        sink = tape.sink
         def back(up):
-            accumulate_grad(x, np.full(x.shape, up.reshape(())))
+            sink.accumulate(x, np.full(x.shape, up.reshape(())))
 
         tape.record((x,), out, back)
     return out
@@ -634,7 +709,7 @@ def grad_check(f, x: Tensor4, tol: float = 1e-4, seed: int = 0) -> GradCheckRepo
     rng = np.random.default_rng(seed)
     proj = rng.standard_normal(y.shape)
     if len(tape) > 0:
-        backward(tape, Tensor4(proj))
+        backward(tape, Tensor4(proj), inputs=(x,))
     analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
     if not np.isfinite(analytic).all():
         coord = tuple(int(v) for v in np.argwhere(~np.isfinite(analytic))[0])

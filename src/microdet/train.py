@@ -64,34 +64,91 @@ class LrSchedule:
 
 @dataclass
 class TrainState:
+    """A model under training, its schedule, and AdamW's state.
+
+    init_moments() lays the parameters out in one flat float64 buffer,
+    `values`, in registry order: each parameter's .data becomes a view into
+    it, and the two moments are flat arrays of the same length. Anything that
+    writes parameters afterwards (load_weights, say) must write into .data,
+    not rebind it.
+    """
+
     model: MicroDetector
     schedule: LrSchedule
-    moment1: dict = field(default_factory=dict)
-    moment2: dict = field(default_factory=dict)
     step: int = 0
     seed: int = 0
+    values: np.ndarray = field(default=None, init=False, repr=False)
+    moment1: np.ndarray = field(default=None, init=False, repr=False)
+    moment2: np.ndarray = field(default=None, init=False, repr=False)
+    bounds: list = field(default_factory=list, init=False, repr=False)
 
     def init_moments(self):
-        for name, p in self.model.named_params():
-            self.moment1[name] = np.zeros_like(p.data)
-            self.moment2[name] = np.zeros_like(p.data)
+        params = [p for _, p in self.model.named_params()]
+        self.values = np.concatenate([p.data for p in params], axis=None)
+        self.moment1 = np.zeros_like(self.values)
+        self.moment2 = np.zeros_like(self.values)
+        self.bounds = []
+        lo = 0
+        for p in params:
+            hi = lo + p.numel
+            p.data = self.values[lo:hi].reshape(p.shape)
+            self.bounds.append((lo, hi))
+            lo = hi
+
+
+def _grad_runs(state: TrainState):
+    """(lo, hi, grads) per maximal run of registry neighbours that have a grad."""
+    runs = []
+    open_run = None
+    for (name, p), (lo, hi) in zip(state.model.named_params(), state.bounds, strict=True):
+        if p.data.base is not state.values:
+            raise DomainError("train", f"parameter {name} no longer views the optimizer "
+                                       "buffer; call init_moments after replacing it")
+        if p.grad is None:
+            open_run = None
+        elif open_run is None:
+            open_run = [lo, hi, [p.grad]]
+            runs.append(open_run)
+        else:
+            open_run[1] = hi
+            open_run[2].append(p.grad)
+    return runs
 
 
 def adamw_step(state: TrainState, params: TrainParams):
-    """One decoupled-weight-decay update over the registry, in registry order."""
+    """One decoupled-weight-decay update of the flat parameter buffer, in place.
+
+    Per element, in this order (a parameter without a grad keeps its value
+    and its moments):
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        p -= lr * (m / (1 - b1**t) / (sqrt(v / (1 - b2**t)) + eps) + weight_decay * p)
+
+    The grads are gathered with one concatenate; one more array of that size
+    is the only other scratch.
+    """
     lr = state.schedule.lr(state.step)
     b1, b2 = params.momentum, params.beta2
     t = state.step + 1
-    for name, p in state.model.named_params():
-        g = p.grad
-        if g is None:
-            continue
-        m = state.moment1[name] = b1 * state.moment1[name] + (1 - b1) * g
-        v = state.moment2[name] = b2 * state.moment2[name] + (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        p.data -= lr * (mhat / (np.sqrt(vhat) + params.eps)
-                        + params.weight_decay * p.data)
+    for lo, hi, grads in _grad_runs(state):
+        p, m, v = state.values[lo:hi], state.moment1[lo:hi], state.moment2[lo:hi]
+        g = np.concatenate(grads, axis=None)
+        a = np.multiply(g, 1 - b1)
+        m *= b1
+        m += a
+        np.multiply(g, 1 - b2, out=a)
+        a *= g
+        v *= b2
+        v += a
+        np.divide(v, 1 - b2**t, out=a)
+        np.sqrt(a, out=a)
+        a += params.eps
+        np.divide(m, 1 - b1**t, out=g)
+        g /= a
+        g += np.multiply(p, params.weight_decay, out=a)
+        g *= lr
+        p -= g
     state.model.drop_caches()  # folded inference weights are stale now
     state.step += 1
     return lr

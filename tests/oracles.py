@@ -20,7 +20,10 @@ only `_stable_sigmoid`, `Box` and `iou` with it.
 count, the bit-exact reference for the engine's depthwise path.
 `backward_prezero_oracle` is the earlier tape replay, which gives every tape
 tensor a zero-filled grad before the first closure runs and keeps them all;
-it is the bit-exact reference for the engine's handoff `backward`.
+it is the bit-exact reference for the engine's handoff `backward` (for the
+parameters, and for the inputs a caller names). `adamw_loop_oracle` is the
+earlier optimizer, one AdamW expression per parameter with moments kept by
+name, the bit-exact reference for the flat in-place `adamw_step`.
 """
 
 import math
@@ -514,3 +517,24 @@ def backward_prezero_oracle(tape, seed=None):
     final.grad += seed_arr
     for entry in reversed(tape._entries):
         entry.backfn(entry.output.grad)
+
+
+def adamw_loop_oracle(model, moments, lr, t, hp):
+    """One AdamW step parameter by parameter, in registry order.
+
+    moments maps a parameter name to its (first, second) moment arrays, zeros
+    when absent; hp carries momentum, beta2, eps and weight_decay. A parameter
+    whose grad is None is skipped.
+    """
+    b1, b2 = hp.momentum, hp.beta2
+    for name, p in model.named_params():
+        g = p.grad
+        if g is None:
+            continue
+        m0, v0 = moments.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        m = b1 * m0 + (1 - b1) * g
+        v = b2 * v0 + (1 - b2) * g * g
+        moments[name] = (m, v)
+        mhat = m / (1 - b1**t)
+        vhat = v / (1 - b2**t)
+        p.data -= lr * (mhat / (np.sqrt(vhat) + hp.eps) + hp.weight_decay * p.data)

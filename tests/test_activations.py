@@ -68,7 +68,7 @@ class TestMishBackward:
         x = Tensor4(np.zeros((1, 1, 1, 2)))
         tape = GradTape()
         mish(x, tape)
-        backward(tape, Tensor4(np.array([[[[2.0, -3.0]]]])))
+        backward(tape, Tensor4(np.array([[[[2.0, -3.0]]]])), inputs=(x,))
         np.testing.assert_allclose(x.grad.reshape(-1), [1.2, -1.8])
 
 

@@ -1,11 +1,15 @@
 """The handoff backward on the whole model plus loss.
 
-Leaves (parameters and the input image) must get the gradients of the
-earlier pre-zeroing replay byte for byte, sign of zero included, and
-backward's own allocations must stay below the forward arrays it replays.
+Parameters, and the input image when it is named, must get the gradients of
+the earlier pre-zeroing replay byte for byte, sign of zero included; an image
+that is not named gets none. Backward's own allocations must stay below the
+forward arrays it replays, and skipping the image's gradient must save at
+least the image's bytes.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,21 +34,77 @@ def _model_tape(cfg, seed, n):
     return tape, model, x
 
 
-def _leaf_grads(cfg, seed, replay):
+def _leaf_grads(cfg, seed, replay, image=True):
     tape, model, x = _model_tape(cfg, seed, n=2)
-    replay(tape)
+    replay(tape, x)
     grads = {name: p.grad.tobytes() for name, p in model.named_params()}
-    grads["image"] = x.grad.tobytes()
+    if image:
+        grads["image"] = x.grad.tobytes()
     return grads
+
+
+def _default(tape, x):
+    backward(tape)
+    assert x.grad is None
+
+
+def _named_image(tape, x):
+    backward(tape, inputs=(x,))
+
+
+def _prezero(tape, x):
+    backward_prezero_oracle(tape)
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_leaf_grads_match_prezero_oracle(name, seed):
-    got = _leaf_grads(CONFIGS[name], seed, backward)
-    want = _leaf_grads(CONFIGS[name], seed, backward_prezero_oracle)
+    """By default only the parameters get gradients, and the image none."""
+    got = _leaf_grads(CONFIGS[name], seed, _default, image=False)
+    want = _leaf_grads(CONFIGS[name], seed, _prezero, image=False)
     assert got.keys() == want.keys()
     assert [k for k in want if got[k] != want[k]] == []
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_named_image_grads_match_prezero_oracle(name):
+    got = _leaf_grads(CONFIGS[name], 0, _named_image)
+    want = _leaf_grads(CONFIGS[name], 0, _prezero)
+    assert got.keys() == want.keys()
+    assert [k for k in want if got[k] != want[k]] == []
+
+
+def test_tape_is_freed_without_the_cycle_collector():
+    """No backward closure holds the tape, so dropping the last reference frees
+    it and its forward arrays at once; a cycle would keep each step's tape
+    alive until the collector ran."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tape, _, _ = _model_tape(ModelConfig(), 0, n=1)
+        backward(tape)
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _traced_peak(fn):
+    """Bytes fn allocates at its peak, above what was allocated before it."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return peak - base
 
 
 def test_backward_peak_below_forward_arrays():
@@ -52,15 +112,16 @@ def test_backward_peak_below_forward_arrays():
     many bytes as the tape's forward arrays (batch 4 at 64 px)."""
     tape, _, _ = _model_tape(ModelConfig(), 0, n=4)
     forward_bytes = sum(t.data.nbytes for t in tape.tensors())
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base, _ = tracemalloc.get_traced_memory()
-        backward(tape)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    assert peak - base < forward_bytes, (peak - base, forward_bytes)
+    peak = _traced_peak(lambda: backward(tape))
+    assert peak < forward_bytes, (peak, forward_bytes)
+
+
+def test_unnamed_image_saves_at_least_its_bytes():
+    """Without the image's gradient the stem conv allocates no dx, dcol or
+    padded scatter, so backward's peak falls by at least the image's size."""
+    tape, _, x = _model_tape(ModelConfig(), 0, n=4)
+    named = _traced_peak(lambda: backward(tape, inputs=(x,)))
+    x.grad = None
+    default = _traced_peak(lambda: backward(tape))
+    assert x.grad is None
+    assert default + x.data.nbytes <= named, (default, named, x.data.nbytes)

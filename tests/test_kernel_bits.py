@@ -130,7 +130,7 @@ def _conv_grads(x, spec, w, up, bias=None):
     bt = None if bias is None else Tensor4(bias)
     tape = GradTape()
     out = conv2d(xt, spec, wt, bt, tape=tape)
-    backward(tape, Tensor4(up.reshape(out.shape)))
+    backward(tape, Tensor4(up.reshape(out.shape)), inputs=(xt, wt))
     return out.data, xt.grad, wt.grad
 
 
@@ -262,7 +262,7 @@ class TestMaxpoolWithoutTape:
         tape = GradTape()
         out = maxpool2d(xt, k, s, p, tape)
         up = np.random.default_rng(25).normal(size=out.shape)
-        backward(tape, Tensor4(up))
+        backward(tape, Tensor4(up), inputs=(xt,))
         n, c, h, w = x.shape
         winner = {}
         for idx in np.ndindex(out.shape):
@@ -288,6 +288,6 @@ def test_activation_tape_uses_the_kernels():
     tape = GradTape()
     up = np.random.default_rng(20).normal(size=x.shape)
     out = mish(x, tape)
-    backward(tape, Tensor4(up))
+    backward(tape, Tensor4(up), inputs=(x,))
     assert np.array_equal(out.data, x.data * np.tanh(softplus_two_exp_oracle(x.data)))
     assert np.array_equal(x.grad, up * mish_grad_two_exp_oracle(x.data))

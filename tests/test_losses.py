@@ -484,7 +484,7 @@ class TestTotalLoss:
         weights = LossWeights()
         tape = GradTape()
         detection_loss(preds, gts, weights, tape)
-        backward(tape)
+        backward(tape, inputs=[t for lv in preds.levels for t in (lv.cls, lv.box)])
         alphas = loss_and_grads(preds, gts, weights)[3]
 
         h = 1e-6

@@ -91,7 +91,7 @@ class TestInject:
         fused = Tensor4(rng.normal(size=(1, 8, 4, 4)))
         tape = GradTape()
         inj.forward(level, fused, tape)
-        backward(tape)
+        backward(tape, inputs=(level, fused))
         assert np.abs(level.grad).max() > 0
         assert np.abs(fused.grad).max() > 0
 

@@ -141,5 +141,5 @@ class TestBackward:
         x = Tensor4(np.random.default_rng(5).normal(size=(1, 2, 3, 3)))
         simam_forward(x, tape)
         assert len(tape) == 1
-        backward(tape)
+        backward(tape, inputs=(x,))
         assert x.grad is not None

@@ -144,7 +144,7 @@ class TestSimSppf:
         x = Tensor4(rng.normal(size=(1, 4, 5, 5)))
         tape = GradTape()
         block.forward(x, tape)
-        backward(tape)
+        backward(tape, inputs=(x,))
         assert np.isfinite(x.grad).all()
         assert np.abs(block.cv1.weight.grad).max() > 0
 

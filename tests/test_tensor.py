@@ -11,7 +11,6 @@ from microdet.tensor import (
     GradTape,
     ShapeError,
     Tensor4,
-    accumulate_grad,
     add,
     backward,
     batchnorm2d,
@@ -191,6 +190,17 @@ class TestBatchnorm:
         out = batchnorm2d(Tensor4(x), st)
         np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + 0.01), rtol=1e-12, atol=1e-15)
 
+    def test_replaced_gamma_and_beta_take_gradients(self):
+        st = BatchNormState.create(2)
+        st.gamma = Tensor4(np.ones((1, 2, 1, 1)))
+        st.beta = Tensor4(np.zeros((1, 2, 1, 1)))
+        tape = GradTape()
+        x = Tensor4(np.random.default_rng(10).normal(size=(2, 2, 3, 3)))
+        sum_all(mul(batchnorm2d(x, st, tape), x, tape), tape)
+        backward(tape)
+        assert st.gamma.grad.shape == st.beta.grad.shape == (1, 2, 1, 1)
+        assert x.grad is None
+
     def test_gamma_zero_collapses_to_beta(self):
         rng = np.random.default_rng(9)
         st = BatchNormState.create(2)
@@ -314,8 +324,16 @@ def _mixed_tape(seed):
 
 def _leaf_grads(make, replay):
     tape, leaves = make()
-    replay(tape)
+    replay(tape, leaves)
     return [t.grad.tobytes() for t in leaves]
+
+
+def _named(tape, leaves):
+    backward(tape, inputs=leaves)
+
+
+def _prezero(tape, leaves):
+    backward_prezero_oracle(tape)
 
 
 class TestBackward:
@@ -323,36 +341,35 @@ class TestBackward:
         x = Tensor4(np.random.default_rng(15).normal(size=(1, 2, 3, 3)))
         tape = GradTape()
         scalar_mul(x, 2.0, tape)
-        backward(tape)
+        backward(tape, inputs=(x,))
         np.testing.assert_array_equal(x.grad, np.full(x.shape, 2.0))
 
     def test_square_sum_gradient(self):
         x = Tensor4(np.random.default_rng(16).normal(size=(2, 2, 2, 2)))
         tape = GradTape()
         sum_all(mul(x, x, tape), tape)
-        backward(tape)
+        backward(tape, inputs=(x,))
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
     def test_fanout_accumulates(self):
         x = Tensor4(np.random.default_rng(17).normal(size=(1, 1, 2, 2)))
         tape = GradTape()
         sum_all(add(mul(x, x, tape), scalar_mul(x, 3.0, tape), tape), tape)
-        backward(tape)
+        backward(tape, inputs=(x,))
         np.testing.assert_allclose(x.grad, 2.0 * x.data + 3.0)
 
     def test_untouched_leaf_keeps_zero_grad(self):
         x = Tensor4.zeros(1, 1, 2, 2)
         y = Tensor4.zeros(1, 1, 2, 2)
-        y.zero_grad()
         tape = GradTape()
         scalar_mul(x, 2.0, tape)
-        backward(tape)
+        backward(tape, inputs=(x, y))  # y is named but not on the tape
         np.testing.assert_array_equal(y.grad, np.zeros((1, 1, 2, 2)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mixed_tape_matches_prezero_oracle(self, seed):
-        assert (_leaf_grads(lambda: _mixed_tape(seed), backward)
-                == _leaf_grads(lambda: _mixed_tape(seed), backward_prezero_oracle))
+        assert (_leaf_grads(lambda: _mixed_tape(seed), _named)
+                == _leaf_grads(lambda: _mixed_tape(seed), _prezero))
 
     def test_seed_array_is_not_adopted(self):
         """add hands the seed on to u, which the scalar_mul then adds into."""
@@ -363,19 +380,31 @@ class TestBackward:
         add(u, scalar_mul(u, 3.0, tape), tape)
         seed_arr = rng.normal(size=x.shape)
         seed = Tensor4(seed_arr.copy())
-        backward(tape, seed)
+        backward(tape, seed, inputs=(x,))
         assert seed.data.tobytes() == seed_arr.tobytes()
 
-    def test_only_leaves_hold_grads_afterwards(self):
+    @staticmethod
+    def _assert_holders(named):
+        """Parameters (the batchnorm's gamma and beta here) and the named leaves
+        hold grads; the other leaves (x, w, b) and every produced tensor do not."""
         tape, leaves = _mixed_tape(0)
-        backward(tape)
-        leaf_ids = {id(t) for t in leaves}
-        assert leaf_ids <= {id(t) for t in tape.tensors()}
+        x, w, b, gamma, beta = leaves
+        backward(tape, inputs=[leaves[i] for i in named])
+        holders = {id(leaves[i]) for i in named} | {id(gamma), id(beta)}
+        assert {id(t) for t in leaves} <= {id(t) for t in tape.tensors()}
+        assert not (x.requires_grad or w.requires_grad or b.requires_grad)
         for t in tape.tensors():
-            if id(t) in leaf_ids:
+            if id(t) in holders:
                 assert t.grad.shape == t.shape
             else:
                 assert t.grad is None
+
+    def test_only_leaves_hold_grads_afterwards(self):
+        self._assert_holders(())
+
+    @pytest.mark.parametrize("named", [(0,), (1, 2), (0, 1, 2)])
+    def test_named_leaves_hold_grads_afterwards(self, named):
+        self._assert_holders(named)
 
     def test_unconsumed_output_sends_zeros(self):
         """An output that nothing reads still runs its closure, on zeros of its shape."""
@@ -396,7 +425,7 @@ class TestBackward:
             sum_all(mul(x, x, tape), tape)
             return tape, [x]
 
-        assert _leaf_grads(make, backward) == _leaf_grads(make, backward_prezero_oracle)
+        assert _leaf_grads(make, _named) == _leaf_grads(make, _prezero)
         assert len(received) == 2
         for up in received:
             assert up.tobytes() == np.zeros((1, 2, 3, 3)).tobytes()
@@ -414,7 +443,40 @@ class TestBackward:
             sum_all(mul(add(u, v, tape), add(cu, cv, tape), tape), tape)
             return tape, [x]
 
-        assert _leaf_grads(make, backward) == _leaf_grads(make, backward_prezero_oracle)
+        assert _leaf_grads(make, _named) == _leaf_grads(make, _prezero)
+
+    @pytest.mark.parametrize("spec", [ConvSpec(3, 4, k=3, s=2, p=1), ConvSpec(3, 4, k=1),
+                                      ConvSpec(3, 3, k=3, p=1, g=3)],
+                             ids=["dense", "pointwise", "depthwise"])
+    def test_conv_does_no_dx_work_for_an_unnamed_input(self, spec, monkeypatch):
+        """Without a name the input gets no grad, and its conv runs neither the
+        dcol matmul nor the scatter into a padded buffer of the input's shape."""
+        dx_shapes = {(2, 3, 8, 8), (2, 3, 8 + 2 * spec.p, 8 + 2 * spec.p)}
+
+        def work(named):
+            rng = np.random.default_rng(30)
+            x = Tensor4(rng.normal(size=(2, 3, 8, 8)))
+            w = Tensor4(rng.normal(size=spec.weight_shape()))
+            w.requires_grad = True
+            tape = GradTape()
+            conv2d(x, spec, w, tape=tape)
+            made = []
+            with monkeypatch.context() as mp:
+                for name in ("matmul", "zeros", "zeros_like"):
+                    def spy(*args, _fn=getattr(np, name), _name=name, **kwargs):
+                        out = _fn(*args, **kwargs)
+                        made.append((_name, out.shape))
+                        return out
+
+                    mp.setattr(np, name, spy)
+                backward(tape, inputs=(x,) if named else ())
+            assert w.grad is not None and (x.grad is not None) == named
+            return (sum(name == "matmul" for name, _ in made),
+                    any(name != "matmul" and shape in dx_shapes for name, shape in made))
+
+        matmuls = 1 if spec.g == 1 else 0
+        assert work(named=True) == (2 * matmuls, True)
+        assert work(named=False) == (matmuls, False)
 
     def test_seed_shape_mismatch(self):
         tape = GradTape()
@@ -471,10 +533,11 @@ class TestGradCheck:
         def bad_mish(t, tape):
             out = mish(t, None)
             if tape is not None:
+                sink = tape.sink
                 from microdet.activations import mish_grad_np
 
                 def back(up):
-                    accumulate_grad(t, up * mish_grad_np(t.data) * 1.01)
+                    sink.accumulate(t, up * mish_grad_np(t.data) * 1.01)
 
                 tape.record((t,), out, back)
             return out

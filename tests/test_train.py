@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from microdet.dataio import generate_toy_dataset, load_manifest
-from microdet.model import ModelConfig, build_model
+from microdet.model import ModelConfig, build_model, load_weights, save_weights
 from microdet.train import (
     LrSchedule,
     TrainParams,
@@ -13,6 +13,8 @@ from microdet.train import (
     train_toy,
 )
 from microdet.tensor import DomainError
+from oracles import adamw_loop_oracle
+from test_backward_oracle import _traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,72 @@ class TestAdamw:
             assert adamw_step(state, TrainParams()) == 0.0
         for name, p in model.named_params():
             assert p.data.tobytes() == before[name], name
+
+
+def _seeded_grads(model, rng, skip):
+    """A fresh normal grad on every parameter but the registry index `skip`."""
+    for i, (_, q) in enumerate(model.named_params()):
+        q.grad = None if i == skip else rng.normal(size=q.data.shape)
+
+
+class TestAdamwFlatBuffer:
+    """The flat in-place update against the per-parameter loop, byte for byte."""
+
+    @staticmethod
+    def _assert_same(state, oracle_model, moments):
+        bounds = dict(zip((n for n, _ in state.model.named_params()), state.bounds))
+        for (name, p), (_, q) in zip(state.model.named_params(), oracle_model.named_params()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+            lo, hi = bounds[name]
+            m, v = moments.get(name, (np.zeros(hi - lo), np.zeros(hi - lo)))
+            assert state.moment1[lo:hi].tobytes() == m.tobytes(), name
+            assert state.moment2[lo:hi].tobytes() == v.tobytes(), name
+
+    @pytest.mark.parametrize("reload", [False, True])
+    def test_matches_loop_oracle(self, reload, tmp_path):
+        """Six steps with seeded grads; one parameter per step has none. With
+        `reload`, weights are loaded after init_moments, which must fill the
+        views of the flat buffer in place."""
+        params = TrainParams()
+        model, oracle_model = build_model(ModelConfig(), 3), build_model(ModelConfig(), 3)
+        state = TrainState(model=model, seed=3, schedule=LrSchedule(0.01, 8, 2, 0.05))
+        state.init_moments()
+        if reload:
+            save_weights(build_model(ModelConfig(), 4), tmp_path / "w.w1")
+            load_weights(model, tmp_path / "w.w1")
+            load_weights(oracle_model, tmp_path / "w.w1")
+        n_params = len(list(model.named_params()))
+        moments = {}
+        for step in range(6):
+            skip = (7 * step + 2) % n_params
+            _seeded_grads(model, np.random.default_rng(step), skip)
+            _seeded_grads(oracle_model, np.random.default_rng(step), skip)
+            name, p = list(model.named_params())[skip]
+            before = p.data.tobytes()
+            lr = adamw_step(state, params)
+            adamw_loop_oracle(oracle_model, moments, lr, step + 1, params)
+            assert p.data.tobytes() == before, name
+            self._assert_same(state, oracle_model, moments)
+
+    def test_rebound_parameter_is_refused(self):
+        model = build_model(ModelConfig(), 0)
+        state = TrainState(model=model, schedule=LrSchedule(0.01, 8, 2, 0.05))
+        state.init_moments()
+        name, p = next(iter(model.named_params()))
+        p.data = p.data.copy()
+        with pytest.raises(DomainError, match=f"parameter {name} no longer views"):
+            adamw_step(state, TrainParams())
+
+    def test_peak_stays_within_three_buffers(self):
+        """The update allocates the gathered grads and one scratch array, not a
+        temporary per operation."""
+        model = build_model(ModelConfig(), 0)
+        state = TrainState(model=model, schedule=LrSchedule(0.01, 8, 2, 0.05))
+        state.init_moments()
+        _seeded_grads(model, np.random.default_rng(0), skip=None)
+        adamw_step(state, TrainParams())  # first step: caches and lazy imports settle
+        peak = _traced_peak(lambda: adamw_step(state, TrainParams()))
+        assert peak <= 3 * state.values.nbytes, (peak, state.values.nbytes)
 
 
 class TestTrainToy:
