@@ -10,11 +10,12 @@ from .tensor import BatchNormState, Tensor4
 class Module:
     """Composable block tracking parameters, batchnorm states and submodules.
 
-    Assigning a Tensor4 attribute registers a learnable parameter (and marks
-    it requires_grad, so backward gives it a gradient), a BatchNormState
-    registers its gamma/beta plus running-stat buffers, and a
-    Module registers a child. Iteration order is insertion order, so the
-    parameter registry is deterministic given a deterministic build.
+    Assigning a Tensor4 attribute registers a learnable parameter, a
+    BatchNormState registers its gamma/beta plus running-stat buffers, and a
+    Module registers a child. Every parameter registered, gamma and beta
+    included, is marked requires_grad, so backward gives it a gradient.
+    Iteration order is insertion order, so the parameter registry is
+    deterministic given a deterministic build.
     """
 
     def __init__(self):
@@ -27,6 +28,7 @@ class Module:
             value.requires_grad = True
             self._params[name] = value
         elif isinstance(value, BatchNormState):
+            value.gamma.requires_grad = value.beta.requires_grad = True
             self._bns[name] = value
         elif isinstance(value, Module):
             self._children[name] = value

@@ -124,10 +124,10 @@ class ConvSpec:
 class BatchNormState:
     """Per-channel affine + running statistics for batch normalization.
 
-    gamma/beta are learnable (1,c,1,1) tensors: whatever tensor is assigned
-    to either is marked requires_grad. Running stats are plain buffers. `training` selects batch vs running
-    statistics; `track_stats` gates the running-stat update so
-    finite-difference checks stay pure.
+    gamma/beta are learnable (1,c,1,1) tensors, marked requires_grad by the
+    Module that registers the state; running stats are plain buffers.
+    `training` selects batch vs running statistics; `track_stats` gates the
+    running-stat update so finite-difference checks stay pure.
     EPS is added to the variance, MOMENTUM weights each new batch in the
     running statistics.
     """
@@ -141,11 +141,6 @@ class BatchNormState:
     running_var: np.ndarray
     training: bool = True
     track_stats: bool = True
-
-    def __setattr__(self, name, value):
-        if name in ("gamma", "beta"):
-            value.requires_grad = True
-        object.__setattr__(self, name, value)
 
     @classmethod
     def create(cls, c):

@@ -66,10 +66,12 @@ def test_leaf_grads_match_prezero_oracle(name, seed):
     assert [k for k in want if got[k] != want[k]] == []
 
 
+@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_named_image_grads_match_prezero_oracle(name):
-    got = _leaf_grads(CONFIGS[name], 0, _named_image)
-    want = _leaf_grads(CONFIGS[name], 0, _prezero)
+def test_named_image_grads_match_prezero_oracle(name, seed):
+    """Naming the image gives it, and every parameter, the oracle's gradient."""
+    got = _leaf_grads(CONFIGS[name], seed, _named_image)
+    want = _leaf_grads(CONFIGS[name], seed, _prezero)
     assert got.keys() == want.keys()
     assert [k for k in want if got[k] != want[k]] == []
 
