@@ -17,9 +17,9 @@ from . import __version__
 from .dataio import (
     AnnotationError,
     ToyData,
-    _read_lines,
     generate_toy_dataset,
     load_annotations,
+    load_class_names,
     load_config,
     load_manifest,
     load_predictions,
@@ -72,9 +72,9 @@ def _cmd_bench(args):
     blocks = [
         ("conv3x3_c64", ConvSpec(64, 64, k=3, p=1), (8, 8)),
         ("ghost_c64", GhostSpec(64, 64), (8, 8)),
-        ("c3ghost_16", C3GhostSpec(16, 16, n=2, expansion=1.0), (8, 8)),
-        ("c3ghost_32", C3GhostSpec(32, 32, n=2, expansion=1.0), (4, 4)),
-        ("c3ghost_48", C3GhostSpec(48, 48, n=2, expansion=1.0), (2, 2)),
+        ("c3ghost_16", C3GhostSpec(16, 16, n=2), (8, 8)),
+        ("c3ghost_32", C3GhostSpec(32, 32, n=2), (4, 4)),
+        ("c3ghost_48", C3GhostSpec(48, 48, n=2), (2, 2)),
     ]
     for name, spec, (h, w) in blocks:
         p, f = count_params_flops(spec, h, w)
@@ -127,7 +127,12 @@ def _cmd_forward(args):
     load_weights(model, weights)
     model.set_training(False)
     image = read_t4(args.input)
-    preds = model.forward(image)
+    if image.shape[0] != 1:  # prediction lines carry no image id
+        raise ShapeError("forward", f"{args.input}: {image.shape[0]} images, not one")
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite output
+        preds = model.forward(image)
+    if not all(np.isfinite(t.data).all() for lv in preds.levels for t in (lv.cls, lv.box)):
+        raise DomainError("forward", f"{args.input}: model output not finite (a value overflowed)")
     dets = decode(preds, model_cfg)
     save_predictions(args.out, dets)
     print(f"detections {len(dets)}")
@@ -135,7 +140,7 @@ def _cmd_forward(args):
 
 
 def _cmd_eval(args):
-    classes = [line.strip() for _, line in _read_lines(args.classes) if line.strip()]
+    classes = load_class_names(args.classes)
     gt_dir, pred_dir = Path(args.gt), Path(args.pred)
     for flag, d in (("--gt", gt_dir), ("--pred", pred_dir)):
         if not d.is_dir():

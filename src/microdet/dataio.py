@@ -105,6 +105,23 @@ def _read_lines(path):
     return enumerate(text.splitlines(), 1)
 
 
+def load_class_names(path):
+    """One class name per non-empty line, stripped. A name becomes part of a file
+    name (`pr_curve_<name>.csv`), so a repeat, `/` or NUL is an error naming its line."""
+    first_line = {}
+    for line_no, line in _read_lines(path):
+        name = line.strip()
+        if name in first_line:
+            raise AnnotationError(path, line_no, f"duplicate class name {name!r} "
+                                                 f"(first on line {first_line[name]})")
+        if "/" in name or "\0" in name:
+            raise AnnotationError(path, line_no, f"class name {name!r} holds '/' or a NUL "
+                                                 f"byte, so it cannot name a file")
+        if name:
+            first_line[name] = line_no
+    return list(first_line)
+
+
 def _load_records(path, n_fields, record):
     """One `record(class_id, *extra, box, image_id)` per non-empty line.
 
@@ -313,26 +330,21 @@ _PALETTE = np.array([
 ])
 
 
-# the longest side a toy object can have, in pixels
+# the shortest and longest side a toy object can have, in pixels
+TOY_MIN_SIZE = 14
 TOY_MAX_SIZE = 30
 
 
-def _check_fit(image_size, max_size):
-    """Raise unless an object of side max_size fits with margin."""
-    if max_size + 4 >= image_size:
-        raise DomainError("toy_scene", f"objects up to {max_size}px cannot fit "
-                                       f"with margin in a {image_size}px image")
-
-
-def generate_toy_scene(seed, image_size=64, num_classes=2, num_objects=2,
-                       min_size=14, max_size=TOY_MAX_SIZE):
+def generate_toy_scene(seed, image_size=64, num_classes=2, num_objects=2):
     """Noise background plus colored rectangles; annotations are exact.
 
     Rectangles land on integer pixel bounds and the emitted normalized box
     is computed from those same bounds, so a rasterization round trip agrees
     within one pixel by construction. Deterministic per seed.
     """
-    _check_fit(image_size, max_size)
+    if TOY_MAX_SIZE + 4 >= image_size:
+        raise DomainError("toy_scene", f"objects up to {TOY_MAX_SIZE}px cannot fit "
+                                       f"with margin in a {image_size}px image")
     rng = np.random.default_rng(seed)
     img = 0.25 + 0.08 * rng.random((1, 3, image_size, image_size))
     gts = []
@@ -343,8 +355,8 @@ def generate_toy_scene(seed, image_size=64, num_classes=2, num_objects=2,
         if attempts > 200 * num_objects:
             raise DomainError("toy_scene", f"could not pack {num_objects} objects "
                                            f"after {attempts} attempts")
-        w = int(rng.integers(min_size, max_size + 1))
-        h = int(rng.integers(min_size, max_size + 1))
+        w = int(rng.integers(TOY_MIN_SIZE, TOY_MAX_SIZE + 1))
+        h = int(rng.integers(TOY_MIN_SIZE, TOY_MAX_SIZE + 1))
         x0 = int(rng.integers(2, image_size - w - 1))
         y0 = int(rng.integers(2, image_size - h - 1))
         box = Box((x0 + w / 2) / image_size, (y0 + h / 2) / image_size,
@@ -379,7 +391,8 @@ def generate_toy_dataset(out_dir, seed=0, n_images=20, image_size=64, num_classe
     """Write images, labels, classes and a manifest; returns the manifest path.
 
     Each image holds between min_objects and max_objects objects, both
-    inclusive.
+    inclusive. Every scene is built before the first directory is made, so
+    a count that cannot be packed leaves nothing behind.
     """
     if n_images < 1 or num_classes < 1:
         raise DomainError("toy_data", f"need at least one image and one class, got "
@@ -389,16 +402,17 @@ def generate_toy_dataset(out_dir, seed=0, n_images=20, image_size=64, num_classe
                                       f"{min_objects} and {max_objects}")
     if seed < 0:
         raise DomainError("toy_data", f"seed must be >= 0, got {seed}")
-    _check_fit(image_size, TOY_MAX_SIZE)
+    rng = np.random.default_rng(seed)
+    scenes = []
+    for _ in range(n_images):
+        n_obj = int(rng.integers(min_objects, max_objects + 1))
+        scene_seed = int(rng.integers(0, 2**31 - 1))
+        scenes.append(generate_toy_scene(scene_seed, image_size, num_classes, n_obj))
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
     entries = []
-    for i in range(n_images):
-        n_obj = int(rng.integers(min_objects, max_objects + 1))
-        scene_seed = int(rng.integers(0, 2**31 - 1))
-        img, gts = generate_toy_scene(scene_seed, image_size, num_classes, n_obj)
+    for i, (img, gts) in enumerate(scenes):
         stem = f"img_{i:03d}"
         write_t4(out_dir / "images" / f"{stem}.t4", img)
         save_annotations(out_dir / "labels" / f"{stem}.txt",

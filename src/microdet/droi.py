@@ -100,10 +100,12 @@ def roi_rectangle(w_c: float, shift: float, cfg: DroiConfig):
 def replay_trajectory(log, cfg: DroiConfig):
     """Per-sample results for a (t, theta, v) log plus the mean ROI-area fraction.
 
-    Timestamps must be strictly increasing. The mean area fraction is the
-    computation-saving proxy: 1.0 means the ROI never shrinks below the
-    full frame.
+    The log must be non-empty with strictly increasing timestamps. The mean
+    area fraction is the computation-saving proxy; every ROI spans only the
+    HORIZON_BAND rows, so it is at most 0.5, for ROIs as wide as the frame.
     """
+    if not log:
+        raise DomainError("droi", "the trajectory holds no samples")
     results = []
     area_sum = 0.0
     prev_t = None
@@ -115,8 +117,7 @@ def replay_trajectory(log, cfg: DroiConfig):
         x1, y1, x2, y2 = res.roi
         area_sum += (x2 - x1) * (y2 - y1)
         results.append((t, res))
-    mean_fraction = area_sum / len(results) if results else 0.0
-    return results, mean_fraction
+    return results, area_sum / len(results)
 
 
 def load_trajectory_csv(path):

@@ -43,15 +43,11 @@ class C3GhostSpec:
     c_in: int
     c_out: int
     n: int = 1
-    expansion: float = 0.5
     activation: str = "mish"
 
-    @property
-    def hidden(self):
-        h = round(self.c_out * self.expansion)
-        if h < 1:
-            raise ShapeError("c3ghost", f"hidden channels {h} < 1")
-        return h
+    def __post_init__(self):
+        if self.c_out < 1:
+            raise ShapeError("c3ghost", f"c_out {self.c_out} < 1")
 
 
 class GhostConv(Module):
@@ -101,20 +97,20 @@ class PlainBottleneck(Module):
 class C3Block(Module):
     """Cross-stage partial block: processed branch + bypass branch, fused by 1x1.
 
-    ghost=True builds ghost bottlenecks; ghost=False is the plain baseline
-    used by the ablation toggle.
+    Both branches and the bottlenecks are c_out wide, the full width the
+    paper builds. ghost=True builds ghost bottlenecks; ghost=False is the
+    plain baseline used by the ablation toggle.
     """
 
     def __init__(self, spec: C3GhostSpec, ghost=True, rng: np.random.Generator | None = None):
         super().__init__()
         self.spec = spec
-        h = spec.hidden
-        act = spec.activation
-        self.cv1 = SimConv(spec.c_in, h, k=1, activation=act, rng=rng)
-        self.cv2 = SimConv(spec.c_in, h, k=1, activation=act, rng=rng)
+        c, act = spec.c_out, spec.activation
+        self.cv1 = SimConv(spec.c_in, c, k=1, activation=act, rng=rng)
+        self.cv2 = SimConv(spec.c_in, c, k=1, activation=act, rng=rng)
         maker = GhostBottleneck if ghost else PlainBottleneck
-        self.blocks = ModuleList([maker(h, activation=act, rng=rng) for _ in range(spec.n)])
-        self.cv3 = SimConv(2 * h, spec.c_out, k=1, activation=act, rng=rng)
+        self.blocks = ModuleList([maker(c, activation=act, rng=rng) for _ in range(spec.n)])
+        self.cv3 = SimConv(2 * c, c, k=1, activation=act, rng=rng)
 
     def forward(self, x: Tensor4, tape: GradTape | None = None) -> Tensor4:
         if x.shape[1] != self.spec.c_in:
@@ -129,19 +125,17 @@ class C3Block(Module):
 # ---------------------------------------------------------------------------
 # closed-form parameter / FLOP accounting
 #
-# Convention: params count conv weights (no bias); include_bn adds 2*c per
-# normalized stage. FLOPs are 2 * (weight multiplies) * output positions;
-# activation and normalization arithmetic are not counted.
+# Convention: params count conv weights (no bias, no batchnorm). FLOPs are
+# 2 * (weight multiplies) * output positions; activation and normalization
+# arithmetic are not counted.
 
 
-def _conv_cost(c_in, c_out, k, g, h_out, w_out, bn=False):
+def _conv_cost(c_in, c_out, k, g, h_out, w_out):
     weights = c_out * (c_in // g) * k * k
-    params = weights + (2 * c_out if bn else 0)
-    flops = 2 * weights * h_out * w_out
-    return params, flops
+    return weights, 2 * weights * h_out * w_out
 
 
-def count_params_flops(spec, h, w, include_bn=False, ghost=True):
+def count_params_flops(spec, h, w, ghost=True):
     """Exact parameter and FLOP counts for a block spec at spatial dims (h, w).
 
     Accepts ConvSpec (bare conv), GhostSpec, or C3GhostSpec (same-padding
@@ -154,19 +148,19 @@ def count_params_flops(spec, h, w, include_bn=False, ghost=True):
         return _conv_cost(spec.c_in, spec.c_out, spec.k, spec.g, *spec.out_hw(h, w))
     if isinstance(spec, GhostSpec):
         ci = spec.intrinsic
-        p1, f1 = _conv_cost(spec.c_in, ci, PRIMARY_K, 1, h, w, bn=include_bn)
-        p2, f2 = _conv_cost(ci, ci, CHEAP_K, ci, h, w, bn=include_bn)
+        p1, f1 = _conv_cost(spec.c_in, ci, PRIMARY_K, 1, h, w)
+        p2, f2 = _conv_cost(ci, ci, CHEAP_K, ci, h, w)
         return p1 + p2, f1 + f2
     if isinstance(spec, C3GhostSpec):
-        hch = spec.hidden
-        costs = [_conv_cost(c_in, c_out, 1, 1, h, w, bn=include_bn)
-                 for c_in, c_out in ((spec.c_in, hch), (spec.c_in, hch), (2 * hch, spec.c_out))]
+        c = spec.c_out
+        costs = [_conv_cost(c_in, c_out, 1, 1, h, w)
+                 for c_in, c_out in ((spec.c_in, c), (spec.c_in, c), (2 * c, c))]
         for _ in range(spec.n):
             if ghost:
-                costs += [count_params_flops(gs, h, w, include_bn=include_bn)
-                          for gs in (GhostSpec(hch, 2 * hch, activation=spec.activation),
-                                     GhostSpec(2 * hch, hch, activation=spec.activation))]
-            else:  # PlainBottleneck: 1x1 then 3x3, both hch -> hch
-                costs += [_conv_cost(hch, hch, k, 1, h, w, bn=include_bn) for k in (1, 3)]
+                costs += [count_params_flops(gs, h, w)
+                          for gs in (GhostSpec(c, 2 * c, activation=spec.activation),
+                                     GhostSpec(2 * c, c, activation=spec.activation))]
+            else:  # PlainBottleneck: 1x1 then 3x3, both c -> c
+                costs += [_conv_cost(c, c, k, 1, h, w) for k in (1, 3)]
         return sum(p for p, _ in costs), sum(f for _, f in costs)
     raise ShapeError("count_params_flops", f"unsupported spec type {type(spec).__name__}")

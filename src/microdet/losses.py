@@ -51,17 +51,12 @@ class Box:
         return cls((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
 
 
-@dataclass(frozen=True)
 class LossWeights:
-    lambda_cls: float = 0.5
-    lambda_box: float = 7.5
-    lambda_dfl: float = 1.5
+    """YOLOv8's loss gains, which the paper keeps: fixed, so class constants."""
 
-    def __post_init__(self):
-        if min(self.lambda_cls, self.lambda_box, self.lambda_dfl) < 0:
-            raise DomainError("loss_weights", "weights must be non-negative")
-        if self.lambda_cls == self.lambda_box == self.lambda_dfl == 0:
-            raise DomainError("loss_weights", "at least one weight must be positive")
+    lambda_cls = 0.5
+    lambda_box = 7.5
+    lambda_dfl = 1.5
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ class _Stage(Module):
         super().__init__()
         self.down = SimConv(c_in, c_out, k=3, s=2, activation=cfg.activation, rng=rng)
         self.c3 = C3Block(
-            C3GhostSpec(c_out, c_out, n=REPEATS, expansion=1.0, activation=cfg.activation),
+            C3GhostSpec(c_out, c_out, n=REPEATS, activation=cfg.activation),
             ghost=cfg.use_c3ghost, rng=rng,
         )
         self.use_simam = cfg.use_simam

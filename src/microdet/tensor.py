@@ -45,12 +45,12 @@ class Tensor4:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, grad=None):
+    def __init__(self, data):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if arr.ndim != 4:
             raise ShapeError("tensor", f"expected 4 axes (n,c,h,w), got {arr.ndim}")
         self.data = arr
-        self.grad = grad
+        self.grad = None
         self.requires_grad = False
 
     @classmethod
@@ -73,9 +73,6 @@ class Tensor4:
         if self.data.size != 1:
             raise ShapeError("item", f"needs a single element, shape is {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
 
     def copy(self):
         return Tensor4(self.data.copy())

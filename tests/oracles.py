@@ -317,7 +317,11 @@ def assign_loop_oracle(boxes, image, grids):
             for lvl in per_level]
 
 
-def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
+# YOLOv8's loss gains, written out here apart from `losses.LossWeights`
+ORACLE_CLS_GAIN, ORACLE_BOX_GAIN, ORACLE_DFL_GAIN = 0.5, 7.5, 1.5
+
+
+def loss_per_cell_oracle(preds, gts_per_image, frozen_alphas=None):
     """`losses.loss_and_grads` as a loop over positive cells, one scalar CIoU and
     four scalar DFL calls each, with one BCE map per image and level.
 
@@ -396,21 +400,20 @@ def loss_per_cell_oracle(preds, gts_per_image, weights, frozen_alphas=None):
                 for k in range(4):
                     dloss, dgrad = dfl_oracle(zs[k], float(tdist[k]))
                     dfl_sum += dloss / 4.0
-                    dz[k] += dgrad / 4.0 * weights.lambda_dfl
+                    dz[k] += dgrad / 4.0 * ORACLE_DFL_GAIN
                     # chain CIoU through the expectation decode
                     p = _softmax_oracle(zs[k])
                     bins = np.arange(reg_max, dtype=np.float64)
-                    dz[k] += ddist[k] * p * (bins - (p * bins).sum()) * weights.lambda_box
+                    dz[k] += ddist[k] * p * (bins - (p * bins).sum()) * ORACLE_BOX_GAIN
                 grads[li][1][b, :, ci, cj] += dz.reshape(-1)
 
     cls_den = batch * n_cells * nc
     cls_term = cls_sum / cls_den
     box_term = box_sum / n_pos if n_pos else 0.0
     dfl_term = dfl_sum / n_pos if n_pos else 0.0
-    total = (weights.lambda_cls * cls_term + weights.lambda_box * box_term
-             + weights.lambda_dfl * dfl_term)
+    total = ORACLE_CLS_GAIN * cls_term + ORACLE_BOX_GAIN * box_term + ORACLE_DFL_GAIN * dfl_term
     for li in range(len(preds.levels)):
-        grads[li][0][:] *= weights.lambda_cls / cls_den
+        grads[li][0][:] *= ORACLE_CLS_GAIN / cls_den
         if n_pos:
             grads[li][1][:] /= n_pos
     breakdown = {"cls": cls_term, "box": box_term, "dfl": dfl_term, "total": total}

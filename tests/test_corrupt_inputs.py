@@ -139,6 +139,29 @@ class TestT4Inputs:
         assert "non-finite" in err
         assert not (tmp_path / "d.txt").exists()
 
+    @pytest.mark.parametrize("value", [1e300, -1e200])
+    def test_overflowing_payload(self, run_dir, tmp_path, capsys, value):
+        """A finite pixel too large for the forward pass is an error, not 0 detections."""
+        image = np.random.default_rng(1).uniform(size=(1, 3, 64, 64))
+        image[0, 1, 5, 7] = value
+        path = tmp_path / "x.t4"
+        write_t4(path, image)
+        err = expect_one_error(capsys, [
+            "forward", "--weights", str(run_dir / "weights.w1"),
+            "--input", str(path), "--out", str(tmp_path / "d.txt")])
+        assert "model output not finite" in err
+        assert not (tmp_path / "d.txt").exists()
+
+    def test_two_images(self, run_dir, tmp_path, capsys):
+        """Prediction lines carry no image id, so a batch would merge into one file."""
+        path = tmp_path / "x.t4"
+        write_t4(path, np.random.default_rng(1).uniform(size=(2, 3, 64, 64)))
+        err = expect_one_error(capsys, [
+            "forward", "--weights", str(run_dir / "weights.w1"),
+            "--input", str(path), "--out", str(tmp_path / "d.txt")])
+        assert "x.t4: 2 images, not one" in err
+        assert not (tmp_path / "d.txt").exists()
+
 
 CONFIG_CASES = {
     "typo_key": ("num_clases = 5", "unknown key 'num_clases'"),
@@ -209,6 +232,7 @@ class TestToyDataCounts:
         ("min_objects = -1", "got -1 and 3"),
         ("toy_images = 0", "0 image(s)"),
         ("image_size = 32", "cannot fit"),
+        ("min_objects = 12\nmax_objects = 12", "could not pack 12 objects"),
         ("image_size = 48", "image_size 48 not divisible by 32")])
     def test_train_toy(self, tmp_path, capsys, lines, detail):
         cfg = tmp_path / "toy.cfg"
@@ -266,6 +290,17 @@ class TestRunSettings:
                                         "--out", str(tmp_path / "run")])
         assert f"{cfg}:2:" in err and f"unknown key {line.split()[0]!r}" in err
         assert not (tmp_path / "run").exists()
+
+
+class TestEmptyTrajectory:
+    @pytest.mark.parametrize("text", ["", "t,theta_deg,speed_mps\n", "\n\n"])
+    def test_droi_replay(self, tmp_path, capsys, text):
+        log = tmp_path / "traj.csv"
+        log.write_text(text)
+        out = tmp_path / "out.csv"
+        err = expect_one_error(capsys, ["droi-replay", "--log", str(log), "--out", str(out)])
+        assert "no samples" in err
+        assert not out.exists()
 
 
 class TestNonUtf8Text:
@@ -332,3 +367,17 @@ class TestEvalInputs:
         (tmp_path / "gt" / "b.txt").write_text("")
         assert main(eval_dirs) == 0
         assert "map50: 0.500000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, detail", [
+        ("ped\nped\n", "classes.txt:2: duplicate class name 'ped' (first on line 1)"),
+        ("class0\n\n  class0 \n", "classes.txt:3: duplicate class name 'class0'"),
+        ("class0\na/b\n", "classes.txt:2: class name 'a/b' holds '/'"),
+        ("class0\na\0b\n", "classes.txt:2: class name 'a\\x00b' holds '/' or a NUL"),
+    ], ids=["repeated", "repeated_after_strip", "slash", "nul"])
+    def test_class_names_that_cannot_name_a_file(self, eval_dirs, tmp_path, capsys,
+                                                  text, detail):
+        """Each name becomes pr_curve_<name>.csv: rejected before any output."""
+        (tmp_path / "classes.txt").write_text(text)
+        err = expect_one_error(capsys, [*eval_dirs, "--out", str(tmp_path / "ev")])
+        assert detail in err
+        assert not (tmp_path / "ev").exists()

@@ -272,8 +272,9 @@ class TestToyScene:
             assert rows.max() >= round(y2 * size) - 2
 
     def test_infeasible_packing_error(self):
-        with pytest.raises(DomainError, match="fit|pack"):
-            generate_toy_scene(0, image_size=32, num_objects=2, min_size=28, max_size=30)
+        """35 px is the smallest image that fits a 30 px object, but not four of 14 px up."""
+        with pytest.raises(DomainError, match="could not pack 4 objects"):
+            generate_toy_scene(0, image_size=35, num_objects=4)
 
     def test_annotations_exactly_match_integer_bounds(self):
         size = 64

@@ -169,6 +169,16 @@ class TestReplay:
         _, frac = replay_trajectory(log, cfg)
         assert frac < 1.0
 
+    def test_full_width_fraction_is_the_horizon_band(self):
+        """A ROI as wide as the frame still spans only HORIZON_BAND's rows."""
+        log = [(0.0, 0.0, 100.0), (1.0, 5.0, 200.0)]
+        _, frac = replay_trajectory(log, DroiConfig())
+        assert frac == pytest.approx(HORIZON_BAND[1] - HORIZON_BAND[0], rel=1e-12)
+
+    def test_empty_log_rejected(self):
+        with pytest.raises(DomainError, match="no samples"):
+            replay_trajectory([], DroiConfig())
+
     def test_non_monotone_timestamps_rejected(self):
         with pytest.raises(DomainError, match="timestamps"):
             replay_trajectory([(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)], DroiConfig())

@@ -43,9 +43,8 @@ class TestTensor4:
 
     def test_data_length_matches_shape(self):
         t = Tensor4.zeros(2, 3, 4, 5)
-        assert t.numel == 2 * 3 * 4 * 5
-        t.zero_grad()
-        assert t.grad.size == t.numel
+        assert t.numel == t.data.size == 2 * 3 * 4 * 5
+        assert t.grad is None
 
 
 class TestConv2d:
