@@ -44,7 +44,7 @@ from .model import (
     load_weights,
     save_weights,
 )
-from .selftest import gradcheck_module, run_selftest
+from .selftest import gradcheck_rows, run_selftest
 from .tensor import ConvSpec, DomainError, ShapeError
 from .train import TrainParams, train_toy
 
@@ -58,7 +58,7 @@ def _cmd_selftest(args):
 
 
 def _cmd_gradcheck(args):
-    rows = gradcheck_module(args.module, seeds=range(args.seeds))
+    rows = gradcheck_rows(seeds=range(args.seeds))
     failed = 0
     for name, err, ok in rows:
         print(f"{'PASS' if ok else 'FAIL'} {name} max_rel_err={err:.3e}")
@@ -103,8 +103,7 @@ def _cmd_train_toy(args):
         min_objects=data.min_objects, max_objects=data.max_objects,
     )
     manifest = load_manifest(manifest_path)
-    state, curve = train_toy(manifest, model_cfg, params,
-                             log_every=args.log_every)
+    state, curve = train_toy(manifest, model_cfg, params)
     save_weights(state.model, out / "weights.w1")
     write_config(out / "model.cfg", model_cfg, params, data)
     with open(out / "loss_curve.csv", "w") as fh:
@@ -222,9 +221,6 @@ def build_parser():
         fn=_cmd_selftest)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--module", default="all",
-                   choices=["all", "tensor", "activations", "simam", "ghost",
-                            "sppf", "neck", "losses", "model"])
     p.add_argument("--seeds", type=int, default=5)
     p.set_defaults(fn=_cmd_gradcheck)
 
@@ -234,7 +230,6 @@ def build_parser():
     p = sub.add_parser("train-toy", help="train the micro model on a synthetic set")
     p.add_argument("--config", default=None, help="flat key = value config file")
     p.add_argument("--out", required=True)
-    p.add_argument("--log-every", type=int, default=0)
     p.set_defaults(fn=_cmd_train_toy)
 
     p = sub.add_parser("forward", help="run inference on a T4 tensor file")

@@ -260,7 +260,6 @@ def write_config(path, *instances):
 class DatasetManifest:
     classes: list[str]
     entries: list[tuple[str, str]]  # (image tensor path, annotation path)
-    split: str = "train"
     root: Path = field(default_factory=Path)
     # entry index -> its parsed annotation file; each file is read once
     _gts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -289,19 +288,16 @@ class DatasetManifest:
 
 
 def save_manifest(path, manifest: DatasetManifest):
-    lines = [f"split = {manifest.split}",
-             f"classes = {','.join(manifest.classes)}"]
+    lines = [f"classes = {','.join(manifest.classes)}"]
     lines += [f"image = {img} {ann}" for img, ann in manifest.entries]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    split, classes, entries = "train", [], []
+    classes, entries = [], []
     for line_no, key, value in _config_lines(path, repeatable=("image",)):
-        if key == "split":
-            split = value
-        elif key == "classes":
+        if key == "classes":
             classes = [c.strip() for c in value.split(",") if c.strip()]
         elif key == "image":
             parts = value.split()
@@ -312,7 +308,7 @@ def load_manifest(path) -> DatasetManifest:
             raise AnnotationError(path, line_no, f"unknown manifest key {key!r}")
     if not classes:
         raise DomainError("manifest", f"{path}: no classes declared")
-    manifest = DatasetManifest(classes, entries, split, root=path.parent)
+    manifest = DatasetManifest(classes, entries, root=path.parent)
     manifest.validate()
     return manifest
 
@@ -419,6 +415,6 @@ def generate_toy_dataset(out_dir, seed=0, n_images=20, image_size=64, num_classe
                          [GroundTruth(g.class_id, g.box, stem) for g in gts])
         entries.append((f"images/{stem}.t4", f"labels/{stem}.txt"))
     classes = [f"class{i}" for i in range(num_classes)]
-    manifest = DatasetManifest(classes, entries, "train", root=out_dir)
+    manifest = DatasetManifest(classes, entries, root=out_dir)
     save_manifest(out_dir / "manifest.txt", manifest)
     return out_dir / "manifest.txt"

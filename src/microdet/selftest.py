@@ -1,5 +1,5 @@
 """Self-contained invariant suites for the CLI, one deterministic line per suite,
-and the finite-difference gradient registry behind `microdet gradcheck`.
+and the finite-difference gradient table behind `microdet gradcheck`.
 
 The brute-force references here (scalar convolution, exhaustive AP sweep with
 its own corner IoU) are intentionally separate from the package's fast paths
@@ -159,19 +159,11 @@ def suite_maxpool():
 
 
 def suite_gradients():
-    rng = np.random.default_rng(2)
-    spec = ConvSpec(2, 3, k=3, s=1, p=1)
-    w = Tensor4(rng.normal(size=(3, 2, 3, 3)))
-    st = BatchNormState.create(3)
-    st.track_stats = False
-
-    def chain(t, tape):
-        return mish(batchnorm2d(conv2d(t, spec, w, tape=tape), st, tape), tape)
-
-    for name, f in (("conv+bn+mish", chain), ("mish", mish)):
-        rep = grad_check(f, Tensor4(rng.normal(size=(2, 2, 5, 5))), tol=1e-4)
-        if not rep.passed:
-            return f"grad_check failed for {name}: {rep}"
+    for row in GRADCHECK_TABLE:
+        if row[0] in ("sim_conv", "mish"):
+            name, err, ok = _table_row(row, seeds=(0,))
+            if not ok:
+                return f"gradient check failed for {name}: max_rel_err={err:.3e}"
     return None
 
 
@@ -333,154 +325,138 @@ def run_selftest(out=print):
 # gradcheck
 
 GRADCHECK_TOL = 1e-4  # the largest relative error a row may show and pass
+LOSS_FD_STEP = 1e-6  # central-difference step of the loss-kernel rows
 
 
-def _loss_fd_rows(seeds):
-    """Finite-difference checks of the loss kernels training runs.
+def _conv(rng):
+    spec = ConvSpec(3, 4, k=3, s=2, p=1)
+    w = Tensor4(rng.normal(size=(4, 3, 3, 3)))
+    return lambda t, tape: conv2d(t, spec, w, tape=tape)
 
-    CIoU is differentiated with alpha pinned at its base value, the map its
-    analytic gradient differentiates.
-    """
-    rows = []
-    h = 1e-6
-    worst_ciou = worst_dfl = worst_bce = 0.0
+
+def _batchnorm(rng):
+    st = BatchNormState.create(3)
+    st.track_stats = False
+    return lambda t, tape: batchnorm2d(t, st, tape)
+
+
+def _train_forward(block):
+    """block.forward in training mode, without updating running statistics."""
+    block.set_training(True, track_stats=False)
+    return block.forward
+
+
+def _neck(rng):
+    forward = _train_forward(IgdNeck((2, 4, 6), rng=rng))
+    p4 = Tensor4(rng.normal(size=(1, 4, 4, 4)))
+    p5 = Tensor4(rng.normal(size=(1, 6, 2, 2)))
+
+    def f(t, tape):
+        out = forward(PyramidFeatures(t, p4, p5), tape)
+        s = sum_all(out.p3, tape)
+        s = add(s, sum_all(out.p4, tape), tape)
+        return add(s, sum_all(out.p5, tape), tape)
+
+    return f
+
+
+def _model(rng):
+    forward = _train_forward(build_model(ModelConfig(), int(rng.integers(1 << 16))))
+
+    def f(t, tape):
+        acc = None
+        for lv in forward(t, tape).levels:
+            for tensor in (lv.cls, lv.box):
+                s = sum_all(tensor, tape)
+                acc = s if acc is None else add(acc, s, tape)
+        return acc
+
+    return f
+
+
+# (name, build(rng) -> f(t, tape), input shape, tolerance), in print order;
+# the loss-kernel rows print between the blocks and the whole model (the last row)
+GRADCHECK_TABLE = [
+    ("conv2d", _conv, (2, 3, 6, 6), GRADCHECK_TOL),
+    ("batchnorm2d", _batchnorm, (2, 3, 5, 5), GRADCHECK_TOL),
+    ("maxpool2d", lambda rng: (lambda t, tape: maxpool2d(t, 3, 1, 1, tape)),
+     (1, 2, 6, 6), GRADCHECK_TOL),
+    ("resize_nearest", lambda rng: (lambda t, tape: resize_nearest(t, 9, 4, tape)),
+     (1, 2, 3, 4), GRADCHECK_TOL),
+    ("mish", lambda rng: mish, (2, 2, 4, 4), GRADCHECK_TOL),
+    ("silu", lambda rng: silu, (2, 2, 4, 4), GRADCHECK_TOL),
+    ("relu", lambda rng: relu, (2, 2, 4, 4), GRADCHECK_TOL),
+    ("simam_forward", lambda rng: simam_forward, (2, 3, 4, 4), GRADCHECK_TOL),
+    ("ghost_conv", lambda rng: _train_forward(GhostConv(GhostSpec(3, 8), rng=rng)),
+     (2, 3, 4, 4), GRADCHECK_TOL),
+    ("c3ghost_block", lambda rng: _train_forward(C3Block(C3GhostSpec(4, 4, n=1), rng=rng)),
+     (1, 4, 4, 4), GRADCHECK_TOL),
+    # conv -> batchnorm -> Mish
+    ("sim_conv", lambda rng: _train_forward(SimConv(3, 4, k=3, rng=rng)), (2, 3, 5, 5),
+     GRADCHECK_TOL),
+    ("simsppf_forward", lambda rng: _train_forward(SimSppf(4, rng=rng)), (1, 4, 5, 5),
+     GRADCHECK_TOL),
+    ("igd_neck_forward", _neck, (1, 2, 8, 8), GRADCHECK_TOL),
+    ("model_end_to_end", _model, (1, 3, 32, 32), 1e-3),
+]
+
+
+def _table_row(row, seeds):
+    """(name, max relative error over seeds, passed) of one table row."""
+    name, build, shape, tol = row
+    worst = 0.0
+    for seed in seeds:
+        rng = np.random.default_rng(9000 + seed)
+        f = build(rng)
+        rep = grad_check(f, Tensor4(rng.normal(size=shape)), seed=seed)
+        worst = max(worst, rep.max_rel_err)
+    return name, worst, worst <= tol
+
+
+def _loss_cases(rng):
+    """One draw of each loss kernel training runs: (row name, scalar loss of x,
+    x, analytic gradient at x). CIoU is differentiated with alpha pinned at its
+    base value, the map its analytic gradient differentiates."""
+    def box():
+        return np.concatenate([rng.uniform(0.35, 0.65, size=2),
+                               rng.uniform(0.1, 0.3, size=2)])[None]
+
+    pred, gt = box(), box()
+    _, grad, (_, _, _, alpha) = ciou(pred, gt)
+    z, y = rng.normal(size=8), float(rng.uniform(0, 7))
+    x, t = np.array([rng.normal()]), float(rng.uniform())
+    return [
+        ("ciou_loss", lambda p: ciou(p, gt, alpha)[0][0], pred, grad),
+        ("dfl_loss", lambda v: dfl(v, y)[0], z, dfl(z, y)[1]),
+        ("bce_logits", lambda v: bce_logits(v, t)[0][0], x, bce_logits(x, t)[1]),
+    ]
+
+
+def _central_diff_error(f, x, grad):
+    """Worst relative error of grad against central differences of f at every coordinate of x."""
+    worst = 0.0
+    for k in range(x.size):
+        step = np.zeros(x.shape)
+        step.flat[k] = LOSS_FD_STEP
+        num = (f(x + step) - f(x - step)) / (2 * LOSS_FD_STEP)
+        ana = grad.flat[k]
+        worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-8))
+    return worst
+
+
+def _loss_rows(seeds):
+    worst = {}
     for seed in seeds:
         rng = np.random.default_rng(1000 + seed)
         for _ in range(10):
-            pred = np.concatenate([rng.uniform(0.35, 0.65, size=2),
-                                   rng.uniform(0.1, 0.3, size=2)])[None]
-            gt = np.concatenate([rng.uniform(0.35, 0.65, size=2),
-                                 rng.uniform(0.1, 0.3, size=2)])[None]
-            _, grad, (_, _, _, alpha) = ciou(pred, gt)
-            for k in range(4):
-                step = np.zeros((1, 4))
-                step[0, k] = h
-                up = ciou(pred + step, gt, alpha)[0][0]
-                dn = ciou(pred - step, gt, alpha)[0][0]
-                num = (up - dn) / (2 * h)
-                rel = abs(num - grad[0, k]) / max(abs(num), abs(grad[0, k]), 1e-8)
-                worst_ciou = max(worst_ciou, rel)
-            z = rng.normal(size=8)
-            y = float(rng.uniform(0, 7))
-            _, dgrad = dfl(z, y)
-            for k in range(8):
-                zp, zm = z.copy(), z.copy()
-                zp[k] += h
-                zm[k] -= h
-                num = (dfl(zp, y)[0] - dfl(zm, y)[0]) / (2 * h)
-                rel = abs(num - dgrad[k]) / max(abs(num), abs(dgrad[k]), 1e-8)
-                worst_dfl = max(worst_dfl, rel)
-            x, t = float(rng.normal()), float(rng.uniform())
-            _, bg = bce_logits(x, t)
-            num = (bce_logits(x + h, t)[0] - bce_logits(x - h, t)[0]) / (2 * h)
-            worst_bce = max(worst_bce, abs(num - bg) / max(abs(num), abs(bg), 1e-8))
-    rows.append(("ciou_loss", worst_ciou, worst_ciou <= GRADCHECK_TOL))
-    rows.append(("dfl_loss", worst_dfl, worst_dfl <= GRADCHECK_TOL))
-    rows.append(("bce_logits", worst_bce, worst_bce <= GRADCHECK_TOL))
-    return rows
+            for name, f, x, grad in _loss_cases(rng):
+                worst[name] = max(worst.get(name, 0.0), _central_diff_error(f, x, grad))
+    return [(name, err, err <= GRADCHECK_TOL) for name, err in worst.items()]
 
 
-def gradcheck_module(module: str, seeds=range(5)):
-    """Returns rows of (op name, max relative error, passed)."""
+def gradcheck_rows(seeds=range(5)):
+    """(row name, max relative error, passed) for every row, in print order."""
     if not seeds:
         raise DomainError("gradcheck", f"no seeds to check in {seeds!r}")
-    rows = []
-
-    def run(name, make_f, shape, per_seed_tol=GRADCHECK_TOL):
-        worst, ok = 0.0, True
-        for seed in seeds:
-            rng = np.random.default_rng(9000 + seed)
-            f = make_f(rng)
-            rep = grad_check(f, Tensor4(rng.normal(size=shape)), tol=per_seed_tol,
-                             seed=seed)
-            worst = max(worst, rep.max_rel_err)
-            ok = ok and rep.passed
-        rows.append((name, worst, ok))
-
-    if module in ("tensor", "all"):
-        def conv_f(rng):
-            spec = ConvSpec(3, 4, k=3, s=2, p=1)
-            w = Tensor4(rng.normal(size=(4, 3, 3, 3)))
-            return lambda t, tape: conv2d(t, spec, w, tape=tape)
-
-        def bn_f(rng):
-            st = BatchNormState.create(3)
-            st.track_stats = False
-            return lambda t, tape: batchnorm2d(t, st, tape)
-
-        run("conv2d", conv_f, (2, 3, 6, 6))
-        run("batchnorm2d", bn_f, (2, 3, 5, 5))
-        run("maxpool2d", lambda rng: (lambda t, tape: maxpool2d(t, 3, 1, 1, tape)),
-            (1, 2, 6, 6))
-        run("resize_nearest", lambda rng: (lambda t, tape: resize_nearest(t, 9, 4, tape)),
-            (1, 2, 3, 4))
-    if module in ("activations", "all"):
-        run("mish", lambda rng: mish, (2, 2, 4, 4))
-        run("silu", lambda rng: silu, (2, 2, 4, 4))
-        run("relu", lambda rng: relu, (2, 2, 4, 4))
-    if module in ("simam", "all"):
-        run("simam_forward", lambda rng: simam_forward, (2, 3, 4, 4))
-    if module in ("ghost", "all"):
-        def ghost_f(rng):
-            gc = GhostConv(GhostSpec(3, 8), rng=rng)
-            gc.set_training(True, track_stats=False)
-            return gc.forward
-
-        def c3_f(rng):
-            blk = C3Block(C3GhostSpec(4, 4, n=1), rng=rng)
-            blk.set_training(True, track_stats=False)
-            return blk.forward
-
-        run("ghost_conv", ghost_f, (2, 3, 4, 4))
-        run("c3ghost_block", c3_f, (1, 4, 4, 4))
-    if module in ("sppf", "all"):
-        def simconv_f(rng):
-            conv = SimConv(3, 4, k=3, rng=rng)
-            conv.bn.track_stats = False
-            return conv.forward
-
-        def sppf_f(rng):
-            block = SimSppf(4, rng=rng)
-            block.set_training(True, track_stats=False)
-            return block.forward
-
-        run("sim_conv", simconv_f, (2, 3, 5, 5))
-        run("simsppf_forward", sppf_f, (1, 4, 5, 5))
-    if module in ("neck", "all"):
-        def neck_f(rng):
-            neck = IgdNeck((2, 4, 6), rng=rng)
-            neck.set_training(True, track_stats=False)
-            p4 = Tensor4(rng.normal(size=(1, 4, 4, 4)))
-            p5 = Tensor4(rng.normal(size=(1, 6, 2, 2)))
-
-            def f(t, tape):
-                out = neck.forward(PyramidFeatures(t, p4, p5), tape)
-                s = sum_all(out.p3, tape)
-                s = add(s, sum_all(out.p4, tape), tape)
-                return add(s, sum_all(out.p5, tape), tape)
-
-            return f
-
-        run("igd_neck_forward", neck_f, (1, 2, 8, 8))
-    if module in ("losses", "all"):
-        rows.extend(_loss_fd_rows(seeds))
-    if module in ("model", "all"):
-        def model_f(rng):
-            model = build_model(ModelConfig(), int(rng.integers(1 << 16)))
-            model.set_training(True, track_stats=False)
-
-            def f(t, tape):
-                preds = model.forward(t, tape)
-                acc = None
-                for lv in preds.levels:
-                    for tensor in (lv.cls, lv.box):
-                        s = sum_all(tensor, tape)
-                        acc = s if acc is None else add(acc, s, tape)
-                return acc
-
-            return f
-
-        run("model_end_to_end", model_f, (1, 3, 32, 32), per_seed_tol=1e-3)
-    if not rows:
-        raise DomainError("gradcheck", f"unknown module {module!r}")
-    return rows
+    rows = [_table_row(row, seeds) for row in GRADCHECK_TABLE]
+    return rows[:-1] + _loss_rows(seeds) + rows[-1:]

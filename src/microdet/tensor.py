@@ -532,10 +532,10 @@ def resize_nearest(x: Tensor4, target_h: int, target_w: int,
         def back(up):
             if not sink.takes_grad(x):
                 return
-            # np.add.at adds in place, so it needs a buffer, zero-filled if none yet
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, (slice(None), slice(None), src_r[:, None], src_c[None, :]), up)
+            # a source cell read by several output cells sums their gradients
+            g = np.zeros_like(x.data)
+            np.add.at(g, (slice(None), slice(None), src_r[:, None], src_c[None, :]), up)
+            sink.accumulate(x, g)
 
         tape.record((x,), out, back)
     return out

@@ -164,8 +164,7 @@ def _stack_images(manifest: DatasetManifest):
     return Tensor4(np.concatenate([im.data for im in imgs], axis=0))
 
 
-def train_toy(manifest: DatasetManifest, model_cfg: ModelConfig,
-              params: TrainParams, log_every=0):
+def train_toy(manifest: DatasetManifest, model_cfg: ModelConfig, params: TrainParams):
     """Optimize the detection loss on a toy manifest; deterministic per seed.
 
     Every one of the `params.steps` steps runs the whole manifest as one
@@ -196,10 +195,6 @@ def train_toy(manifest: DatasetManifest, model_cfg: ModelConfig,
         lr = adamw_step(state, params)
         curve.append((step, lr, breakdown["total"], breakdown["cls"],
                       breakdown["box"], breakdown["dfl"]))
-        if log_every and step % log_every == 0:
-            print(f"step {step} lr {lr:.5f} total {breakdown['total']:.5f} "
-                  f"cls {breakdown['cls']:.5f} box {breakdown['box']:.5f} "
-                  f"dfl {breakdown['dfl']:.5f}")
     return state, curve
 
 

@@ -26,7 +26,7 @@ from microdet.model import (
     decode,
     save_weights,
 )
-from microdet.selftest import gradcheck_module, run_selftest
+from microdet.selftest import gradcheck_rows, run_selftest
 from microdet.simam import energy_numeric_oracle, simam_energy_min, simam_forward
 from microdet.tensor import Tensor4, maxpool2d
 from microdet.train import TrainParams, predict_manifest, train_toy
@@ -48,7 +48,7 @@ def toy_twenty(tmp_path_factory):
 def test_criterion_01_gradient_suite():
     """All listed ops pass grad_check at 1e-4 on 5 seeds; end-to-end at 1e-3."""
     t0 = time.time()
-    rows = gradcheck_module("all", seeds=range(5))
+    rows = gradcheck_rows(seeds=range(5))
     names = {name for name, _, _ in rows}
     required = {"conv2d", "batchnorm2d", "mish", "silu", "simam_forward",
                 "ghost_conv", "c3ghost_block", "sim_conv", "simsppf_forward",

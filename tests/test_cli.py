@@ -2,7 +2,7 @@
 
 import pytest
 
-from microdet import metrics
+from microdet import activations, metrics
 from microdet.cli import main
 from microdet.dataio import ToyData, load_config, load_predictions, write_config
 from microdet.droi import DroiConfig
@@ -105,12 +105,41 @@ class TestGenToy:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
+GRADCHECK_ROWS = [
+    "conv2d", "batchnorm2d", "maxpool2d", "resize_nearest", "mish", "silu", "relu",
+    "simam_forward", "ghost_conv", "c3ghost_block", "sim_conv", "simsppf_forward",
+    "igd_neck_forward", "ciou_loss", "dfl_loss", "bce_logits", "model_end_to_end",
+]
+
+
+def wrong_mish_derivative(monkeypatch):
+    """Scale the derivative that `mish` records by 1.01."""
+    right = activations.mish_grad_np
+    monkeypatch.setattr(activations, "mish_grad_np", lambda a: 1.01 * right(a))
+
+
 class TestGradcheckCommand:
-    def test_single_module(self, capsys):
-        code, out, _ = run_cli(capsys, "gradcheck", "--module", "activations",
-                               "--seeds", "2")
+    def test_every_row_in_print_order(self, capsys):
+        code, out, _ = run_cli(capsys, "gradcheck", "--seeds", "1")
         assert code == 0
-        assert "PASS mish" in out
+        lines = out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == GRADCHECK_ROWS
+        assert all(line.startswith("PASS ") for line in lines[:-1])
+        assert lines[-1] == "17/17 gradient checks passed"
+
+    def test_module_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--module", "all"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --module" in capsys.readouterr().err
+
+    def test_wrong_mish_derivative_fails_its_row(self, capsys, monkeypatch):
+        wrong_mish_derivative(monkeypatch)
+        code, out, _ = run_cli(capsys, "gradcheck", "--seeds", "1")
+        assert code == 1
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
+        assert failed == ["mish"]
+        assert out.splitlines()[-1] == "16/17 gradient checks passed"
 
 
 class TestSelftestCommand:
@@ -119,6 +148,14 @@ class TestSelftestCommand:
         assert code == 0
         assert "10/10 suites passed" in out
         assert "FAIL" not in out
+
+    def test_wrong_mish_derivative_fails_gradients(self, capsys, monkeypatch):
+        wrong_mish_derivative(monkeypatch)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL gradients: ")
+        assert "9/10 suites passed" in out
 
 
 class TestBenchCommand:

@@ -310,21 +310,27 @@ class TestManifest:
 
     def test_manifest_requires_classes(self, tmp_path):
         path = tmp_path / "manifest.txt"
-        path.write_text("split = train\n")
+        path.write_text("image = a.t4 a.txt\n")
         with pytest.raises(DomainError, match="classes"):
             load_manifest(path)
 
     def test_save_manifest_format(self, tmp_path):
-        man = DatasetManifest(["a", "b"], [], "val", root=tmp_path)
+        man = DatasetManifest(["a", "b"], [("i.t4", "i.txt")], root=tmp_path)
         save_manifest(tmp_path / "m.txt", man)
-        text = (tmp_path / "m.txt").read_text()
-        assert "split = val" in text
-        assert "classes = a,b" in text
+        assert (tmp_path / "m.txt").read_text() == "classes = a,b\nimage = i.t4 i.txt\n"
 
-    @pytest.mark.parametrize("key", ["split", "classes"])
+    def test_split_key_rejected(self, tmp_path):
+        # older manifests began with `split = train`; nothing read it
+        path = tmp_path / "manifest.txt"
+        path.write_text("classes = a\nsplit = train\n")
+        with pytest.raises(AnnotationError, match="unknown manifest key 'split'") as err:
+            load_manifest(path)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("key", ["classes"])
     def test_duplicate_key_rejected(self, tmp_path, key):
         path = tmp_path / "manifest.txt"
-        path.write_text(f"split = train\nclasses = a\n{key} = b\n")
+        path.write_text(f"classes = a\nimage = a.t4 a.txt\n{key} = b\n")
         with pytest.raises(AnnotationError, match=f"duplicate key '{key}'") as err:
             load_manifest(path)
         assert err.value.line_no == 3

@@ -9,7 +9,7 @@ sources under ROOT/src, inside a temporary directory:
                 contest cells of the assigner
     detections  SHA-256 of the `forward` detections on one training image
     selftest    SHA-256 of `selftest` stdout
-    gradcheck   SHA-256 of `gradcheck --module all` stdout
+    gradcheck   SHA-256 of `gradcheck` stdout
     eval        SHA-256 of `eval --all-thresholds --out ev` stdout plus every
                 file under ev/ (name, then bytes, in name order), on a fixed
                 two-class corpus with tied confidences and one image whose
@@ -106,7 +106,7 @@ def golden(root: Path):
             ("weights_crowded", _sha((work / "crowded" / "weights.w1").read_bytes())),
             ("detections", _sha((work / "dets.txt").read_bytes())),
             ("selftest", _sha(_cli(root, work, "selftest"))),
-            ("gradcheck", _sha(_cli(root, work, "gradcheck", "--module", "all"))),
+            ("gradcheck", _sha(_cli(root, work, "gradcheck"))),
             ("eval", _sha(report)),
         ]
 
