@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .activations import apply_activation
+from .activations import apply_activation, lookup
 from .module import Module, he_weight
 from .tensor import (
     BatchNormState,
@@ -22,11 +22,16 @@ from .tensor import (
 class SimConv(Module):
     """Bias-free conv with same-padding (p = k//2), batchnorm, then activation.
 
-    An inference forward (no tape, batchnorm not training) runs one conv with
-    the batchnorm folded in: weight W*gamma/sqrt(var+eps), bias
-    beta - mean*gamma/sqrt(var+eps). The folded pair is computed on first use
-    and cached until `drop_caches`, which `set_training`, `load_weights`
-    and `adamw_step` call.
+    Two paths. An inference forward (no tape, batchnorm not training) runs one
+    conv with the batchnorm folded in: weight W*gamma/sqrt(var+eps), bias
+    beta - mean*gamma/sqrt(var+eps), then the activation. The folded pair is
+    computed on first use and cached until `drop_caches`, which
+    `set_training`, `load_weights` and `adamw_step` call. Any other forward
+    runs the conv, then `batchnorm2d` with the activation's kernels, so a tape
+    gets two entries: the conv, and batchnorm plus activation, which keeps
+    the activation's derivative and neither x̂ nor the batchnorm output.
+    `tests/oracles.simconv_chain_oracle` is the three-entry chain it matches
+    bit for bit.
     """
 
     def __init__(self, c_in, c_out, k=1, s=1, g=1, activation="mish",
@@ -54,11 +59,9 @@ class SimConv(Module):
         if tape is None and not self.bn.training:
             if self._folded is None:
                 self._folded = self._fold()
-            y = conv2d(x, *self._folded)
-        else:
-            y = conv2d(x, self.spec, self.weight, tape=tape)
-            y = batchnorm2d(y, self.bn, tape)
-        return apply_activation(y, self.activation, tape)
+            return apply_activation(conv2d(x, *self._folded), self.activation)
+        y = conv2d(x, self.spec, self.weight, tape=tape)
+        return batchnorm2d(y, self.bn, tape, lookup(self.activation))
 
 
 # the three chained pools: 5x5, stride 1, padding 2 keep the spatial dims

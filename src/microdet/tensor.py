@@ -9,6 +9,13 @@ names. Those leaves accumulate into zero-filled .grad buffers, so fan-out just
 works; other leaves get none. A produced tensor holds a gradient only from its
 first contribution until its own closure takes it; after backward only the
 leaves that take gradients hold one.
+
+The tape holds every op's output until it is freed, so closures keep little
+else. Batchnorm rebuilds its normalised input from its own input instead of
+keeping it, and when it applies the activation of a conv -> batchnorm ->
+activation block it is one entry that keeps only the activation's
+derivative. A dense conv with k > 1 sums its weight gradient one image at a
+time, so its backward holds one image's columns rather than the batch's.
 """
 
 from __future__ import annotations
@@ -315,8 +322,8 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
     def columns(xpad):
         # a 1x1, stride-1, unpadded conv reads the input itself as its columns
         if pointwise:
-            return xpad.reshape(n, c, h * w)
-        return _im2col(xpad, k, s, ho, wo).reshape(n, c * k * k, ho * wo)
+            return xpad.reshape(len(xpad), c, h * w)
+        return _im2col(xpad, k, s, ho, wo).reshape(len(xpad), c * k * k, ho * wo)
 
     def window(a, ki, kj):
         return a[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s]
@@ -355,8 +362,17 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
             if spec.g == 1:
                 up2 = up.reshape(n, spec.c_out, ho * wo)
                 w2b = weight.data.reshape(spec.c_out, c * k * k)
-                sink.accumulate(weight, np.matmul(up2, columns(xpb).transpose(0, 2, 1)).sum(
-                    axis=0).reshape(weight.shape))
+                if k == 1:
+                    dw = np.matmul(up2, columns(xpb).transpose(0, 2, 1)).sum(axis=0)
+                else:
+                    # one image's columns at a time, added in image order as
+                    # sum(axis=0) adds the batched products: no whole-batch
+                    # columns and no (n, c_out, c_in*k*k) product
+                    parts = (np.matmul(up2[i], columns(xpb[i:i + 1])[0].T) for i in range(n))
+                    dw = next(parts)
+                    for part in parts:
+                        dw += part
+                sink.accumulate(weight, dw.reshape(weight.shape))
                 if wants_dx:
                     dcol = np.matmul(w2b.T, up2)
                     if pointwise:
@@ -432,8 +448,18 @@ def maxpool2d(x: Tensor4, k: int, s: int, p: int, tape: GradTape | None = None) 
 # normalization
 
 
-def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None) -> Tensor4:
-    """Batch normalization over (n,h,w) per channel, then the affine transform."""
+def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None,
+                activation=None) -> Tensor4:
+    """Batch normalization over (n,h,w) per channel, the affine transform, then
+    the activation when one is given.
+
+    activation is a (value, value_grad) pair of kernels, as in
+    `activations.ACTIVATIONS`: value(a) is f(a), value_grad(a) is (f(a), f'(a)).
+    With a tape, batchnorm and activation are one entry. It keeps f' and
+    neither x̂ nor the batchnorm output: its backward is up * f' followed by
+    the batchnorm backward, which rebuilds x̂ from the input x with the
+    forward's own centre, scale and in-place steps.
+    """
     n, c, h, w = x.shape
     if c != state.channels:
         raise ShapeError("batchnorm2d", f"input channels {c} != state channels {state.channels}")
@@ -451,7 +477,9 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None)
             state.running_mean = (1 - m) * state.running_mean + m * mu
             state.running_var = (1 - m) * state.running_var + m * unbiased
     else:
-        d = x.data - state.running_mean.reshape(1, c, 1, 1)
+        # a copy: the backward must centre on the statistics of this forward
+        mu = state.running_mean.copy()
+        d = x.data - mu.reshape(1, c, 1, 1)
         var = state.running_var
 
     inv = 1.0 / np.sqrt(var + state.EPS)
@@ -459,6 +487,14 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None)
     xhat *= inv.reshape(1, c, 1, 1)
     out_arr = gamma.data * xhat
     out_arr += beta.data
+    del d, xhat  # rebuilt by the backward; freed before the activation's temporaries
+    deriv = None
+    if activation is not None:
+        value, value_grad = activation
+        if tape is None:
+            out_arr = value(out_arr)
+        else:
+            out_arr, deriv = value_grad(out_arr)
     out = Tensor4(out_arr)
 
     if tape is not None:
@@ -466,6 +502,11 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None)
         training = state.training
 
         def back(up):
+            if deriv is not None:
+                up *= deriv  # the closure owns up
+            # x̂ to the bit: the forward's subtraction and in-place scaling
+            xhat = x.data - mu.reshape(1, c, 1, 1)
+            xhat *= inv.reshape(1, c, 1, 1)
             g = gamma.data.reshape(c)
             t = up * xhat
             sink.accumulate(gamma, t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))

@@ -18,12 +18,17 @@ the scalar `iou`, the bit-exact reference for the array decode; it shares
 only `_stable_sigmoid`, `Box` and `iou` with it.
 `conv2d_grouped_einsum_oracle` is the einsum loop of a conv with any group
 count, the bit-exact reference for the engine's depthwise path.
-`backward_prezero_oracle` is the earlier tape replay, which gives every tape
-tensor a zero-filled grad before the first closure runs and keeps them all;
-it is the bit-exact reference for the engine's handoff `backward` (for the
-parameters, and for the inputs a caller names). `adamw_loop_oracle` is the
-earlier optimizer, one AdamW expression per parameter with moments kept by
-name, the bit-exact reference for the flat in-place `adamw_step`.
+`simconv_chain_oracle` is the earlier SimConv: conv, a batchnorm that keeps
+x̂ (`batchnorm_kept_xhat_oracle`) and the activation, each its own tape
+entry, with the activation's value and derivative from the oracle kernels;
+it is the bit-exact reference for SimConv's conv plus fused batchnorm and
+activation. `backward_prezero_oracle` is the earlier tape replay, which
+gives every tape tensor a zero-filled grad before the first closure runs
+and keeps them all; it is the bit-exact reference for the engine's handoff
+`backward` (for the parameters, and for the inputs a caller names).
+`adamw_loop_oracle` is the earlier optimizer, one AdamW expression per
+parameter with moments kept by name, the bit-exact reference for the flat
+in-place `adamw_step`.
 """
 
 import math
@@ -33,7 +38,7 @@ import numpy as np
 from microdet.losses import Box, LevelGrid, iou
 from microdet.metrics import Detection, match
 from microdet.selftest import ap_exhaustive_oracle, conv2d_scalar_oracle  # re-exported
-from microdet.tensor import DomainError, ShapeError, _stable_sigmoid
+from microdet.tensor import DomainError, ShapeError, Tensor4, _stable_sigmoid, conv2d
 
 
 def maxpool_scalar_oracle(x, k, s, p):
@@ -93,6 +98,72 @@ def mish_grad_two_exp_oracle(a):
 def silu_grad_masked_oracle(a):
     s = sigmoid_masked_oracle(a)
     return s * (1.0 + a * (1.0 - s))
+
+
+def batchnorm_kept_xhat_oracle(x, state, tape=None):
+    """The earlier taped batchnorm: its closure keeps the normalised input x̂
+    from the forward instead of rebuilding it."""
+    n, c, h, w = x.shape
+    gamma, beta = state.gamma, state.beta
+    if state.training:
+        cnt = n * h * w
+        mu = x.data.mean(axis=(0, 2, 3))
+        d = x.data - mu.reshape(1, c, 1, 1)
+        var = (d * d).sum(axis=(0, 2, 3)) / cnt
+        if state.track_stats:
+            unbiased = var * cnt / (cnt - 1) if cnt > 1 else var
+            m = state.MOMENTUM
+            state.running_mean = (1 - m) * state.running_mean + m * mu
+            state.running_var = (1 - m) * state.running_var + m * unbiased
+    else:
+        d = x.data - state.running_mean.reshape(1, c, 1, 1)
+        var = state.running_var
+    inv = 1.0 / np.sqrt(var + state.EPS)
+    xhat = d
+    xhat *= inv.reshape(1, c, 1, 1)
+    out = Tensor4(gamma.data * xhat + beta.data)
+    if tape is not None:
+        sink, training = tape.sink, state.training
+
+        def back(up):
+            g = gamma.data.reshape(c)
+            t = up * xhat
+            sink.accumulate(gamma, t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
+            sink.accumulate(beta, up.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
+            if training:
+                gu = up * g.reshape(1, c, 1, 1)
+                mean_gu = gu.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+                mean_gux = np.multiply(gu, xhat, out=t).mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+                gu -= mean_gu
+                gu -= np.multiply(xhat, mean_gux, out=t)
+                gu *= inv.reshape(1, c, 1, 1)
+                sink.accumulate(x, gu)
+            else:
+                sink.accumulate(x, up * (g * inv).reshape(1, c, 1, 1))
+
+        tape.record((x, gamma, beta), out, back)
+    return out
+
+
+# (value, derivative) of each activation from the oracle kernels above
+ACTIVATION_ORACLES = {
+    "mish": (lambda a: a * np.tanh(softplus_two_exp_oracle(a)), mish_grad_two_exp_oracle),
+    "silu": (lambda a: a * sigmoid_masked_oracle(a), silu_grad_masked_oracle),
+    "relu": (lambda a: np.maximum(a, 0.0), lambda a: (a > 0).astype(np.float64)),
+}
+
+
+def simconv_chain_oracle(conv, x, tape=None):
+    """The earlier SimConv forward: conv, batchnorm and the activation as three
+    tape entries, the activation's derivative worked out in the backward from
+    the batchnorm output that the tape keeps."""
+    y = batchnorm_kept_xhat_oracle(conv2d(x, conv.spec, conv.weight, tape=tape), conv.bn, tape)
+    value, grad = ACTIVATION_ORACLES[conv.activation]
+    out = Tensor4(value(y.data))
+    if tape is not None:
+        sink = tape.sink
+        tape.record((y,), out, lambda up: sink.accumulate(y, up * grad(y.data)))
+    return out
 
 
 def bce_logits_two_exp_oracle(x, t):

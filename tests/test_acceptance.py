@@ -14,7 +14,7 @@ import pytest
 
 from oracles import ap_exhaustive_oracle
 
-from microdet.activations import mish_grad_np, mish_np
+from microdet.activations import mish_np, mish_value_grad
 from microdet.dataio import generate_toy_dataset, load_manifest
 from microdet.droi import DroiConfig, critical_width
 from microdet.losses import Box, ciou, dfl
@@ -103,7 +103,7 @@ def test_criterion_03_sppf_cascade():
 def test_criterion_04_mish():
     """mish(0)=0 exact; mish'(0)=0.6 +- 1e-9; dense-scan minimum in [-0.309,-0.308]."""
     assert mish_np(np.array([0.0]))[0] == 0.0
-    d0 = mish_grad_np(np.array([0.0]))[0]
+    d0 = mish_value_grad(np.array([0.0]))[1][0]
     assert abs(d0 - 0.6) <= 1e-9
     xs = np.arange(-3.0, 0.0, 1e-6)
     ys = mish_np(xs)

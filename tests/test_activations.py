@@ -6,14 +6,14 @@ import pytest
 from microdet.activations import (
     apply_activation,
     mish,
-    mish_grad_np,
     mish_np,
+    mish_value_grad,
     relu,
-    relu_grad_np,
     relu_np,
+    relu_value_grad,
     silu,
-    silu_grad_np,
     silu_np,
+    silu_value_grad,
 )
 from microdet.tensor import DomainError, GradTape, Tensor4, backward, grad_check
 
@@ -50,10 +50,10 @@ class TestMishValues:
 class TestMishBackward:
     def test_derivative_at_zero_is_exactly_point_six(self):
         # tanh(ln 2) = (2 - 1/2)/(2 + 1/2) = 0.6
-        assert mish_grad_np(np.array([0.0]))[0] == pytest.approx(0.6, abs=1e-15)
+        assert mish_value_grad(np.array([0.0]))[1][0] == pytest.approx(0.6, abs=1e-15)
 
     def test_small_but_nonzero_at_large_negative(self):
-        g = mish_grad_np(np.array([-20.0]))[0]
+        g = mish_value_grad(np.array([-20.0]))[1][0]
         assert abs(g) <= 1e-6
         assert g != 0.0
 
@@ -62,7 +62,7 @@ class TestMishBackward:
         xs = rng.uniform(-10, 10, size=1000)
         h = 1e-6
         numeric = (mish_np(xs + h) - mish_np(xs - h)) / (2 * h)
-        np.testing.assert_allclose(mish_grad_np(xs), numeric, atol=1e-6)
+        np.testing.assert_allclose(mish_value_grad(xs)[1], numeric, atol=1e-6)
 
     def test_applies_upstream(self):
         x = Tensor4(np.zeros((1, 1, 1, 2)))
@@ -77,11 +77,11 @@ class TestSiluRelu:
         np.testing.assert_array_equal(relu_np(np.array([-3.0, 3.0])), [0.0, 3.0])
 
     def test_relu_grad_zero_at_kink(self):
-        assert relu_grad_np(np.array([0.0]))[0] == 0.0
+        assert relu_value_grad(np.array([0.0]))[1][0] == 0.0
 
     def test_silu_values(self):
         assert silu_np(np.array([0.0]))[0] == 0.0
-        assert silu_grad_np(np.array([0.0]))[0] == 0.5
+        assert silu_value_grad(np.array([0.0]))[1][0] == 0.5
 
     def test_mish_dominates_silu_envelope(self):
         """mish >= silu - 0.11 on a dense grid of [-6, 6]."""

@@ -3,8 +3,9 @@
 Parameters, and the input image when it is named, must get the gradients of
 the earlier pre-zeroing replay byte for byte, sign of zero included; an image
 that is not named gets none. Backward's own allocations must stay below the
-forward arrays it replays, and skipping the image's gradient must save at
-least the image's bytes.
+forward arrays it replays, skipping the image's gradient must save at
+least the image's bytes, and a k x k conv's weight gradient must not hold a
+whole batch of per-image products.
 """
 
 import gc
@@ -17,7 +18,7 @@ import pytest
 from microdet.dataio import generate_toy_scene
 from microdet.losses import LossWeights, detection_loss
 from microdet.model import ModelConfig, ablation_configs, build_model
-from microdet.tensor import GradTape, Tensor4, backward
+from microdet.tensor import ConvSpec, GradTape, Tensor4, backward, conv2d
 from oracles import backward_prezero_oracle
 
 CONFIGS = {**ablation_configs(), "full_c3ghost": ModelConfig()}
@@ -127,3 +128,20 @@ def test_unnamed_image_saves_at_least_its_bytes():
     default = _traced_peak(lambda: backward(tape))
     assert x.grad is None
     assert default + x.data.nbytes <= named, (default, named, x.data.nbytes)
+
+
+def test_dense_conv_weight_gradient_is_summed_per_image():
+    """A 3x3 conv sums its weight gradient one image at a time, so backward
+    never holds the batch's (n, c_out, c_in * 9) products, which alone are
+    6.6 MB for 96 -> 48 channels at batch 20."""
+    rng = np.random.default_rng(5)
+    spec = ConvSpec(96, 48, k=3, p=1)
+    x = Tensor4(rng.normal(size=(20, 96, 2, 2)))
+    w = Tensor4(rng.normal(size=spec.weight_shape()))
+    w.requires_grad = True
+    tape = GradTape()
+    conv2d(x, spec, w, tape=tape)
+    peak = _traced_peak(lambda: backward(tape, inputs=(x,)))
+    product_bytes = 20 * 48 * 96 * 9 * 8
+    assert peak < product_bytes, (peak, product_bytes)
+    assert w.grad.shape == spec.weight_shape() and x.grad.shape == x.shape

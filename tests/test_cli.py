@@ -112,10 +112,21 @@ GRADCHECK_ROWS = [
 ]
 
 
+# every row whose graph runs Mish: the standalone op, and each block built of
+# SimConvs, whose batchnorm applies Mish (SimAM and the losses run none)
+MISH_ROWS = ["mish", "ghost_conv", "c3ghost_block", "sim_conv", "simsppf_forward",
+             "igd_neck_forward", "model_end_to_end"]
+
+
 def wrong_mish_derivative(monkeypatch):
-    """Scale the derivative that `mish` records by 1.01."""
-    right = activations.mish_grad_np
-    monkeypatch.setattr(activations, "mish_grad_np", lambda a: 1.01 * right(a))
+    """Scale the derivative of the one Mish kernel by 1.01, keeping its value."""
+    right = activations.ACTIVATIONS["mish"]
+
+    def wrong(a):
+        value, grad = right.value_grad(a)
+        return value, 1.01 * grad
+
+    monkeypatch.setitem(activations.ACTIVATIONS, "mish", right._replace(value_grad=wrong))
 
 
 class TestGradcheckCommand:
@@ -134,12 +145,13 @@ class TestGradcheckCommand:
         assert "unrecognized arguments: --module" in capsys.readouterr().err
 
     def test_wrong_mish_derivative_fails_its_row(self, capsys, monkeypatch):
+        """Every row that runs Mish fails, and only those."""
         wrong_mish_derivative(monkeypatch)
         code, out, _ = run_cli(capsys, "gradcheck", "--seeds", "1")
         assert code == 1
         failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
-        assert failed == ["mish"]
-        assert out.splitlines()[-1] == "16/17 gradient checks passed"
+        assert failed == MISH_ROWS
+        assert out.splitlines()[-1] == "10/17 gradient checks passed"
 
 
 class TestSelftestCommand:
@@ -150,12 +162,15 @@ class TestSelftestCommand:
         assert "FAIL" not in out
 
     def test_wrong_mish_derivative_fails_gradients(self, capsys, monkeypatch):
+        """The gradient suite and the mish'(0) value check both read the kernel."""
         wrong_mish_derivative(monkeypatch)
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
         failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
-        assert len(failed) == 1 and failed[0].startswith("FAIL gradients: ")
-        assert "9/10 suites passed" in out
+        # the gradient suite stops at its first failing row, the mish row
+        assert failed[0].startswith("FAIL gradients: gradient check failed for mish: ")
+        assert failed[1:] == ["FAIL mish-values: mish'(0) != 0.6"]
+        assert "8/10 suites passed" in out
 
 
 class TestBenchCommand:

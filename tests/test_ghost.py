@@ -15,7 +15,8 @@ from microdet.ghost import (
     GhostSpec,
     count_params_flops,
 )
-from microdet.tensor import ConvSpec, ShapeError, Tensor4, grad_check
+from microdet.selftest import gradcheck_row
+from microdet.tensor import ConvSpec, ShapeError, Tensor4
 
 
 class TestGhostConv:
@@ -68,11 +69,7 @@ class TestGhostConv:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_check(self, seed):
-        rng = np.random.default_rng(600 + seed)
-        gc = GhostConv(GhostSpec(3, 8), rng=rng)
-        gc.set_training(True, track_stats=False)
-        rep = grad_check(gc.forward, Tensor4(rng.normal(size=(2, 3, 4, 4))),
-                         tol=1e-4, seed=seed)
+        rep = gradcheck_row("ghost_conv", 600 + seed)
         assert rep.passed, rep
 
 
@@ -120,11 +117,7 @@ class TestC3Ghost:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_check(self, seed):
-        rng = np.random.default_rng(700 + seed)
-        blk = C3Block(C3GhostSpec(4, 4, n=1), rng=rng)
-        blk.set_training(True, track_stats=False)
-        rep = grad_check(blk.forward, Tensor4(rng.normal(size=(1, 4, 4, 4))),
-                         tol=1e-4, seed=seed)
+        rep = gradcheck_row("c3ghost_block", 700 + seed)
         assert rep.passed, rep
 
 

@@ -1,11 +1,11 @@
 """The one-exp elementwise kernels, the centred-once batchnorm, the 1x1 and
-depthwise conv paths and the tape-free maxpool reproduce the formulas they
-replaced bit for bit."""
+depthwise conv paths, the per-image k x k weight gradient and the tape-free
+maxpool reproduce the formulas they replaced bit for bit."""
 
 import numpy as np
 import pytest
 
-from microdet.activations import mish, mish_grad_np, mish_np, silu_grad_np
+from microdet.activations import mish, mish_np, mish_value_grad, silu_np, silu_value_grad
 from microdet.losses import bce_logits
 from microdet.tensor import (
     BatchNormState,
@@ -64,10 +64,16 @@ class TestOneExpKernels:
         assert_same_bits(_stable_softplus(a), softplus_two_exp_oracle(a))
 
     def test_mish_grad(self, a):
-        assert_same_bits(mish_grad_np(a), mish_grad_two_exp_oracle(a))
+        value, grad = mish_value_grad(a)
+        assert_same_bits(grad, mish_grad_two_exp_oracle(a))
+        assert_same_bits(value, mish_np(a))
+        assert_same_bits(value, a * np.tanh(softplus_two_exp_oracle(a)))
 
     def test_silu_grad(self, a):
-        assert_same_bits(silu_grad_np(a), silu_grad_masked_oracle(a))
+        value, grad = silu_value_grad(a)
+        assert_same_bits(grad, silu_grad_masked_oracle(a))
+        assert_same_bits(value, silu_np(a))
+        assert_same_bits(value, a * sigmoid_masked_oracle(a))
 
     def test_bce_logits(self, a):
         t = np.random.default_rng(13).uniform(size=a.shape)
@@ -77,9 +83,9 @@ class TestOneExpKernels:
 
 
 @pytest.mark.parametrize("kernel, args", [
-    (mish_grad_np, ()),
+    (mish_value_grad, ()),
     (mish_np, ()),
-    (silu_grad_np, ()),
+    (silu_value_grad, ()),
     (bce_logits, (np.zeros((2, 3, 4, 4)),)),
 ])
 def test_one_exp_per_call(monkeypatch, kernel, args):
@@ -198,6 +204,24 @@ class TestConv1x1Columns:
             w.reshape(7, 6).T, up2).reshape(x.shape))
 
 
+@pytest.mark.parametrize("n, k, s, p", [(1, 3, 1, 1), (3, 3, 2, 1), (20, 3, 1, 1),
+                                        (20, 3, 2, 1), (5, 5, 1, 2), (4, 2, 1, 0)])
+def test_kxk_weight_gradient_is_the_batched_sum(n, k, s, p):
+    """Summed one image at a time, a dense k x k conv's weight gradient equals
+    the whole batch's (n, c_out, c_in*k*k) products summed over axis 0."""
+    rng = np.random.default_rng(23 + n + k + s)
+    x = rng.normal(size=(n, 5, 7, 6))
+    w = rng.normal(size=(4, 5, k, k))
+    spec = ConvSpec(5, 4, k=k, s=s, p=p)
+    ho, wo = spec.out_hw(7, 6)
+    up = rng.normal(size=(n, 4, ho, wo))
+    dw = _conv_grads(x, spec, w, up)[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    col = _im2col(xp, k, s, ho, wo).reshape(n, 5 * k * k, ho * wo)
+    products = np.matmul(up.reshape(n, 4, ho * wo), col.transpose(0, 2, 1))
+    assert_same_bits(dw, np.zeros(w.shape) + products.sum(axis=0).reshape(w.shape))
+
+
 def _depthwise_cases():
     for k in (1, 3, 5):
         for s in (1, 2):
@@ -282,7 +306,7 @@ class TestMaxpoolWithoutTape:
 
 
 def test_activation_tape_uses_the_kernels():
-    """The recorded Mish backward is the upstream times mish_grad_np, to the bit."""
+    """The recorded Mish backward is the upstream times Mish's derivative kernel, to the bit."""
     x = Tensor4(np.concatenate([EDGES[np.isfinite(EDGES)],
                                 np.linspace(-9.0, 9.0, 13)]).reshape(1, 1, 5, 5))
     tape = GradTape()

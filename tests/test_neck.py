@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from microdet.neck import IgdNeck, PyramidFeatures
+from microdet.selftest import gradcheck_row
 from microdet.tensor import GradTape, ShapeError, Tensor4, backward, grad_check
 
 
@@ -144,22 +145,7 @@ class TestNeckForward:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_check_micro_pyramid(self, seed):
-        rng = np.random.default_rng(800 + seed)
-        neck = IgdNeck((2, 4, 6), rng=rng)
-        neck.set_training(True, track_stats=False)
-        p4 = Tensor4(rng.normal(size=(1, 4, 4, 4)))
-        p5 = Tensor4(rng.normal(size=(1, 6, 2, 2)))
-
-        from microdet.tensor import add, sum_all
-
-        def f(t, tape):
-            out = neck.forward(PyramidFeatures(t, p4, p5), tape)
-            s3 = sum_all(out.p3, tape)
-            s4 = sum_all(out.p4, tape)
-            s5 = sum_all(out.p5, tape)
-            return add(add(s3, s4, tape), s5, tape)
-
-        rep = grad_check(f, Tensor4(rng.normal(size=(1, 2, 8, 8))), tol=1e-4, seed=seed)
+        rep = gradcheck_row("igd_neck_forward", 800 + seed)
         assert rep.passed, rep
 
     def test_param_registry_covers_both_passes(self):

@@ -1,9 +1,11 @@
-"""`tools/pairs.py`: the gain rule, and the refusal of too few pairs.
+"""`tools/pairs.py`: the gain rule, the no-regression verdict, and the
+refusal of too few pairs.
 
 A claimed gain rests on `summarize`: the change must win at least 9 in 10
 pairs, and the medians must differ, in the better direction, by more than the
-distance between the parent's quartiles. A run of fewer than 10 pairs is
-refused before any benchmark starts.
+distance between the parent's quartiles. `verdict` reads the change's median
+against the parent's with BENCHMARK.json's bound, a fraction of the parent's
+median. A run of fewer than 10 pairs is refused before any benchmark starts.
 """
 
 import importlib.util
@@ -61,3 +63,48 @@ def test_too_few_pairs_exit_1_before_any_run(pairs, monkeypatch, capsys):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@pytest.mark.parametrize("shift, expected", [(0.04, "ok"), (-0.5, "ok"), (0.06, "worse")])
+def test_verdict_against_the_bound(pairs, shift, expected):
+    """With bound 0.05 the change may read up to 5% of the parent's median worse."""
+    change = [p + shift * 88.45 for p in PARENT]
+    assert pairs.verdict("lower", 0.05, PARENT, change) == expected
+    flip = [-v for v in PARENT], [-v for v in change]
+    assert pairs.verdict("higher", 0.05, *flip) == expected
+
+
+def test_verdict_unresolved_when_the_parent_spreads_beyond_the_bound(pairs):
+    """The parent's quartiles lie 0.45 / 88.45 = 0.5% apart, beyond a bound of
+    0.004: only a change whose every run reads better than every parent run
+    is resolved, not one that merely wins every pair."""
+    assert pairs.verdict("lower", 0.004, PARENT, PARENT) == "unresolved"
+    change = [p - 0.01 for p in PARENT[:9]] + [PARENT[9] + 0.01]
+    assert pairs.verdict("lower", 0.004, PARENT, change) == "unresolved"
+    wins_every_pair = [p - 0.01 for p in PARENT]
+    assert max(wins_every_pair) > min(PARENT)
+    assert pairs.verdict("lower", 0.004, PARENT, wins_every_pair) == "unresolved"
+    below_all = [min(PARENT) - 0.01 - i / 1000 for i in range(len(PARENT))]
+    assert pairs.verdict("lower", 0.004, PARENT, below_all) == "ok"
+    flip = [-v for v in PARENT], [-v for v in below_all]
+    assert pairs.verdict("higher", 0.004, *flip) == "ok"
+
+
+def test_table_prints_a_verdict_per_metric(pairs, monkeypatch, capsys):
+    """main reads each metric's bound from BENCHMARK.json and ends its row with the verdict."""
+    def run_once(checkout, workload, seed, seconds):
+        slow = 1.5 if checkout == Path("/change") else 1.0
+        return {"failed": 0, "attempted": 1, "metrics": {
+            "op_ms_p75": {"value": 100.0 * slow + seed},
+            "peak_rss_mb": {"value": 80.0 - seed / 100}}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "benchmark_spec", lambda checkout: (
+        1.0, {"op_ms_p75": ("lower", 0.25), "peak_rss_mb": ("lower", 0.05)}))
+    monkeypatch.setattr(Path, "is_file", lambda self: True)
+    code = pairs.main(["--parent", "/parent", "--change", "/change", "--workload", "train"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[1].split()[-2:] == ["gain", "verdict"]
+    rows = {line.split()[0]: line.split()[-3:] for line in out[2:4]}
+    assert rows == {"op_ms_p75": ["0/10", "no", "worse"], "peak_rss_mb": ["0/10", "no", "ok"]}

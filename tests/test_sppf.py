@@ -1,11 +1,16 @@
 """SimConv composition and the cascaded pooling pyramid."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import simconv_chain_oracle
 
 from microdet.activations import mish_np
-from microdet.sppf import PlainSppf, SimConv, SimSppf
-from microdet.tensor import GradTape, ShapeError, Tensor4, backward, grad_check, maxpool2d
+from microdet.sppf import POOL_K, POOL_P, POOL_S, PlainSppf, SimConv, SimSppf
+from microdet.selftest import gradcheck_row
+from microdet.tensor import GradTape, ShapeError, Tensor4, backward, maxpool2d
 
 
 class TestSimConv:
@@ -44,12 +49,70 @@ class TestSimConv:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_check(self, seed):
-        rng = np.random.default_rng(400 + seed)
-        conv = SimConv(3, 4, k=3, s=1, rng=rng)
-        conv.bn.track_stats = False
-        rep = grad_check(conv.forward, Tensor4(rng.normal(size=(2, 3, 5, 5))),
-                         tol=1e-4, seed=seed)
+        rep = gradcheck_row("sim_conv", 400 + seed)
         assert rep.passed, rep
+
+
+def _pyramid(block, x):
+    """The block's concat, from its taped forward, and the four maps it should
+    hold: x1 from `cv1` and the three cascaded pools from `maxpool2d`."""
+    tape = GradTape()
+    block.forward(x, tape)
+    cat = next(e.output for e in tape._entries if len(e.inputs) == 4)
+    x1 = block.cv1.forward(x, GradTape())
+    pools = [x1]
+    for _ in range(3):
+        pools.append(maxpool2d(pools[-1], POOL_K, POOL_S, POOL_P))
+    assert np.array_equal(cat.data, np.concatenate([p.data for p in pools], axis=1))
+    return cat, pools
+
+
+def _simconv_run(forward, kind, mode):
+    """Tape length, output, running stats and every gradient, as bytes, of one
+    seeded SimConv forward and backward with the input named."""
+    rng = np.random.default_rng(31)
+    conv = SimConv(3, 4, k=3, activation=kind, rng=rng)
+    bn = conv.bn
+    bn.gamma.data[...] = rng.normal(size=bn.gamma.shape)
+    bn.beta.data[...] = rng.normal(size=bn.beta.shape)
+    bn.running_mean = rng.normal(size=4)
+    bn.running_var = rng.uniform(0.5, 2.0, size=4)
+    bn.training, bn.track_stats = mode != "eval", mode == "train"
+    x = Tensor4(rng.normal(size=(2, 3, 6, 6)))
+    tape = GradTape()
+    out = forward(conv, x, tape)
+    backward(tape, Tensor4(rng.normal(size=out.shape)), inputs=(x,))
+    arrays = [out.data, bn.running_mean, bn.running_var, x.grad,
+              *(p.grad for _, p in conv.named_params())]
+    return len(tape), [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("mode", ["train", "train_frozen_stats", "eval"])
+@pytest.mark.parametrize("kind", ["mish", "silu", "relu"])
+def test_fused_batchnorm_activation_matches_the_chain_oracle(kind, mode):
+    """Conv plus one batchnorm-and-activation entry gives the three-entry
+    chain's output, running statistics and gradients bit for bit."""
+    fused_len, fused = _simconv_run(lambda conv, x, tape: conv.forward(x, tape), kind, mode)
+    chain_len, chain = _simconv_run(simconv_chain_oracle, kind, mode)
+    assert (fused_len, chain_len) == (2, 3)
+    assert fused == chain
+
+
+def test_training_forward_keeps_three_output_sized_arrays():
+    """The taped forward keeps the conv output, the activation's derivative
+    and the output: no normalised input x̂ and no batchnorm output."""
+    rng = np.random.default_rng(32)
+    conv = SimConv(8, 8, k=3, rng=rng)
+    x = Tensor4(rng.normal(size=(4, 8, 32, 32)))
+    tape = GradTape()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = conv.forward(x, tape)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 3.5 * out.data.nbytes, held / out.data.nbytes
 
 
 class TestSimSppf:
@@ -79,10 +142,7 @@ class TestSimSppf:
         block.cv1.bn.training = False
         block.cv2.bn.training = False
         x = Tensor4(np.full((1, 6, 5, 5), 0.37))
-        tape = GradTape()
-        block.forward(x, tape)
-        cat = next(e.output for e in tape._entries if e.output.shape[1] == 12)
-        x1 = tape._entries[2].output  # conv, bn, act: act output is x1
+        cat, (x1, *_) = _pyramid(block, x)
         assert x1.shape == (1, 3, 5, 5)
         for i in range(4):
             np.testing.assert_array_equal(cat.data[:, 3 * i:3 * (i + 1)], x1.data)
@@ -92,28 +152,15 @@ class TestSimSppf:
         rng = np.random.default_rng(9)
         block = SimSppf(8, rng=rng)
         x = Tensor4(rng.normal(size=(2, 8, 6, 7)))
-        tape = GradTape()
-        block.forward(x, tape)
-        pools = [e.output for e in tape._entries
-                 if e.output.shape[1] == 4 and len(e.inputs) == 1
-                 and e.inputs[0].shape == e.output.shape]
-        x1, y1, y2, y3 = None, None, None, None
-        # identify by tape order: cv1 act output then three pools
-        outs = [e.output for e in tape._entries]
-        x1 = outs[2]
-        y1, y2, y3 = outs[3], outs[4], outs[5]
+        _, (x1, _, y2, y3) = _pyramid(block, x)
         np.testing.assert_array_equal(y2.data, maxpool2d(x1, 9, 1, 4).data)
         np.testing.assert_array_equal(y3.data, maxpool2d(x1, 13, 1, 6).data)
-        del pools
 
     def test_monotone_receptive_field(self):
         rng = np.random.default_rng(10)
         block = SimSppf(4, rng=rng)
         x = Tensor4(rng.normal(size=(1, 4, 8, 8)))
-        tape = GradTape()
-        block.forward(x, tape)
-        outs = [e.output for e in tape._entries]
-        y1, y2, y3 = outs[3], outs[4], outs[5]
+        _, (_, y1, y2, y3) = _pyramid(block, x)
         assert (y1.data <= y2.data).all()
         assert (y2.data <= y3.data).all()
 
@@ -130,12 +177,7 @@ class TestSimSppf:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_check(self, seed):
-        rng = np.random.default_rng(500 + seed)
-        block = SimSppf(4, rng=rng)
-        for bn in block.batchnorms():
-            bn.track_stats = False
-        rep = grad_check(block.forward, Tensor4(rng.normal(size=(1, 4, 5, 5))),
-                         tol=1e-4, seed=seed)
+        rep = gradcheck_row("simsppf_forward", 500 + seed)
         assert rep.passed, rep
 
     def test_backward_runs_through_block(self):
