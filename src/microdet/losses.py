@@ -26,6 +26,7 @@ from .tensor import (
     Tensor4,
     _exp_neg_abs,
     _stable_sigmoid,
+    accumulate,
 )
 
 
@@ -422,7 +423,6 @@ def detection_loss(preds, gts_per_image, weights: LossWeights, tape: GradTape | 
     total, breakdown, grads, _ = loss_and_grads(preds, gts_per_image, weights)
     out = Tensor4.scalar(total)
     if tape is not None:
-        sink = tape.sink
         inputs = []
         for lv in preds.levels:
             inputs.extend((lv.cls, lv.box))
@@ -430,8 +430,8 @@ def detection_loss(preds, gts_per_image, weights: LossWeights, tape: GradTape | 
         def back(up):
             scale = up.reshape(())
             for lv, (dcls, dbox) in zip(preds.levels, grads):
-                sink.accumulate(lv.cls, scale * dcls)
-                sink.accumulate(lv.box, scale * dbox)
+                accumulate(lv.cls, scale * dcls)
+                accumulate(lv.box, scale * dbox)
 
         tape.record(tuple(inputs), out, back)
     return out, breakdown

@@ -35,13 +35,6 @@ class GroundTruth:
 
 
 @dataclass
-class MatchCounts:
-    n_tp: int = 0
-    n_fp: int = 0
-    n_fn: int = 0
-
-
-@dataclass
 class EvalReport:
     class_names: list[str]
     iou_thresholds: list[float]
@@ -106,7 +99,7 @@ def match(dets, gts, iou_t: float):
     Detections must already be sorted by descending confidence (ties keep
     input order). Each detection takes the unmatched ground truth of its
     image with the highest IoU >= iou_t (ties to the lower index). Returns
-    (MatchCounts, tp_flags aligned with the detections).
+    the TP flags aligned with the detections.
     """
     gts_by_image = _group(gts)
     used = {img: [False] * len(g) for img, g in gts_by_image.items()}
@@ -123,16 +116,13 @@ def match(dets, gts, iou_t: float):
         if best_idx >= 0:
             used[det.image_id][best_idx] = True
         flags.append(best_idx >= 0)
-    tp = sum(flags)
-    return MatchCounts(n_tp=tp, n_fp=len(flags) - tp, n_fn=len(gts) - tp), flags
+    return flags
 
 
-def precision_recall(counts: MatchCounts):
+def precision_recall(n_tp: int, n_det: int, n_gt: int):
     """P := 0 with no detections; R := 1 when there is nothing to recall."""
-    dets = counts.n_tp + counts.n_fp
-    gts = counts.n_tp + counts.n_fn
-    p = counts.n_tp / dets if dets else 0.0
-    r = counts.n_tp / gts if gts else 1.0
+    p = n_tp / n_det if n_det else 0.0
+    r = n_tp / n_gt if n_gt else 1.0
     return p, r
 
 
@@ -140,8 +130,7 @@ def _class_flags(dets, gts, class_id: int, iou_t: float):
     """(class detections by descending confidence, ties in input order, TP flags, GT count)."""
     class_dets = sorted((d for d in dets if d.class_id == class_id), key=lambda d: -d.confidence)
     class_gts = [g for g in gts if g.class_id == class_id]
-    _, flags = match(class_dets, class_gts, iou_t)
-    return class_dets, flags, len(class_gts)
+    return class_dets, match(class_dets, class_gts, iou_t), len(class_gts)
 
 
 def _ap_from_flags(flags, n_gt: int) -> float:
@@ -197,8 +186,7 @@ def map_and_mf1(dets, gts, num_classes, iou_thresholds=DEFAULT_IOU_THRESHOLDS):
         for c in supported:
             neg_confs, tp_cum, n_gt = prefixes[c]
             n = bisect.bisect_right(neg_confs, -conf)
-            tp = tp_cum[n]
-            p, r = precision_recall(MatchCounts(n_tp=tp, n_fp=n - tp, n_fn=n_gt - tp))
+            p, r = precision_recall(tp_cum[n], n, n_gt)
             f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
             f1s.append(f1)
             stats[c] = {"precision": p, "recall": r, "f1": f1}

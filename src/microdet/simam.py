@@ -15,6 +15,7 @@ from .tensor import (
     ShapeError,
     Tensor4,
     _stable_sigmoid,
+    accumulate,
 )
 
 LAMBDA = 1e-4  # the energy regularization coefficient of the attention
@@ -83,15 +84,14 @@ def simam_forward(x: Tensor4, tape: GradTape | None = None) -> Tensor4:
     out = Tensor4(xd * s)
 
     if tape is not None:
-        sink = tape.sink
         def back(up):
             # through the weights AND the statistics they depend on;
             # sum(d) == 0 per slice kills the mean-path term of dsigma2
             a = up * xd * s * (1.0 - s)
             a1 = (a * d).sum(axis=(2, 3), keepdims=True)
             a2 = (a * d * d).sum(axis=(2, 3), keepdims=True)
-            sink.accumulate(x, up * s + a * d / (2.0 * v) - a1 / (2.0 * v * m)
-                            - d * a2 / (2.0 * v * v * (m - 1)))
+            accumulate(x, up * s + a * d / (2.0 * v) - a1 / (2.0 * v * m)
+                       - d * a2 / (2.0 * v * v * (m - 1)))
 
         tape.record((x,), out, back)
     return out

@@ -3,12 +3,14 @@
 Every array is (batch, channels, rows, cols) in row-major float64. Forward
 ops are pure; when handed a GradTape they record a closure that replays the
 analytic backward rule. backward() walks the tape in reverse execution
-order. Gradients go only where they are read: to parameters (leaves marked
-requires_grad, as a Module marks what it registers) and to the inputs a caller
-names. Those leaves accumulate into zero-filled .grad buffers, so fan-out just
-works; other leaves get none. A produced tensor holds a gradient only from its
-first contribution until its own closure takes it; after backward only the
-leaves that take gradients hold one.
+order. One flag, requires_grad, decides who gets a gradient. A Module marks
+the parameters it registers, a caller marks an input before the forward, and
+recording an op marks its output when any of its inputs is marked. Closures
+send gradients through `accumulate`, which drops those for unmarked tensors.
+Marked leaves accumulate into zero-filled .grad buffers, so fan-out just
+works; unmarked leaves get none. A produced tensor holds a gradient only from
+its first contribution until its own closure takes it; after backward only
+the marked leaves hold one.
 
 The tape holds every op's output until it is freed, so closures keep little
 else. Batchnorm rebuilds its normalised input from its own input instead of
@@ -46,8 +48,9 @@ class DomainError(ValueError):
 class Tensor4:
     """Dense (n, c, h, w) float64 array with an optional gradient buffer.
 
-    requires_grad marks a parameter: backward gives it a gradient whenever it
-    is on the tape. Any other leaf gets one only when the caller names it.
+    requires_grad marks a parameter, or an input whose gradient a caller wants:
+    backward gives it a gradient whenever it is on the tape. An op recorded on
+    a tape marks its output when any of its inputs is marked.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -169,50 +172,44 @@ class _TapeEntry:
         self.backfn = backfn
 
 
-class GradSink:
-    """Where the backward closures of one tape send their gradients.
+def accumulate(t: Tensor4, g):
+    """Add g into t.grad; the first contribution to a tensor without one becomes it.
 
-    It holds no reference to the tape, so closures that capture it form no
-    reference cycle with the tape that holds them, and a tape is freed as soon
-    as its last user drops it.
+    g must be an array that no other grad holds, since it may be adopted and
+    later added into. A tensor that does not require grad drops g.
     """
-
-    __slots__ = ("takes",)
-
-    def __init__(self):
-        self.takes = None  # while backward runs: ids of the tensors given gradients
-
-    def takes_grad(self, t: Tensor4):
-        """Whether the running backward gives t a gradient; outside one, every tensor does."""
-        return self.takes is None or id(t) in self.takes
-
-    def accumulate(self, t: Tensor4, g):
-        """Add g into t.grad; the first contribution to a tensor without one becomes it.
-
-        g must be an array that no other grad holds, since it may be adopted and
-        later added into. A tensor that takes no gradient drops g.
-        """
-        if not self.takes_grad(t):
-            return
-        if t.grad is None:
-            t.grad = g
-        else:
-            t.grad += g
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
 
 
 class GradTape:
     """Ordered record of executed ops, replayed once in reverse by backward().
 
-    An op's backward closure sends its gradients to `tape.sink`; it must not
-    capture the tape itself.
+    record marks an op's output requires_grad when any of its inputs has the
+    flag, and keeps the marked inputs that no entry of this tape produced: the
+    leaves backward zero-fills. A backward closure sends its gradients through
+    `accumulate` and captures no tape, so tape and closures form no reference
+    cycle and a tape is freed as soon as its last user drops it.
     """
 
     def __init__(self):
         self._entries = []
-        self.sink = GradSink()
+        self._produced = set()  # ids of the entries' outputs
+        self._leaves = {}  # id -> marked input that no entry produced
 
     def record(self, inputs, output, backfn):
-        self._entries.append(_TapeEntry(tuple(inputs), output, backfn))
+        inputs = tuple(inputs)
+        for t in inputs:
+            if t.requires_grad:
+                output.requires_grad = True
+                if id(t) not in self._produced:
+                    self._leaves[id(t)] = t
+        self._produced.add(id(output))
+        self._entries.append(_TapeEntry(inputs, output, backfn))
 
     def __len__(self):
         return len(self._entries)
@@ -225,19 +222,19 @@ class GradTape:
         return list(seen.values())
 
 
-def backward(tape: GradTape, seed: Tensor4 | None = None, inputs=()):
+def backward(tape: GradTape, seed: Tensor4 | None = None):
     """Replay the tape in reverse, handing each gradient to its tensor once.
 
-    Gradients go to the parameters on the tape (leaves that require grad) and
-    to the tensors named in `inputs`, e.g. `backward(tape, seed, inputs=(x,))`
-    for the gradient of an input image; other leaves get no .grad, and an
-    entry none of whose inputs leads back to one of these is not replayed.
-    The seed is copied to the output of the last recorded op; it defaults to
-    ones. Those leaves get zero-filled grads first, so one the graph never
-    touched reports zero gradient. A produced tensor starts with no grad;
-    before its entry's closure runs, the engine hands the closure its grad
-    (zeros if nothing consumed the output) and clears it, so the closure owns
-    that array. Afterwards only those leaves hold .grad.
+    Gradients go to the tensors that require grad: parameters, inputs the
+    caller marked before the forward (`x.requires_grad = True`) and every op
+    output made from one of them. Each marked leaf of the tape gets a
+    zero-filled grad first, so one the graph never reaches reports zero; an
+    entry whose output is unmarked is not replayed, and unmarked tensors get no
+    .grad. The seed is copied to the output of the last recorded op; it
+    defaults to ones. A produced tensor starts with no grad; before its
+    entry's closure runs, the engine hands the closure its grad (zeros if
+    nothing consumed the output) and clears it, so the closure owns that
+    array. Afterwards only the marked leaves hold .grad.
     """
     if len(tape) == 0:
         raise ShapeError("backward", "tape is empty")
@@ -246,33 +243,22 @@ def backward(tape: GradTape, seed: Tensor4 | None = None, inputs=()):
         raise ShapeError(
             "backward", f"seed shape {seed.shape} != final output shape {final.shape}"
         )
-    # a tensor takes a gradient if it is a parameter, is named, or is made from one
-    takes = {id(t) for t in inputs}
-    for e in tape._entries:
-        takes.update(id(t) for t in e.inputs if t.requires_grad)
-        if any(id(t) in takes for t in e.inputs):
-            takes.add(id(e.output))
-    produced = {id(e.output) for e in tape._entries}
-    tensors = tape.tensors()
-    for t in tensors:
+    leaves = tape._leaves.values()
+    # every old gradient is freed before the first new one is allocated
+    for t in leaves:
         t.grad = None
-    for t in (*inputs, *(t for t in tensors if t.requires_grad)):
-        if id(t) not in produced:
-            t.grad = np.zeros_like(t.data)
-    if id(final) not in takes:
+    for t in leaves:
+        t.grad = np.zeros_like(t.data)
+    if not final.requires_grad:
         return
     final.grad = np.ones_like(final.data) if seed is None else seed.data.copy()
-    tape.sink.takes = takes
-    try:
-        for entry in reversed(tape._entries):
-            out = entry.output
-            if id(out) not in takes:
-                continue
-            up = out.grad if out.grad is not None else np.zeros_like(out.data)
-            out.grad = None
-            entry.backfn(up)
-    finally:
-        tape.sink.takes = None
+    for entry in reversed(tape._entries):
+        out = entry.output
+        if not out.requires_grad:
+            continue
+        up = out.grad if out.grad is not None else np.zeros_like(out.data)
+        out.grad = None
+        entry.backfn(up)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +330,6 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
     out = Tensor4(out_arr)
 
     if tape is not None:
-        sink = tape.sink
         inputs = (x, weight) + ((bias,) if bias is not None else ())
 
         def scatter(cell_grad):
@@ -357,8 +342,6 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
 
         def back(up):
             xpb = _pad2d(x.data, p)
-            # an input that takes no gradient (the image) costs no dx
-            wants_dx = sink.takes_grad(x)
             if spec.g == 1:
                 up2 = up.reshape(n, spec.c_out, ho * wo)
                 w2b = weight.data.reshape(spec.c_out, c * k * k)
@@ -372,25 +355,26 @@ def conv2d(x: Tensor4, spec: ConvSpec, weight: Tensor4, bias: Tensor4 | None = N
                     dw = next(parts)
                     for part in parts:
                         dw += part
-                sink.accumulate(weight, dw.reshape(weight.shape))
-                if wants_dx:
+                accumulate(weight, dw.reshape(weight.shape))
+                # an input that requires no gradient (the image) costs no dx
+                if x.requires_grad:
                     dcol = np.matmul(w2b.T, up2)
                     if pointwise:
                         # the columns are the input itself, so dcol is already dx
-                        sink.accumulate(x, dcol.reshape(n, c, h, w))
+                        accumulate(x, dcol.reshape(n, c, h, w))
                     else:
                         dcol = dcol.reshape(n, c, k, k, ho, wo)
-                        sink.accumulate(x, scatter(lambda ki, kj: dcol[:, :, ki, kj]))
+                        accumulate(x, scatter(lambda ki, kj: dcol[:, :, ki, kj]))
             else:
                 dw = np.zeros((c, k, k))
                 for ki in range(k):
                     for kj in range(k):
                         dw[:, ki, kj] = np.einsum("nchw,nchw->c", up, window(xpb, ki, kj))
-                sink.accumulate(weight, dw.reshape(weight.shape))
-                if wants_dx:
-                    sink.accumulate(x, scatter(lambda ki, kj: wd[:, ki, kj] * up))
+                accumulate(weight, dw.reshape(weight.shape))
+                if x.requires_grad:
+                    accumulate(x, scatter(lambda ki, kj: wd[:, ki, kj] * up))
             if bias is not None:
-                sink.accumulate(bias, up.sum(axis=(0, 2, 3)).reshape(1, spec.c_out, 1, 1))
+                accumulate(bias, up.sum(axis=(0, 2, 3)).reshape(1, spec.c_out, 1, 1))
 
         tape.record(inputs, out, back)
     return out
@@ -428,7 +412,6 @@ def maxpool2d(x: Tensor4, k: int, s: int, p: int, tape: GradTape | None = None) 
     out = Tensor4(out_arr)
 
     if tape is not None:
-        sink = tape.sink
         def back(up):
             dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
             i = 0
@@ -438,7 +421,7 @@ def maxpool2d(x: Tensor4, k: int, s: int, p: int, tape: GradTape | None = None) 
                     if mask.any():
                         dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += up * mask
                     i += 1
-            sink.accumulate(x, dxp[:, :, p:p + h, p:p + w])
+            accumulate(x, dxp[:, :, p:p + h, p:p + w])
 
         tape.record((x,), out, back)
     return out
@@ -498,7 +481,6 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None,
     out = Tensor4(out_arr)
 
     if tape is not None:
-        sink = tape.sink
         training = state.training
 
         def back(up):
@@ -509,8 +491,8 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None,
             xhat *= inv.reshape(1, c, 1, 1)
             g = gamma.data.reshape(c)
             t = up * xhat
-            sink.accumulate(gamma, t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
-            sink.accumulate(beta, up.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
+            accumulate(gamma, t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
+            accumulate(beta, up.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
             if training:
                 # inv * (gu - mean_gu - xhat * mean_gux), evaluated in place in that order
                 gu = up * g.reshape(1, c, 1, 1)
@@ -519,9 +501,9 @@ def batchnorm2d(x: Tensor4, state: BatchNormState, tape: GradTape | None = None,
                 gu -= mean_gu
                 gu -= np.multiply(xhat, mean_gux, out=t)
                 gu *= inv.reshape(1, c, 1, 1)
-                sink.accumulate(x, gu)
+                accumulate(x, gu)
             else:
-                sink.accumulate(x, up * (g * inv).reshape(1, c, 1, 1))
+                accumulate(x, up * (g * inv).reshape(1, c, 1, 1))
 
         tape.record((x, gamma, beta), out, back)
     return out
@@ -546,13 +528,12 @@ def concat_channels(parts: list[Tensor4], tape: GradTape | None = None) -> Tenso
     out = Tensor4(np.concatenate([p.data for p in parts], axis=1))
 
     if tape is not None:
-        sink = tape.sink
         splits = np.cumsum([p.shape[1] for p in parts])[:-1]
 
         def back(up):
             # each part gets its own disjoint view of up
             for part, sl in zip(parts, np.split(up, splits, axis=1)):
-                sink.accumulate(part, sl)
+                accumulate(part, sl)
 
         tape.record(tuple(parts), out, back)
     return out
@@ -569,14 +550,11 @@ def resize_nearest(x: Tensor4, target_h: int, target_w: int,
     out = Tensor4(x.data[:, :, src_r[:, None], src_c[None, :]])
 
     if tape is not None:
-        sink = tape.sink
         def back(up):
-            if not sink.takes_grad(x):
-                return
             # a source cell read by several output cells sums their gradients
             g = np.zeros_like(x.data)
             np.add.at(g, (slice(None), slice(None), src_r[:, None], src_c[None, :]), up)
-            sink.accumulate(x, g)
+            accumulate(x, g)
 
         tape.record((x,), out, back)
     return out
@@ -611,9 +589,8 @@ def _stable_softplus(a, e=None):
 def _record_unary(x, out_arr, dfn, tape):
     out = Tensor4(out_arr)
     if tape is not None:
-        sink = tape.sink
         def back(up):
-            sink.accumulate(x, up * dfn())
+            accumulate(x, up * dfn())
 
         tape.record((x,), out, back)
     return out
@@ -657,11 +634,10 @@ def add(a: Tensor4, b: Tensor4, tape: GradTape | None = None) -> Tensor4:
     _check_same_shape("add", a, b)
     out = Tensor4(a.data + b.data)
     if tape is not None:
-        sink = tape.sink
         def back(up):
             # up to one input and its copy to the other: no two grads share it
-            sink.accumulate(a, up)
-            sink.accumulate(b, up.copy())
+            accumulate(a, up)
+            accumulate(b, up.copy())
 
         tape.record((a, b), out, back)
     return out
@@ -671,10 +647,9 @@ def mul(a: Tensor4, b: Tensor4, tape: GradTape | None = None) -> Tensor4:
     _check_same_shape("mul", a, b)
     out = Tensor4(a.data * b.data)
     if tape is not None:
-        sink = tape.sink
         def back(up):
-            sink.accumulate(a, up * b.data)
-            sink.accumulate(b, up * a.data)
+            accumulate(a, up * b.data)
+            accumulate(b, up * a.data)
 
         tape.record((a, b), out, back)
     return out
@@ -683,9 +658,8 @@ def mul(a: Tensor4, b: Tensor4, tape: GradTape | None = None) -> Tensor4:
 def scalar_mul(x: Tensor4, c: float, tape: GradTape | None = None) -> Tensor4:
     out = Tensor4(x.data * float(c))
     if tape is not None:
-        sink = tape.sink
         def back(up):
-            sink.accumulate(x, up * float(c))
+            accumulate(x, up * float(c))
 
         tape.record((x,), out, back)
     return out
@@ -695,9 +669,8 @@ def sum_all(x: Tensor4, tape: GradTape | None = None) -> Tensor4:
     """Reduce to a (1,1,1,1) scalar tensor; backward broadcasts the seed."""
     out = Tensor4(np.full((1, 1, 1, 1), x.data.sum()))
     if tape is not None:
-        sink = tape.sink
         def back(up):
-            sink.accumulate(x, np.full(x.shape, up.reshape(())))
+            accumulate(x, np.full(x.shape, up.reshape(())))
 
         tape.record((x,), out, back)
     return out
@@ -735,15 +708,19 @@ def grad_check(f, x: Tensor4, tol: float = 1e-4, seed: int = 0) -> GradCheckRepo
     then needs two forward evaluations. Tensors larger than GRAD_CHECK_COORDS
     coordinates are checked on a random sample of that many.
 
-    Relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
+    Relative error uses max(|analytic|, |numeric|, 1e-8) as denominator. The
+    backward runs on a marked tensor of its own over x.data, so x itself is
+    neither marked nor given a .grad.
     """
+    xt = Tensor4(x.data)
+    xt.requires_grad = True
     tape = GradTape()
-    y = f(x, tape)
+    y = f(xt, tape)
     rng = np.random.default_rng(seed)
     proj = rng.standard_normal(y.shape)
     if len(tape) > 0:
-        backward(tape, Tensor4(proj), inputs=(x,))
-    analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
+        backward(tape, Tensor4(proj))
+    analytic = xt.grad if xt.grad is not None else np.zeros_like(x.data)
     if not np.isfinite(analytic).all():
         coord = tuple(int(v) for v in np.argwhere(~np.isfinite(analytic))[0])
         raise DomainError("grad_check", f"non-finite analytic gradient at {coord}")

@@ -23,9 +23,10 @@ x̂ (`batchnorm_kept_xhat_oracle`) and the activation, each its own tape
 entry, with the activation's value and derivative from the oracle kernels;
 it is the bit-exact reference for SimConv's conv plus fused batchnorm and
 activation. `backward_prezero_oracle` is the earlier tape replay, which
-gives every tape tensor a zero-filled grad before the first closure runs
-and keeps them all; it is the bit-exact reference for the engine's handoff
-`backward` (for the parameters, and for the inputs a caller names).
+gives every tape tensor a zero-filled grad before the first closure runs,
+replays every entry and keeps them all; it is the bit-exact reference for
+the engine's handoff `backward` (for the parameters, and for the inputs a
+caller marks).
 `adamw_loop_oracle` is the earlier optimizer, one AdamW expression per
 parameter with moments kept by name, the bit-exact reference for the flat
 in-place `adamw_step`.
@@ -38,7 +39,14 @@ import numpy as np
 from microdet.losses import Box, LevelGrid, iou
 from microdet.metrics import Detection, match
 from microdet.selftest import ap_exhaustive_oracle, conv2d_scalar_oracle  # re-exported
-from microdet.tensor import DomainError, ShapeError, Tensor4, _stable_sigmoid, conv2d
+from microdet.tensor import (
+    DomainError,
+    ShapeError,
+    Tensor4,
+    _stable_sigmoid,
+    accumulate,
+    conv2d,
+)
 
 
 def maxpool_scalar_oracle(x, k, s, p):
@@ -123,13 +131,13 @@ def batchnorm_kept_xhat_oracle(x, state, tape=None):
     xhat *= inv.reshape(1, c, 1, 1)
     out = Tensor4(gamma.data * xhat + beta.data)
     if tape is not None:
-        sink, training = tape.sink, state.training
+        training = state.training
 
         def back(up):
             g = gamma.data.reshape(c)
             t = up * xhat
-            sink.accumulate(gamma, t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
-            sink.accumulate(beta, up.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
+            accumulate(gamma, t.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
+            accumulate(beta, up.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1))
             if training:
                 gu = up * g.reshape(1, c, 1, 1)
                 mean_gu = gu.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
@@ -137,9 +145,9 @@ def batchnorm_kept_xhat_oracle(x, state, tape=None):
                 gu -= mean_gu
                 gu -= np.multiply(xhat, mean_gux, out=t)
                 gu *= inv.reshape(1, c, 1, 1)
-                sink.accumulate(x, gu)
+                accumulate(x, gu)
             else:
-                sink.accumulate(x, up * (g * inv).reshape(1, c, 1, 1))
+                accumulate(x, up * (g * inv).reshape(1, c, 1, 1))
 
         tape.record((x, gamma, beta), out, back)
     return out
@@ -161,8 +169,7 @@ def simconv_chain_oracle(conv, x, tape=None):
     value, grad = ACTIVATION_ORACLES[conv.activation]
     out = Tensor4(value(y.data))
     if tape is not None:
-        sink = tape.sink
-        tape.record((y,), out, lambda up: sink.accumulate(y, up * grad(y.data)))
+        tape.record((y,), out, lambda up: accumulate(y, up * grad(y.data)))
     return out
 
 
@@ -508,10 +515,10 @@ def mf1_sweep_oracle(dets, gts, supported):
             keyed = [d for d in kept if d.class_id == c]
             order = sorted(range(len(keyed)), key=lambda i: (-keyed[i].confidence, i))
             class_gts = [g for g in gts if g.class_id == c]
-            counts, _ = match([keyed[i] for i in order], class_gts, 0.5)
-            n_dets, n_gts = counts.n_tp + counts.n_fp, counts.n_tp + counts.n_fn
-            p = counts.n_tp / n_dets if n_dets else 0.0
-            r = counts.n_tp / n_gts if n_gts else 1.0
+            n_tp = sum(match([keyed[i] for i in order], class_gts, 0.5))
+            n_dets, n_gts = len(keyed), len(class_gts)
+            p = n_tp / n_dets if n_dets else 0.0
+            r = n_tp / n_gts if n_gts else 1.0
             f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
             f1s.append(f1)
             stats[c] = {"precision": p, "recall": r, "f1": f1}
@@ -572,8 +579,10 @@ def decode_loop_oracle(preds, cfg):
 def backward_prezero_oracle(tape, seed=None):
     """Replay the tape in reverse after zero-filling the grad of every tape tensor.
 
-    Every closure adds into a buffer that already exists, and each reads its
-    output's buffer as `up` in place.
+    Every entry is replayed, marked or not. Every closure adds into a buffer
+    that already exists (`accumulate` drops what it sends to an unmarked
+    tensor, whose buffer stays zero), and each reads its output's buffer as
+    `up` in place.
     """
     if len(tape) == 0:
         raise ShapeError("backward", "tape is empty")

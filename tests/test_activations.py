@@ -66,9 +66,10 @@ class TestMishBackward:
 
     def test_applies_upstream(self):
         x = Tensor4(np.zeros((1, 1, 1, 2)))
+        x.requires_grad = True
         tape = GradTape()
         mish(x, tape)
-        backward(tape, Tensor4(np.array([[[[2.0, -3.0]]]])), inputs=(x,))
+        backward(tape, Tensor4(np.array([[[[2.0, -3.0]]]])))
         np.testing.assert_allclose(x.grad.reshape(-1), [1.2, -1.8])
 
 

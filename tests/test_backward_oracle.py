@@ -1,11 +1,11 @@
 """The handoff backward on the whole model plus loss.
 
-Parameters, and the input image when it is named, must get the gradients of
-the earlier pre-zeroing replay byte for byte, sign of zero included; an image
-that is not named gets none. Backward's own allocations must stay below the
-forward arrays it replays, skipping the image's gradient must save at
-least the image's bytes, and a k x k conv's weight gradient must not hold a
-whole batch of per-image products.
+Parameters, and the input image when it is marked requires_grad, must get
+the gradients of the earlier pre-zeroing replay byte for byte, sign of zero
+included; an image that is not marked gets none. Backward's own allocations
+must stay below the forward arrays it replays, skipping the image's gradient
+must save at least the image's bytes, and a k x k conv's weight gradient
+must not hold a whole batch of per-image products.
 """
 
 import gc
@@ -24,19 +24,21 @@ from oracles import backward_prezero_oracle
 CONFIGS = {**ablation_configs(), "full_c3ghost": ModelConfig()}
 
 
-def _model_tape(cfg, seed, n):
-    """Model and detection loss recorded on n toy scenes of 64 px."""
+def _model_tape(cfg, seed, n, image=False):
+    """Model and detection loss recorded on n toy scenes of 64 px, with the
+    image marked requires_grad when `image` is set."""
     model = build_model(cfg, seed)
     model.set_training(True, track_stats=False)
     scenes = [generate_toy_scene(seed * 10 + i, image_size=64) for i in range(n)]
     x = Tensor4(np.concatenate([img.data for img, _ in scenes], axis=0))
+    x.requires_grad = image
     tape = GradTape()
     detection_loss(model.forward(x, tape), [gts for _, gts in scenes], LossWeights(), tape)
     return tape, model, x
 
 
-def _leaf_grads(cfg, seed, replay, image=True):
-    tape, model, x = _model_tape(cfg, seed, n=2)
+def _leaf_grads(cfg, seed, replay, image):
+    tape, model, x = _model_tape(cfg, seed, n=2, image=image)
     replay(tape, x)
     grads = {name: p.grad.tobytes() for name, p in model.named_params()}
     if image:
@@ -44,13 +46,9 @@ def _leaf_grads(cfg, seed, replay, image=True):
     return grads
 
 
-def _default(tape, x):
+def _backward(tape, x):
     backward(tape)
-    assert x.grad is None
-
-
-def _named_image(tape, x):
-    backward(tape, inputs=(x,))
+    assert (x.grad is not None) == x.requires_grad
 
 
 def _prezero(tape, x):
@@ -61,7 +59,7 @@ def _prezero(tape, x):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_leaf_grads_match_prezero_oracle(name, seed):
     """By default only the parameters get gradients, and the image none."""
-    got = _leaf_grads(CONFIGS[name], seed, _default, image=False)
+    got = _leaf_grads(CONFIGS[name], seed, _backward, image=False)
     want = _leaf_grads(CONFIGS[name], seed, _prezero, image=False)
     assert got.keys() == want.keys()
     assert [k for k in want if got[k] != want[k]] == []
@@ -70,9 +68,9 @@ def test_leaf_grads_match_prezero_oracle(name, seed):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_named_image_grads_match_prezero_oracle(name, seed):
-    """Naming the image gives it, and every parameter, the oracle's gradient."""
-    got = _leaf_grads(CONFIGS[name], seed, _named_image)
-    want = _leaf_grads(CONFIGS[name], seed, _prezero)
+    """Marking the image gives it, and every parameter, the oracle's gradient."""
+    got = _leaf_grads(CONFIGS[name], seed, _backward, image=True)
+    want = _leaf_grads(CONFIGS[name], seed, _prezero, image=True)
     assert got.keys() == want.keys()
     assert [k for k in want if got[k] != want[k]] == []
 
@@ -122,12 +120,13 @@ def test_backward_peak_below_forward_arrays():
 def test_unnamed_image_saves_at_least_its_bytes():
     """Without the image's gradient the stem conv allocates no dx, dcol or
     padded scatter, so backward's peak falls by at least the image's size."""
-    tape, _, x = _model_tape(ModelConfig(), 0, n=4)
-    named = _traced_peak(lambda: backward(tape, inputs=(x,)))
-    x.grad = None
-    default = _traced_peak(lambda: backward(tape))
+    peaks = {}
+    for image in (True, False):
+        tape, _, x = _model_tape(ModelConfig(), 0, n=4, image=image)
+        peaks[image] = _traced_peak(lambda: backward(tape))
     assert x.grad is None
-    assert default + x.data.nbytes <= named, (default, named, x.data.nbytes)
+    marked, default = peaks[True], peaks[False]
+    assert default + x.data.nbytes <= marked, (default, marked, x.data.nbytes)
 
 
 def test_dense_conv_weight_gradient_is_summed_per_image():
@@ -138,10 +137,10 @@ def test_dense_conv_weight_gradient_is_summed_per_image():
     spec = ConvSpec(96, 48, k=3, p=1)
     x = Tensor4(rng.normal(size=(20, 96, 2, 2)))
     w = Tensor4(rng.normal(size=spec.weight_shape()))
-    w.requires_grad = True
+    x.requires_grad = w.requires_grad = True
     tape = GradTape()
     conv2d(x, spec, w, tape=tape)
-    peak = _traced_peak(lambda: backward(tape, inputs=(x,)))
+    peak = _traced_peak(lambda: backward(tape))
     product_bytes = 20 * 48 * 96 * 9 * 8
     assert peak < product_bytes, (peak, product_bytes)
     assert w.grad.shape == spec.weight_shape() and x.grad.shape == x.shape

@@ -133,10 +133,11 @@ class TestBatchnormCentredOnce:
 def _conv_grads(x, spec, w, up, bias=None):
     """Output, x.grad and weight.grad of one taped conv2d seeded with up."""
     xt, wt = Tensor4(x), Tensor4(w)
+    xt.requires_grad = wt.requires_grad = True
     bt = None if bias is None else Tensor4(bias)
     tape = GradTape()
     out = conv2d(xt, spec, wt, bt, tape=tape)
-    backward(tape, Tensor4(up.reshape(out.shape)), inputs=(xt, wt))
+    backward(tape, Tensor4(up.reshape(out.shape)))
     return out.data, xt.grad, wt.grad
 
 
@@ -283,10 +284,11 @@ class TestMaxpoolWithoutTape:
     def test_backward_routes_to_the_first_winner(self, k, s, p):
         x = self._input()
         xt = Tensor4(x)
+        xt.requires_grad = True
         tape = GradTape()
         out = maxpool2d(xt, k, s, p, tape)
         up = np.random.default_rng(25).normal(size=out.shape)
-        backward(tape, Tensor4(up), inputs=(xt,))
+        backward(tape, Tensor4(up))
         n, c, h, w = x.shape
         winner = {}
         for idx in np.ndindex(out.shape):
@@ -309,9 +311,10 @@ def test_activation_tape_uses_the_kernels():
     """The recorded Mish backward is the upstream times Mish's derivative kernel, to the bit."""
     x = Tensor4(np.concatenate([EDGES[np.isfinite(EDGES)],
                                 np.linspace(-9.0, 9.0, 13)]).reshape(1, 1, 5, 5))
+    x.requires_grad = True
     tape = GradTape()
     up = np.random.default_rng(20).normal(size=x.shape)
     out = mish(x, tape)
-    backward(tape, Tensor4(up), inputs=(x,))
+    backward(tape, Tensor4(up))
     assert np.array_equal(out.data, x.data * np.tanh(softplus_two_exp_oracle(x.data)))
     assert np.array_equal(x.grad, up * mish_grad_two_exp_oracle(x.data))

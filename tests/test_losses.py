@@ -463,9 +463,11 @@ class TestTotalLoss:
             lv.box.data[:] = rng.normal(size=lv.box.shape)
         gts = [[_Gt(0, Box(0.4, 0.45, 0.35, 0.3)), _Gt(1, Box(0.72, 0.7, 0.2, 0.22))]]
         weights = LossWeights()
+        for lv in preds.levels:
+            lv.cls.requires_grad = lv.box.requires_grad = True
         tape = GradTape()
         detection_loss(preds, gts, weights, tape)
-        backward(tape, inputs=[t for lv in preds.levels for t in (lv.cls, lv.box)])
+        backward(tape)
         alphas = loss_and_grads(preds, gts, weights)[3]
 
         h = 1e-6

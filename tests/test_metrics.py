@@ -11,7 +11,6 @@ from microdet.metrics import (
     DEFAULT_IOU_THRESHOLDS,
     Detection,
     GroundTruth,
-    MatchCounts,
     average_precision,
     confusion_matrix,
     evaluate,
@@ -60,42 +59,35 @@ class TestMatch:
     def test_perfect_predictions(self):
         gts = [gt(0, 0.3, 0.3), gt(0, 0.7, 0.7)]
         dets = [det(0, 1.0, 0.3, 0.3), det(0, 1.0, 0.7, 0.7)]
-        counts, flags = match(dets, gts, 0.5)
-        assert (counts.n_tp, counts.n_fp, counts.n_fn) == (2, 0, 0)
-        assert flags == [True, True]
+        assert match(dets, gts, 0.5) == [True, True]
 
     def test_no_detections(self):
-        counts, flags = match([], [gt(0, 0.5, 0.5)] * 3, 0.5)
-        assert (counts.n_tp, counts.n_fp, counts.n_fn) == (0, 0, 3)
-        assert flags == []
+        assert match([], [gt(0, 0.5, 0.5)] * 3, 0.5) == []
 
     def test_double_detection_single_match(self):
         """Two hits on one gt: the higher-confidence one is the TP."""
         gts = [gt(0, 0.5, 0.5)]
         dets = [det(0, 0.9, 0.5, 0.5), det(0, 0.8, 0.5, 0.5)]
-        counts, flags = match(dets, gts, 0.5)
-        assert flags == [True, False]
-        assert (counts.n_tp, counts.n_fp, counts.n_fn) == (1, 1, 0)
+        assert match(dets, gts, 0.5) == [True, False]
 
     def test_cross_image_isolation(self):
         gts = [gt(0, 0.5, 0.5, img="a")]
         dets = [det(0, 0.9, 0.5, 0.5, img="b")]
-        counts, _ = match(dets, gts, 0.5)
-        assert (counts.n_tp, counts.n_fp, counts.n_fn) == (0, 1, 1)
+        assert match(dets, gts, 0.5) == [False]
 
 
 class TestPrecisionRecall:
     def test_direct_formula(self):
-        assert precision_recall(MatchCounts(8, 2, 2)) == (0.8, 0.8)
+        assert precision_recall(8, 10, 10) == (0.8, 0.8)
 
     def test_no_detection_conventions(self):
-        assert precision_recall(MatchCounts(0, 0, 5)) == (0.0, 0.0)
+        assert precision_recall(0, 0, 5) == (0.0, 0.0)
 
     def test_all_correct(self):
-        assert precision_recall(MatchCounts(3, 0, 0)) == (1.0, 1.0)
+        assert precision_recall(3, 3, 3) == (1.0, 1.0)
 
     def test_vacuous_recall(self):
-        assert precision_recall(MatchCounts(0, 2, 0)) == (0.0, 1.0)
+        assert precision_recall(0, 2, 0) == (0.0, 1.0)
 
 
 class TestAveragePrecision:
@@ -142,10 +134,10 @@ class TestAveragePrecision:
         class_dets = sorted((d for d in dets if d.class_id == 0),
                             key=lambda d: -d.confidence)
         class_gts = [g for g in gts if g.class_id == 0]
-        counts_before, _ = match(class_dets, class_gts, 0.5)
+        tp_before = sum(match(class_dets, class_gts, 0.5))
         extra = class_dets + [det(0, 0.01, 0.9, 0.9)]
-        counts_after, _ = match(extra, class_gts, 0.5)
-        assert counts_after.n_fn <= counts_before.n_fn
+        tp_after = sum(match(extra, class_gts, 0.5))
+        assert tp_after >= tp_before
 
 
 class TestMapMf1:

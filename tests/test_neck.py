@@ -90,9 +90,10 @@ class TestInject:
         inj = neck.top_down.inject3
         level = Tensor4(rng.normal(size=(1, 4, 8, 8)))
         fused = Tensor4(rng.normal(size=(1, 8, 4, 4)))
+        level.requires_grad = fused.requires_grad = True
         tape = GradTape()
         inj.forward(level, fused, tape)
-        backward(tape, inputs=(level, fused))
+        backward(tape)
         assert np.abs(level.grad).max() > 0
         assert np.abs(fused.grad).max() > 0
 

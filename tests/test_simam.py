@@ -139,7 +139,8 @@ class TestBackward:
         """The op records only its input on the tape; nothing learnable."""
         tape = GradTape()
         x = Tensor4(np.random.default_rng(5).normal(size=(1, 2, 3, 3)))
+        x.requires_grad = True
         simam_forward(x, tape)
         assert len(tape) == 1
-        backward(tape, inputs=(x,))
+        backward(tape)
         assert x.grad is not None

@@ -69,7 +69,7 @@ def _pyramid(block, x):
 
 def _simconv_run(forward, kind, mode):
     """Tape length, output, running stats and every gradient, as bytes, of one
-    seeded SimConv forward and backward with the input named."""
+    seeded SimConv forward and backward with the input marked."""
     rng = np.random.default_rng(31)
     conv = SimConv(3, 4, k=3, activation=kind, rng=rng)
     bn = conv.bn
@@ -79,9 +79,10 @@ def _simconv_run(forward, kind, mode):
     bn.running_var = rng.uniform(0.5, 2.0, size=4)
     bn.training, bn.track_stats = mode != "eval", mode == "train"
     x = Tensor4(rng.normal(size=(2, 3, 6, 6)))
+    x.requires_grad = True
     tape = GradTape()
     out = forward(conv, x, tape)
-    backward(tape, Tensor4(rng.normal(size=out.shape)), inputs=(x,))
+    backward(tape, Tensor4(rng.normal(size=out.shape)))
     arrays = [out.data, bn.running_mean, bn.running_var, x.grad,
               *(p.grad for _, p in conv.named_params())]
     return len(tape), [a.tobytes() for a in arrays]
@@ -184,9 +185,10 @@ class TestSimSppf:
         rng = np.random.default_rng(13)
         block = SimSppf(4, rng=rng)
         x = Tensor4(rng.normal(size=(1, 4, 5, 5)))
+        x.requires_grad = True
         tape = GradTape()
         block.forward(x, tape)
-        backward(tape, inputs=(x,))
+        backward(tape)
         assert np.isfinite(x.grad).all()
         assert np.abs(block.cv1.weight.grad).max() > 0
 

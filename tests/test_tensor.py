@@ -11,6 +11,7 @@ from microdet.tensor import (
     GradTape,
     ShapeError,
     Tensor4,
+    accumulate,
     add,
     backward,
     batchnorm2d,
@@ -288,17 +289,20 @@ class TestElementwise:
         np.testing.assert_allclose(tanh(x).data.reshape(-1), [0.0, np.tanh(1.0)])
 
 
-def _mixed_tape(seed):
+def _mixed_tape(seed, marked=(0, 1, 2)):
     """A tape with fan-out, concat, resize and an output nothing consumes.
 
-    Returns the tape and its leaves. The unconsumed sigmoid of the pooled map
-    is recorded after the resize that also reads it, so the resize adds into
-    a grad that already exists.
+    Returns the tape and its leaves x, w, b, gamma and beta; `marked` indexes
+    the ones among x, w and b marked requires_grad before the forward. The
+    unconsumed sigmoid of the pooled map is recorded after the resize that
+    also reads it, so the resize adds into a grad that already exists.
     """
     rng = np.random.default_rng(seed)
     x = Tensor4(rng.normal(size=(2, 3, 6, 6)))
     w = Tensor4(rng.normal(size=(4, 3, 3, 3)))
     b = Tensor4(rng.normal(size=(1, 4, 1, 1)))
+    for i in marked:
+        (x, w, b)[i].requires_grad = True
     holder = Module()  # registering the state makes gamma and beta parameters
     holder.bn = st = BatchNormState.create(4)
     st.track_stats = False
@@ -318,8 +322,8 @@ def _leaf_grads(make, replay):
     return [t.grad.tobytes() for t in leaves]
 
 
-def _named(tape, leaves):
-    backward(tape, inputs=leaves)
+def _replay(tape, leaves):
+    backward(tape)
 
 
 def _prezero(tape, leaves):
@@ -329,60 +333,90 @@ def _prezero(tape, leaves):
 class TestBackward:
     def test_scalar_mul_gradient(self):
         x = Tensor4(np.random.default_rng(15).normal(size=(1, 2, 3, 3)))
+        x.requires_grad = True
         tape = GradTape()
         scalar_mul(x, 2.0, tape)
-        backward(tape, inputs=(x,))
+        backward(tape)
         np.testing.assert_array_equal(x.grad, np.full(x.shape, 2.0))
 
     def test_square_sum_gradient(self):
         x = Tensor4(np.random.default_rng(16).normal(size=(2, 2, 2, 2)))
+        x.requires_grad = True
         tape = GradTape()
         sum_all(mul(x, x, tape), tape)
-        backward(tape, inputs=(x,))
+        backward(tape)
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
     def test_fanout_accumulates(self):
         x = Tensor4(np.random.default_rng(17).normal(size=(1, 1, 2, 2)))
+        x.requires_grad = True
         tape = GradTape()
         sum_all(add(mul(x, x, tape), scalar_mul(x, 3.0, tape), tape), tape)
-        backward(tape, inputs=(x,))
+        backward(tape)
         np.testing.assert_allclose(x.grad, 2.0 * x.data + 3.0)
 
     def test_untouched_leaf_keeps_zero_grad(self):
-        x = Tensor4.zeros(1, 1, 2, 2)
-        y = Tensor4.zeros(1, 1, 2, 2)
+        """A marked leaf whose entry never reaches the output reports zeros."""
+        rng = np.random.default_rng(14)
+        x = Tensor4(rng.normal(size=(1, 1, 2, 2)))
+        y = Tensor4(rng.normal(size=(1, 1, 2, 2)))
+        x.requires_grad = y.requires_grad = True
         tape = GradTape()
+        scalar_mul(y, 3.0, tape)  # read by no later entry
         scalar_mul(x, 2.0, tape)
-        backward(tape, inputs=(x, y))  # y is named but not on the tape
-        np.testing.assert_array_equal(y.grad, np.zeros((1, 1, 2, 2)))
+        backward(tape)
+        assert y.grad.tobytes() == np.zeros((1, 1, 2, 2)).tobytes()
+        assert x.grad.tobytes() == np.full((1, 1, 2, 2), 2.0).tobytes()
+
+    def test_output_is_marked_exactly_when_an_input_is(self):
+        """A conv of an unmarked image with a parameter weight is marked, and
+        so is everything made from it; sum_all of an unmarked tensor is not,
+        nor is an op whose inputs were marked only after it was recorded."""
+        rng = np.random.default_rng(12)
+        image = Tensor4(rng.normal(size=(1, 2, 4, 4)))
+        w = Tensor4(rng.normal(size=(3, 2, 1, 1)))
+        w.requires_grad = True
+        plain = Tensor4(rng.normal(size=(1, 3, 4, 4)))
+        tape = GradTape()
+        y = conv2d(image, ConvSpec(2, 3, k=1), w, tape=tape)
+        unmarked = sum_all(plain, tape)
+        late = scalar_mul(plain, 2.0, tape)
+        plain.requires_grad = True
+        marked = sum_all(add(y, plain, tape), tape)
+        assert (y.requires_grad, marked.requires_grad) == (True, True)
+        assert (image.requires_grad, unmarked.requires_grad, late.requires_grad) == (
+            False, False, False)
+        assert conv2d(image, ConvSpec(2, 3, k=1), w).requires_grad is False
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mixed_tape_matches_prezero_oracle(self, seed):
-        assert (_leaf_grads(lambda: _mixed_tape(seed), _named)
+        assert (_leaf_grads(lambda: _mixed_tape(seed), _replay)
                 == _leaf_grads(lambda: _mixed_tape(seed), _prezero))
 
     def test_seed_array_is_not_adopted(self):
         """add hands the seed on to u, which the scalar_mul then adds into."""
         rng = np.random.default_rng(23)
         x = Tensor4(rng.normal(size=(1, 2, 3, 3)))
+        x.requires_grad = True
         tape = GradTape()
         u = mul(x, x, tape)
         add(u, scalar_mul(u, 3.0, tape), tape)
         seed_arr = rng.normal(size=x.shape)
         seed = Tensor4(seed_arr.copy())
-        backward(tape, seed, inputs=(x,))
+        backward(tape, seed)
         assert seed.data.tobytes() == seed_arr.tobytes()
 
     @staticmethod
     def _assert_holders(named):
-        """Parameters (the batchnorm's gamma and beta here) and the named leaves
-        hold grads; the other leaves (x, w, b) and every produced tensor do not."""
-        tape, leaves = _mixed_tape(0)
-        x, w, b, gamma, beta = leaves
-        backward(tape, inputs=[leaves[i] for i in named])
+        """Parameters (the batchnorm's gamma and beta here) and the leaves
+        marked before the forward hold grads; the unmarked leaves among x, w
+        and b and every produced tensor do not."""
+        tape, leaves = _mixed_tape(0, marked=named)
+        gamma, beta = leaves[3:]
+        backward(tape)
         holders = {id(leaves[i]) for i in named} | {id(gamma), id(beta)}
         assert {id(t) for t in leaves} <= {id(t) for t in tape.tensors()}
-        assert not (x.requires_grad or w.requires_grad or b.requires_grad)
+        assert [t.requires_grad for t in leaves[:3]] == [i in named for i in range(3)]
         for t in tape.tensors():
             if id(t) in holders:
                 assert t.grad.shape == t.shape
@@ -402,6 +436,7 @@ class TestBackward:
 
         def make():
             x = Tensor4(np.random.default_rng(25).normal(size=(1, 2, 3, 3)))
+            x.requires_grad = True
             tape = GradTape()
             sigmoid(x, tape)  # read by no later entry
             entry = tape._entries[-1]
@@ -415,7 +450,7 @@ class TestBackward:
             sum_all(mul(x, x, tape), tape)
             return tape, [x]
 
-        assert _leaf_grads(make, _named) == _leaf_grads(make, _prezero)
+        assert _leaf_grads(make, _replay) == _leaf_grads(make, _prezero)
         assert len(received) == 2
         for up in received:
             assert up.tobytes() == np.zeros((1, 2, 3, 3)).tobytes()
@@ -425,6 +460,7 @@ class TestBackward:
 
         def make():
             x = Tensor4(np.random.default_rng(26).normal(size=(1, 2, 3, 3)))
+            x.requires_grad = True
             tape = GradTape()
             u = sigmoid(x, tape)
             v = mul(x, x, tape)
@@ -433,14 +469,14 @@ class TestBackward:
             sum_all(mul(add(u, v, tape), add(cu, cv, tape), tape), tape)
             return tape, [x]
 
-        assert _leaf_grads(make, _named) == _leaf_grads(make, _prezero)
+        assert _leaf_grads(make, _replay) == _leaf_grads(make, _prezero)
 
     @pytest.mark.parametrize("spec", [ConvSpec(3, 4, k=3, s=2, p=1), ConvSpec(3, 4, k=1),
                                       ConvSpec(3, 3, k=3, p=1, g=3)],
                              ids=["dense", "pointwise", "depthwise"])
     def test_conv_does_no_dx_work_for_an_unnamed_input(self, spec, monkeypatch):
-        """Without a name the input gets no grad, and its conv runs neither the
-        dcol matmul nor the scatter into a padded buffer of the input's shape.
+        """Unmarked, the input gets no grad, and its conv runs neither the dcol
+        matmul nor the scatter into a padded buffer of the input's shape.
 
         The dcol matmul is the one that makes the batch's input-gradient
         columns, (n, c_in * k * k, ho * wo); the weight gradient's matmuls
@@ -454,7 +490,7 @@ class TestBackward:
             rng = np.random.default_rng(30)
             x = Tensor4(rng.normal(size=(2, 3, 8, 8)))
             w = Tensor4(rng.normal(size=spec.weight_shape()))
-            w.requires_grad = True
+            x.requires_grad, w.requires_grad = named, True
             tape = GradTape()
             conv2d(x, spec, w, tape=tape)
             made = []
@@ -466,7 +502,7 @@ class TestBackward:
                         return out
 
                     mp.setattr(np, name, spy)
-                backward(tape, inputs=(x,) if named else ())
+                backward(tape)
             assert w.grad is not None and (x.grad is not None) == named
             return (sum(name == "matmul" and shape == dcol_shape for name, shape in made),
                     any(name != "matmul" and shape in dx_shapes for name, shape in made))
@@ -530,11 +566,10 @@ class TestGradCheck:
         def bad_mish(t, tape):
             out = mish(t, None)
             if tape is not None:
-                sink = tape.sink
                 from microdet.activations import mish_value_grad
 
                 def back(up):
-                    sink.accumulate(t, up * mish_value_grad(t.data)[1] * 1.01)
+                    accumulate(t, up * mish_value_grad(t.data)[1] * 1.01)
 
                 tape.record((t,), out, back)
             return out
@@ -542,6 +577,14 @@ class TestGradCheck:
         rng = np.random.default_rng(22)
         rep = grad_check(bad_mish, Tensor4(rng.normal(size=(1, 1, 4, 4))), tol=1e-4)
         assert not rep.passed
+
+    def test_leaves_the_callers_tensor_unmarked(self):
+        """The check marks a tensor of its own; the caller's gets no flag and no grad."""
+        x = Tensor4(np.random.default_rng(24).normal(size=(1, 2, 3, 3)))
+        data = x.data.copy()
+        assert grad_check(lambda t, tape: sum_all(mul(t, t, tape), tape), x).passed
+        assert not x.requires_grad and x.grad is None
+        assert x.data.tobytes() == data.tobytes()
 
     def test_checks_at_most_32_coordinates(self):
         rng = np.random.default_rng(23)

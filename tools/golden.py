@@ -22,6 +22,9 @@ name with the expected and the actual digest, and exits 1 on a mismatch.
 
     python tools/golden.py [--root DIR] > golden.txt
     python tools/golden.py --expect golden.txt
+
+`tests/golden.txt` holds the current rows; `tests/test_golden.py` checks
+them at the default BLAS thread count and with OPENBLAS_NUM_THREADS=1.
 """
 
 from __future__ import annotations
