@@ -35,7 +35,7 @@ from .droi import (
     replay_trajectory,
 )
 from .ghost import C3GhostSpec, GhostSpec, count_params_flops
-from .metrics import DEFAULT_IOU_THRESHOLDS, evaluate
+from .metrics import evaluate
 from .model import (
     STRIDES,
     ModelConfig,
@@ -157,8 +157,7 @@ def _cmd_eval(args):
         pred_file = pred_dir / gt_file.name
         if pred_file.exists():
             dets.extend(load_predictions(pred_file))
-    thresholds = list(DEFAULT_IOU_THRESHOLDS) if args.all_thresholds else [args.iou]
-    report = evaluate(dets, gts, classes, iou_thresholds=thresholds)
+    report = evaluate(dets, gts, classes)
     sys.stdout.write(report.to_text())
     if args.out:
         out = Path(args.out)
@@ -240,13 +239,10 @@ def build_parser():
                    help="model config; defaults to model.cfg beside the weights")
     p.set_defaults(fn=_cmd_forward)
 
-    p = sub.add_parser("eval", help="evaluate prediction files against ground truth")
+    p = sub.add_parser("eval", help="score prediction files at IoU 0.50:0.05:0.95")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--classes", required=True, help="file with one class name per line")
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--all-thresholds", action="store_true",
-                   help="evaluate the 0.50:0.05:0.95 sweep")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_eval)
 

@@ -3,9 +3,9 @@
 The critical width grows linearly with steering magnitude and speed. Three
 regimes split on |theta|: straight (<= 30 deg), moderate (30-60], and sharp
 (> 60), where the region additionally shifts laterally toward the turn.
-Two width laws ship: the verbatim linear form, and a deadband variant that
-ignores steering inside the straight band so the width is continuous and
-reverts to the base width when driving straight.
+Two width laws ship, picked by `deadband`: the verbatim linear form, and a
+deadband variant that ignores steering inside the straight band so the width
+is continuous and reverts to the base width when driving straight.
 """
 
 from __future__ import annotations
@@ -19,26 +19,18 @@ from .tensor import DomainError
 
 @dataclass(frozen=True)
 class DroiConfig:
-    w0: float = 3.0            # base width, meters
-    k1: float = 0.05           # meters per steering degree
-    k2: float = 0.1            # meters per (m/s)
-    k3: float = 0.05           # lateral shift gain past the sharp threshold
-    theta_straight: float = 30.0
-    theta_moderate: float = 60.0
-    deadband: bool = True
-    w_max: float = 12.0        # width mapped to the full image
-    lane_center: float = 0.5   # normalized image x of the ego path
+    """`deadband`, the one key, picks the width law; the rest are constants."""
 
-    def __post_init__(self):
-        if self.w0 <= 0:
-            raise DomainError("droi", f"base width must be positive, got {self.w0}")
-        if min(self.k1, self.k2, self.k3) < 0:
-            raise DomainError("droi", "gains must be non-negative")
-        if not 0 < self.theta_straight < self.theta_moderate:
-            raise DomainError("droi", f"need 0 < straight ({self.theta_straight}) "
-                                      f"< moderate ({self.theta_moderate})")
-        if self.w_max < self.w0:
-            raise DomainError("droi", f"w_max {self.w_max} < base width {self.w0}")
+    w0 = 3.0             # base width, meters
+    k1 = 0.05            # meters per steering degree
+    k2 = 0.1             # meters per (m/s)
+    k3 = 0.05            # lateral shift gain past the sharp threshold
+    theta_straight = 30.0
+    theta_moderate = 60.0
+    w_max = 12.0         # width mapped to the full image
+    lane_center = 0.5    # normalized image x of the ego path
+
+    deadband: bool = True
 
 
 @dataclass(frozen=True)

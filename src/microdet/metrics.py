@@ -77,8 +77,8 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def pr_curve_rows(self, class_id: int):
-        """(confidence, recall, precision) rows of the cumulative sweep at the
-        first IoU threshold, for CSV export; empty for a class with no ground truth."""
+        """(confidence, recall, precision) rows of the cumulative sweep at the first
+        IoU threshold (0.5 by default), for CSV export; empty with no ground truth."""
         class_dets, flags, n_gt = self.matched.get((class_id, self.iou_thresholds[0]),
                                                    ([], [], 0))
         tp_cum = np.cumsum(flags)

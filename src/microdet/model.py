@@ -59,6 +59,11 @@ class ModelConfig:
         if self.activation not in ACTIVATION_KINDS:
             raise DomainError("model_config", f"activation {self.activation!r} not in "
                                               f"{ACTIVATION_KINDS}")
+        if not 0 <= self.conf_threshold <= 1:
+            raise DomainError("model_config",
+                              f"conf_threshold {self.conf_threshold} not in [0, 1]")
+        if not 0 < self.nms_iou <= 1:
+            raise DomainError("model_config", f"nms_iou {self.nms_iou} not in (0, 1]")
 
 
 @dataclass

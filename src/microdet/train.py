@@ -97,14 +97,14 @@ class TrainState:
 
 
 def _grad_runs(state: TrainState):
-    """(lo, hi, grads) per maximal run of registry neighbours that have a grad."""
+    """(lo, hi, grads) per maximal run of registry neighbours marked requires_grad with a grad."""
     runs = []
     open_run = None
     for (name, p), (lo, hi) in zip(state.model.named_params(), state.bounds, strict=True):
         if p.data.base is not state.values:
             raise DomainError("train", f"parameter {name} no longer views the optimizer "
                                        "buffer; call init_moments after replacing it")
-        if p.grad is None:
+        if p.grad is None or not p.requires_grad:
             open_run = None
         elif open_run is None:
             open_run = [lo, hi, [p.grad]]
@@ -118,8 +118,8 @@ def _grad_runs(state: TrainState):
 def adamw_step(state: TrainState, params: TrainParams):
     """One decoupled-weight-decay update of the flat parameter buffer, in place.
 
-    Per element, in this order (a parameter without a grad keeps its value
-    and its moments):
+    Per element, in this order (an unmarked parameter, or one without a grad,
+    keeps its value and its moments):
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g

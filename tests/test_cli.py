@@ -17,6 +17,33 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestEvalSweep:
+    @pytest.fixture
+    def one_box(self, tmp_path):
+        """One ground truth and one prediction at IoU 0.739: a true positive at
+        0.50-0.70, five of the ten sweep thresholds."""
+        for d, line in (("gt", "0 0.5 0.5 0.2 0.2\n"), ("pred", "0 0.9 0.53 0.5 0.2 0.2\n")):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "a.txt").write_text(line)
+        (tmp_path / "classes.txt").write_text("class0\n")
+        return ["eval", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                "--classes", str(tmp_path / "classes.txt")]
+
+    def test_plain_eval_scores_the_sweep(self, capsys, one_box):
+        code, out, _ = run_cli(capsys, *one_box)
+        assert code == 0
+        assert "iou_thresholds: 0.5 0.55 0.6 0.65 0.7 0.75 0.8 0.85 0.9 0.95\n" in out
+        assert "map50: 1.000000\n" in out
+        assert "map50_95: 0.500000\n" in out
+
+    @pytest.mark.parametrize("flags", [["--iou", "0.5"], ["--all-thresholds"]])
+    def test_removed_threshold_flags_are_usage_errors(self, capsys, one_box, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([*one_box, *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+
 class TestDroiCommands:
     def test_straight_at_rest_prints_base_width(self, capsys):
         code, out, _ = run_cli(capsys, "droi", "--theta", "0", "--speed", "0")
@@ -25,12 +52,13 @@ class TestDroiCommands:
         assert "regime straight" in out
 
     def test_config_override(self, capsys, tmp_path):
+        """The verbatim law counts the 10 degrees the deadband ignores: 3 + 0.05 * 10."""
         cfg = tmp_path / "droi.cfg"
-        write_config(cfg, DroiConfig(w0=5.0, deadband=False))
+        write_config(cfg, DroiConfig(deadband=False))
         code, out, _ = run_cli(capsys, "droi", "--theta", "10", "--speed", "0",
                                "--config", str(cfg))
         assert code == 0
-        assert "w_c 5.500000" in out
+        assert "w_c 3.500000" in out
 
     def test_negative_speed_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "droi", "--theta", "0", "--speed", "-1")
@@ -273,7 +301,7 @@ class TestTrainForwardEval:
         monkeypatch.setattr(metrics, "match", lambda *a: calls.append(a[2]) or real_match(*a))
         code, out, _ = run_cli(capsys, "eval", "--gt", str(gt_dir),
                                "--pred", str(pred_dir), "--classes", str(classes),
-                               "--all-thresholds", "--out", str(out_dir))
+                               "--out", str(out_dir))
         assert code == 0
         assert (out_dir / "report.txt").exists()
         assert (out_dir / "confusion_raw.csv").exists()

@@ -191,6 +191,21 @@ class TestConfigs:
             "--input", str(run_dir / "image.t4"), "--out", str(tmp_path / "d.txt")])
         assert detail in err
 
+    @pytest.mark.parametrize("line, detail", [
+        ("conf_threshold = 2.0", "conf_threshold 2.0 not in [0, 1]"),
+        ("nms_iou = -1", "nms_iou -1.0 not in (0, 1]"),
+    ], ids=["conf_threshold_above_one", "negative_nms_iou"])
+    def test_forward_decode_setting_out_of_range(self, run_dir, tmp_path, capsys, line, detail):
+        """Both once passed: a threshold of 2 kept no detection, and a negative
+        NMS IoU suppressed all but one per class."""
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"{line}\n")
+        err = expect_one_error(capsys, [
+            "forward", "--weights", str(run_dir / "weights.w1"), "--config", str(cfg),
+            "--input", str(run_dir / "image.t4"), "--out", str(tmp_path / "d.txt")])
+        assert detail in err
+        assert not (tmp_path / "d.txt").exists()
+
     def test_forward_missing_config(self, run_dir, tmp_path, capsys):
         """Only the implicit model.cfg beside the weights may be absent."""
         args = ["forward", "--weights", str(run_dir / "weights.w1"),
@@ -210,10 +225,18 @@ class TestConfigs:
 
     def test_duplicate_key(self, tmp_path, capsys):
         cfg = tmp_path / "droi.cfg"
-        cfg.write_text("w0 = 5\nw0 = 7\n")
+        cfg.write_text("deadband = true\ndeadband = false\n")
         err = expect_one_error(capsys, ["droi", "--theta", "0", "--speed", "0",
                                         "--config", str(cfg)])
-        assert f"{cfg}:2:" in err and "duplicate key 'w0'" in err
+        assert f"{cfg}:2:" in err and "duplicate key 'deadband'" in err
+
+    def test_fixed_gain_is_not_a_key(self, tmp_path, capsys):
+        """The gains and thresholds are DroiConfig constants, not config keys."""
+        cfg = tmp_path / "droi.cfg"
+        cfg.write_text("deadband = false\nw0 = 3.0\n")
+        err = expect_one_error(capsys, ["droi", "--theta", "0", "--speed", "0",
+                                        "--config", str(cfg)])
+        assert f"{cfg}:2:" in err and "unknown key 'w0'" in err
 
 
 class TestToyDataCounts:
@@ -336,12 +359,11 @@ def eval_dirs(tmp_path):
 class TestEvalInputs:
     @pytest.mark.parametrize("value", ["nan", "1.5", "inf", "0", "-1"])
     def test_meaningless_iou(self, eval_dirs, capsys, value):
-        err = expect_one_error(capsys, [*eval_dirs, "--iou", value])
-        assert "IoU thresholds" in err
-
-    def test_iou_one_is_accepted(self, eval_dirs, capsys):
-        assert main([*eval_dirs, "--iou", "1"]) == 0
-        assert "map50: 1.000000" in capsys.readouterr().out
+        """eval always scores the 0.50:0.05:0.95 sweep: `--iou` is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main([*eval_dirs, "--iou", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --iou" in capsys.readouterr().err
 
     def test_orphan_prediction_file(self, eval_dirs, tmp_path, capsys):
         (tmp_path / "pred" / "b.txt").write_text("0 0.9 0.5 0.5 0.2 0.2\n")

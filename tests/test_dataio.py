@@ -213,8 +213,8 @@ class TestConfig:
     @pytest.mark.parametrize("read", [load_every_kind, lambda p: load_config(p, DroiConfig)])
     def test_duplicate_key_names_second_line(self, tmp_path, read):
         path = tmp_path / "droi.cfg"
-        path.write_text("w0 = 5\n# again\nw0 = 7\n")
-        with pytest.raises(AnnotationError, match="duplicate key 'w0'.*line 1") as err:
+        path.write_text("deadband = true\n# again\ndeadband = false\n")
+        with pytest.raises(AnnotationError, match="duplicate key 'deadband'.*line 1") as err:
             read(path)
         assert err.value.line_no == 3
 

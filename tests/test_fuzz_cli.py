@@ -66,7 +66,7 @@ def argv_for(name, p, out):
     forward = ["forward", "--weights", str(p["weights.w1"]), "--input", str(p["image.t4"]),
                "--config", str(p["model.cfg"]), "--out", str(out)]
     evaluate = ["eval", "--gt", str(p["gt/a.txt"].parent), "--pred", str(p["pred/a.txt"].parent),
-                "--classes", str(p["classes.txt"]), "--all-thresholds", "--out", str(out)]
+                "--classes", str(p["classes.txt"]), "--out", str(out)]
     replay = ["droi-replay", "--log", str(p["traj.csv"]), "--config", str(p["droi.cfg"]),
               "--out", str(out)]
     return {

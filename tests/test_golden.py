@@ -1,11 +1,11 @@
-"""`tools/golden.py` reproduces the six hashes in `tests/golden.txt` at the
+"""`tools/golden.py` reproduces the seven hashes in `tests/golden.txt` at the
 default BLAS thread count and with `OPENBLAS_NUM_THREADS=1`.
 
 The rows hash the CLI's deterministic outputs: two toy trainings, a forward
-pass with decode, selftest, gradcheck and eval. golden.py runs each in a
-fresh process, so the thread count is set before numpy loads. A change that
-moves a hash on purpose updates `tests/golden.txt` and says why in
-CHANGES.md.
+pass with decode, selftest, gradcheck, eval and two ROI-planner replays.
+golden.py runs each in a fresh process, so the thread count is set before
+numpy loads. A change that moves a hash on purpose updates
+`tests/golden.txt` and says why in CHANGES.md.
 """
 
 import os

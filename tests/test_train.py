@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from microdet.dataio import generate_toy_dataset, load_manifest
+from microdet.losses import LossWeights, detection_loss
 from microdet.model import ModelConfig, build_model, load_weights, save_weights
 from microdet.train import (
     LrSchedule,
     TrainParams,
     TrainState,
+    _stack_images,
     adamw_step,
     train_toy,
 )
-from microdet.tensor import DomainError
+from microdet.tensor import DomainError, GradTape, backward
 from oracles import adamw_loop_oracle
 from test_backward_oracle import _traced_peak
 
@@ -132,6 +134,39 @@ class TestAdamwFlatBuffer:
         p.data = p.data.copy()
         with pytest.raises(DomainError, match=f"parameter {name} no longer views"):
             adamw_step(state, TrainParams())
+
+    def test_frozen_parameter_stays_put(self, toy_manifest):
+        """A parameter unmarked after a step keeps its stale grad from that
+        step; the update must not read it, so its value and moments hold."""
+        batch = _stack_images(toy_manifest)
+        gts = [toy_manifest.load_gts(i) for i in range(len(toy_manifest.entries))]
+        model = build_model(ModelConfig(), 0)
+        model.set_training(True, track_stats=True)
+        state = TrainState(model=model, schedule=LrSchedule(0.01, 8, 2, 0.05))
+        state.init_moments()
+        names = [name for name, _ in model.named_params()]
+        frozen, neighbour = names[0], names[1]
+        params = dict(model.named_params())
+        bounds = dict(zip(names, state.bounds))
+
+        def snapshot(name):
+            lo, hi = bounds[name]
+            return [params[name].data.tobytes(), state.moment1[lo:hi].tobytes(),
+                    state.moment2[lo:hi].tobytes()]
+
+        def step():
+            tape = GradTape()
+            detection_loss(model.forward(batch, tape), gts, LossWeights(), tape)
+            backward(tape)
+            adamw_step(state, TrainParams())
+
+        step()
+        params[frozen].requires_grad = False
+        before, other = snapshot(frozen), snapshot(neighbour)
+        step()
+        step()
+        assert snapshot(frozen) == before
+        assert all(a != b for a, b in zip(snapshot(neighbour), other))
 
     def test_peak_stays_within_three_buffers(self):
         """The update allocates the gathered grads and one scratch array, not a

@@ -10,13 +10,16 @@ sources under ROOT/src, inside a temporary directory:
     detections  SHA-256 of the `forward` detections on one training image
     selftest    SHA-256 of `selftest` stdout
     gradcheck   SHA-256 of `gradcheck` stdout
-    eval        SHA-256 of `eval --all-thresholds --out ev` stdout plus every
-                file under ev/ (name, then bytes, in name order), on a fixed
-                two-class corpus with tied confidences and one image whose
+    eval        SHA-256 of `eval --out ev` stdout plus every file under ev/
+                (name, then bytes, in name order), on a fixed two-class
+                corpus with tied confidences and one image whose
                 ground-truth file is empty
+    droi        SHA-256 of `droi-replay` stdout on a fixed trajectory with
+                straight, moderate and sharp samples of both signs, with
+                the default config and then with `deadband = false`
 
 Run it on two checkouts and compare the lines: a change that keeps these
-outputs bit-identical prints the same six hashes. With `--expect FILE`, a
+outputs bit-identical prints the same seven hashes. With `--expect FILE`, a
 saved output of an earlier run, it prints the rows, then each differing
 name with the expected and the actual digest, and exits 1 on a mismatch.
 
@@ -42,6 +45,8 @@ TRAIN_CFG = "num_classes = 2\nsteps = 8\nseed = 5\ntoy_images = 4\n"
 CROWDED_CFG = TRAIN_CFG + "min_objects = 4\nmax_objects = 6\n"
 # a zero threshold sends every cell through decode and NMS
 FORWARD_CFG = "num_classes = 2\nconf_threshold = 0.0\n"
+TRAJECTORY = ("t,theta_deg,speed_mps\n0,0,0\n0.1,12.5,4\n0.2,-25,6.5\n0.3,45,10\n"
+              "0.4,-55,12\n0.5,75,8\n0.6,-80,3\n0.7,120,0.5\n0.8,-200,15\n")
 
 
 def _sha(data: bytes) -> str:
@@ -88,7 +93,7 @@ def _cli(root: Path, work: Path, *argv) -> bytes:
 
 
 def golden(root: Path):
-    """(name, hex digest) rows for the six outputs."""
+    """(name, hex digest) rows for the seven outputs."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "train.cfg").write_text(TRAIN_CFG)
@@ -101,9 +106,14 @@ def golden(root: Path):
              "--out", "dets.txt")
         _write_eval_corpus(work)
         report = _cli(root, work, "eval", "--gt", "gt", "--pred", "pred",
-                      "--classes", "classes.txt", "--all-thresholds", "--out", "ev")
+                      "--classes", "classes.txt", "--out", "ev")
         for path in sorted((work / "ev").iterdir()):
             report += path.name.encode() + b"\n" + path.read_bytes()
+        (work / "traj.csv").write_text(TRAJECTORY)
+        (work / "verbatim.cfg").write_text("deadband = false\n")
+        replays = _cli(root, work, "droi-replay", "--log", "traj.csv")
+        replays += _cli(root, work, "droi-replay", "--log", "traj.csv",
+                        "--config", "verbatim.cfg")
         return [
             ("weights", _sha((work / "run" / "weights.w1").read_bytes())),
             ("weights_crowded", _sha((work / "crowded" / "weights.w1").read_bytes())),
@@ -111,6 +121,7 @@ def golden(root: Path):
             ("selftest", _sha(_cli(root, work, "selftest"))),
             ("gradcheck", _sha(_cli(root, work, "gradcheck"))),
             ("eval", _sha(report)),
+            ("droi", _sha(replays)),
         ]
 
 
