@@ -37,7 +37,6 @@ from .droi import (
 from .ghost import C3GhostSpec, GhostSpec, count_params_flops
 from .metrics import evaluate
 from .model import (
-    STRIDES,
     ModelConfig,
     build_model,
     decode,
@@ -93,14 +92,11 @@ def _cmd_bench(args):
 
 def _cmd_train_toy(args):
     model_cfg, params, data = load_config(args.config, ModelConfig, TrainParams, ToyData)
-    if data.image_size % STRIDES[-1]:
-        raise ShapeError("train-toy", f"image_size {data.image_size} not divisible "
-                                      f"by {STRIDES[-1]}")
     out = Path(args.out)
     manifest_path = generate_toy_dataset(
         out / "data", seed=params.seed, n_images=data.toy_images,
-        image_size=data.image_size, num_classes=model_cfg.num_classes,
-        min_objects=data.min_objects, max_objects=data.max_objects,
+        num_classes=model_cfg.num_classes, min_objects=data.min_objects,
+        max_objects=data.max_objects,
     )
     manifest = load_manifest(manifest_path)
     state, curve = train_toy(manifest, model_cfg, params)
@@ -202,7 +198,7 @@ def _cmd_droi_replay(args):
 
 def _cmd_gen_toy(args):
     path = generate_toy_dataset(args.out, seed=args.seed, n_images=args.images,
-                                image_size=args.size, num_classes=args.classes)
+                                num_classes=args.classes)
     print(f"manifest {path}")
     return 0
 
@@ -263,7 +259,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--images", type=int, default=20)
     p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--size", type=int, default=64)
     p.set_defaults(fn=_cmd_gen_toy)
     return parser
 

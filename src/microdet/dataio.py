@@ -374,10 +374,9 @@ def generate_toy_scene(seed, image_size=64, num_classes=2, num_objects=2):
 
 @dataclass(frozen=True)
 class ToyData:
-    """Config keys for the synthetic training set that `train-toy` writes."""
+    """Config keys for the synthetic training set that `train-toy` writes (64 px scenes)."""
 
     toy_images: int = 20
-    image_size: int = 64
     min_objects: int = 1
     max_objects: int = 3
 

@@ -51,9 +51,9 @@ class C3GhostSpec:
 
 
 class GhostConv(Module):
-    """Primary conv for the intrinsic maps, depthwise conv for the ghost maps."""
+    """Primary conv (intrinsic maps) and depthwise conv (ghost maps), both from `rng`."""
 
-    def __init__(self, spec: GhostSpec, rng: np.random.Generator | None = None):
+    def __init__(self, spec: GhostSpec, *, rng: np.random.Generator):
         super().__init__()
         self.spec = spec
         ci = spec.intrinsic
@@ -71,9 +71,9 @@ class GhostConv(Module):
 
 
 class GhostBottleneck(Module):
-    """ghost expand(c -> 2c) then ghost project back to c, plus the residual."""
+    """ghost expand(c -> 2c), ghost project back to c, residual; weights from `rng`."""
 
-    def __init__(self, c, activation="mish", rng: np.random.Generator | None = None):
+    def __init__(self, c, activation="mish", *, rng: np.random.Generator):
         super().__init__()
         self.expand = GhostConv(GhostSpec(c, 2 * c, activation=activation), rng=rng)
         self.project = GhostConv(GhostSpec(2 * c, c, activation=activation), rng=rng)
@@ -83,9 +83,9 @@ class GhostBottleneck(Module):
 
 
 class PlainBottleneck(Module):
-    """Standard 1x1 + 3x3 bottleneck with residual, the module ghost replaces."""
+    """1x1 + 3x3 bottleneck with residual, the module ghost replaces; weights from `rng`."""
 
-    def __init__(self, c, activation="mish", rng: np.random.Generator | None = None):
+    def __init__(self, c, activation="mish", *, rng: np.random.Generator):
         super().__init__()
         self.cv1 = SimConv(c, c, k=1, activation=activation, rng=rng)
         self.cv2 = SimConv(c, c, k=3, activation=activation, rng=rng)
@@ -99,10 +99,10 @@ class C3Block(Module):
 
     Both branches and the bottlenecks are c_out wide, the full width the
     paper builds. ghost=True builds ghost bottlenecks; ghost=False is the
-    plain baseline used by the ablation toggle.
+    plain baseline used by the ablation toggle. Every conv draws from `rng`.
     """
 
-    def __init__(self, spec: C3GhostSpec, ghost=True, rng: np.random.Generator | None = None):
+    def __init__(self, spec: C3GhostSpec, ghost=True, *, rng: np.random.Generator):
         super().__init__()
         self.spec = spec
         c, act = spec.c_out, spec.activation

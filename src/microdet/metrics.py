@@ -52,7 +52,6 @@ class EvalReport:
     matched: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_text(self):
-        primary = 0.5 if 0.5 in self.iou_thresholds else self.iou_thresholds[0]
         lines = ["detection evaluation report", ""]
         lines.append(f"iou_thresholds: {' '.join(f'{t:g}' for t in self.iou_thresholds)}")
         lines.append(f"map50: {self.map50:.6f}")
@@ -62,7 +61,7 @@ class EvalReport:
         lines.append("")
         lines.append("class ap50 ap50_95 precision recall f1")
         for ci, name in enumerate(self.class_names):
-            ap50 = self.ap.get((ci, primary), 0.0)
+            ap50 = self.ap.get((ci, 0.5), 0.0)
             ap_all = np.mean([self.ap.get((ci, t), 0.0) for t in self.iou_thresholds])
             pc = self.per_class.get(ci, {"precision": 0.0, "recall": 0.0, "f1": 0.0})
             lines.append(f"{name} {ap50:.6f} {ap_all:.6f} "
@@ -77,10 +76,9 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def pr_curve_rows(self, class_id: int):
-        """(confidence, recall, precision) rows of the cumulative sweep at the first
-        IoU threshold (0.5 by default), for CSV export; empty with no ground truth."""
-        class_dets, flags, n_gt = self.matched.get((class_id, self.iou_thresholds[0]),
-                                                   ([], [], 0))
+        """(confidence, recall, precision) rows of the cumulative sweep at IoU 0.5,
+        for CSV export; empty with no ground truth."""
+        class_dets, flags, n_gt = self.matched.get((class_id, 0.5), ([], [], 0))
         tp_cum = np.cumsum(flags)
         return [(det.confidence, tp_cum[i] / n_gt, tp_cum[i] / (i + 1))
                 for i, det in enumerate(class_dets)]
@@ -151,6 +149,7 @@ def average_precision(dets, gts, class_id: int, iou_t: float) -> float:
 
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
+CONFUSION_CONF, CONFUSION_IOU = 0.25, 0.5  # the confusion matrix's fixed cut-offs
 
 
 def map_and_mf1(dets, gts, num_classes, iou_thresholds=DEFAULT_IOU_THRESHOLDS):
@@ -158,17 +157,18 @@ def map_and_mf1(dets, gts, num_classes, iou_thresholds=DEFAULT_IOU_THRESHOLDS):
     matches by (class, IoU threshold)).
 
     Classes with no ground-truth instances are excluded from every mean.
-    mF1 is evaluated at IoU 0.5 at the confidence (swept over all detection
-    confidences) that maximizes the class-mean F1.
+    map50_95 averages `iou_thresholds`; map50 and mF1 read IoU 0.5 whatever
+    the sweep, so `ap` and the matches cover it too. mF1 is taken at the
+    confidence (swept over all detection confidences) that maximizes the
+    class-mean F1.
     """
     supported = [c for c in range(num_classes) if any(g.class_id == c for g in gts)]
-    primary = 0.5 if 0.5 in iou_thresholds else iou_thresholds[0]
-    matched = {(c, t): _class_flags(dets, gts, c, t)
-               for c in supported for t in dict.fromkeys([*iou_thresholds, 0.5])}
+    thresholds = dict.fromkeys([*iou_thresholds, 0.5])
+    matched = {(c, t): _class_flags(dets, gts, c, t) for c in supported for t in thresholds}
     ap = {(c, t): _ap_from_flags(*matched[(c, t)][1:]) if c in supported else 0.0
-          for c in range(num_classes) for t in iou_thresholds}
+          for c in range(num_classes) for t in thresholds}
     class_means = [np.mean([ap[(c, t)] for t in iou_thresholds]) for c in supported]
-    map50 = float(np.mean([ap[(c, primary)] for c in supported])) if supported else 0.0
+    map50 = float(np.mean([ap[(c, 0.5)] for c in supported])) if supported else 0.0
     map50_95 = float(np.mean(class_means)) if supported else 0.0
 
     # A confidence keeps a prefix of each class's ranked detections (ties enter
@@ -196,15 +196,16 @@ def map_and_mf1(dets, gts, num_classes, iou_thresholds=DEFAULT_IOU_THRESHOLDS):
     return map50, map50_95, max(best_f1, 0.0), best_conf, ap, best_stats, supported, matched
 
 
-def confusion_matrix(dets, gts, conf_t: float, iou_t: float, num_classes: int):
+def confusion_matrix(dets, gts, num_classes: int):
     """(C+1)x(C+1) raw counts and row-normalized matrix, background last.
 
-    Matching is class-agnostic, best IoU first, one-to-one. Matched pairs
-    land at (true class, predicted class); unmatched ground truths at
+    Detections below confidence CONFUSION_CONF are dropped. Matching is
+    class-agnostic, best IoU (>= CONFUSION_IOU) first, one-to-one. Matched
+    pairs land at (true class, predicted class); unmatched ground truths at
     (true, background); unmatched detections at (background, predicted).
     """
     raw = np.zeros((num_classes + 1, num_classes + 1), dtype=np.int64)
-    kept = [d for d in dets if d.confidence >= conf_t]
+    kept = [d for d in dets if d.confidence >= CONFUSION_CONF]
     gts_by_image, dets_by_image = _group(gts), _group(kept)
     for img in dict.fromkeys([*gts_by_image, *dets_by_image]):
         img_gts = gts_by_image.get(img, [])
@@ -213,7 +214,7 @@ def confusion_matrix(dets, gts, conf_t: float, iou_t: float, num_classes: int):
         for di, d in enumerate(img_dets):
             for gi, g in enumerate(img_gts):
                 val = iou(d.box, g.box)
-                if val >= iou_t:
+                if val >= CONFUSION_IOU:
                     pairs.append((val, di, gi))
         pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
         det_used = [False] * len(img_dets)
@@ -242,8 +243,9 @@ def confusion_matrix(dets, gts, conf_t: float, iou_t: float, num_classes: int):
 def evaluate(dets, gts, class_names, iou_thresholds=DEFAULT_IOU_THRESHOLDS) -> EvalReport:
     """Full evaluation over a detection/ground-truth corpus.
 
-    The confusion matrix keeps detections at confidence >= 0.25 and matches
-    them at IoU >= 0.5.
+    `iou_thresholds` is the sweep behind map50_95 and the ap50_95 column;
+    map50, the ap50 column, mF1 and the PR curves are at IoU 0.5 whatever
+    the sweep, and the confusion matrix is `confusion_matrix`'s.
     """
     if not class_names:
         raise DomainError("evaluate", "class name list is empty")
@@ -259,7 +261,7 @@ def evaluate(dets, gts, class_names, iou_thresholds=DEFAULT_IOU_THRESHOLDS) -> E
     map50, map50_95, mf1, mf1_conf, ap, per_class, supported, matched = map_and_mf1(
         dets, gts, nc, iou_thresholds
     )
-    raw, norm = confusion_matrix(dets, gts, 0.25, 0.5, nc)
+    raw, norm = confusion_matrix(dets, gts, nc)
     return EvalReport(
         class_names=list(class_names),
         iou_thresholds=list(iou_thresholds),

@@ -117,11 +117,10 @@ class _GatherPass(Module):
 
 class IgdNeck(Module):
     """Two sequential gather/distribute passes: top-down into p3/p4, then
-    bottom-up into p4/p5."""
+    bottom-up into p4/p5. Every weight is drawn from `rng`, the caller's generator."""
 
-    def __init__(self, channels, activation="mish", rng: np.random.Generator | None = None):
+    def __init__(self, channels, activation="mish", *, rng: np.random.Generator):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.channels = tuple(channels)
         self.top_down = _GatherPass(channels, activation, rng, inject_levels=(3, 4))
         self.bottom_up = _GatherPass(channels, activation, rng, inject_levels=(4, 5))

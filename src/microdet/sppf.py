@@ -22,22 +22,22 @@ from .tensor import (
 class SimConv(Module):
     """Bias-free conv with same-padding (p = k//2), batchnorm, then activation.
 
-    Two paths. An inference forward (no tape, batchnorm not training) runs one
-    conv with the batchnorm folded in: weight W*gamma/sqrt(var+eps), bias
-    beta - mean*gamma/sqrt(var+eps), then the activation. The folded pair is
-    computed on first use and cached until `drop_caches`, which
+    Its weight is drawn from `rng`, which every block takes from its caller and
+    passes on, so one generator seeds a whole model and no two convs start
+    alike. Two paths. An inference forward (no tape, batchnorm not training)
+    runs one conv with the batchnorm folded in: weight W*gamma/sqrt(var+eps),
+    bias beta - mean*gamma/sqrt(var+eps), then the activation. The folded pair
+    is computed on first use and cached until `drop_caches`, which
     `set_training`, `load_weights` and `adamw_step` call. Any other forward
     runs the conv, then `batchnorm2d` with the activation's kernels, so a tape
-    gets two entries: the conv, and batchnorm plus activation, which keeps
-    the activation's derivative and neither x̂ nor the batchnorm output.
+    gets two entries: the conv, and batchnorm plus activation, which keeps the
+    activation's derivative and neither x̂ nor the batchnorm output.
     `tests/oracles.simconv_chain_oracle` is the three-entry chain it matches
     bit for bit.
     """
 
-    def __init__(self, c_in, c_out, k=1, s=1, g=1, activation="mish",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, c_in, c_out, k=1, s=1, g=1, activation="mish", *, rng: np.random.Generator):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.spec = ConvSpec(c_in, c_out, k=k, s=s, p=k // 2, g=g)
         self.weight = he_weight(rng, c_out, c_in // g, k)
         self.bn = BatchNormState.create(c_out)
@@ -73,12 +73,12 @@ class SimSppf(Module):
     fuse SimConv back to c1.
 
     The 5x5 pool cascade reproduces 9x9 and 13x13 receptive fields while
-    preserving spatial dims end to end. The fuse is 3x3 here.
+    preserving spatial dims end to end. The fuse is 3x3 here. Both convs draw from `rng`.
     """
 
     fuse_k = 3
 
-    def __init__(self, c1, activation="mish", rng: np.random.Generator | None = None):
+    def __init__(self, c1, activation="mish", *, rng: np.random.Generator):
         super().__init__()
         c_mid = max(1, c1 // 2)
         self.c1 = c1
@@ -97,11 +97,11 @@ class SimSppf(Module):
 
 
 class PlainSppf(SimSppf):
-    """Baseline pyramid block: SiLU convs and a 1x1 fuse, for ablation runs."""
+    """Baseline pyramid block: SiLU convs and a 1x1 fuse, for ablation runs; weights from `rng`."""
 
     fuse_k = 1
 
-    def __init__(self, c1, rng: np.random.Generator | None = None):
+    def __init__(self, c1, *, rng: np.random.Generator):
         super().__init__(c1, activation="silu", rng=rng)
 
     # perfbench/tracer.py wraps `forward` only in a class that defines it

@@ -104,7 +104,9 @@ def _grad_runs(state: TrainState):
         if p.data.base is not state.values:
             raise DomainError("train", f"parameter {name} no longer views the optimizer "
                                        "buffer; call init_moments after replacing it")
-        if p.grad is None or not p.requires_grad:
+        if not p.requires_grad:
+            p.grad = None  # stale: backward refreshes only marked leaves
+        if p.grad is None:
             open_run = None
         elif open_run is None:
             open_run = [lo, hi, [p.grad]]
@@ -119,7 +121,7 @@ def adamw_step(state: TrainState, params: TrainParams):
     """One decoupled-weight-decay update of the flat parameter buffer, in place.
 
     Per element, in this order (an unmarked parameter, or one without a grad,
-    keeps its value and its moments):
+    keeps its value and its moments; an unmarked one's stale grad is dropped):
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g

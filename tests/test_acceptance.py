@@ -248,7 +248,7 @@ def test_criterion_10_metrics_oracle():
         worst = max(worst, abs(fast - slow))
         assert abs(fast - slow) <= 1e-9, trial
 
-        raw, norm = confusion_matrix(dets, gts, 0.25, 0.5, 3)
+        raw, norm = confusion_matrix(dets, gts, 3)
         for i in range(4):
             if raw[i].sum() > 0:
                 assert abs(norm[i].sum() - 1.0) <= 1e-9

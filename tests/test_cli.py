@@ -4,7 +4,13 @@ import pytest
 
 from microdet import activations, metrics
 from microdet.cli import main
-from microdet.dataio import ToyData, load_config, load_predictions, write_config
+from microdet.dataio import (
+    ToyData,
+    load_annotations,
+    load_config,
+    load_predictions,
+    write_config,
+)
 from microdet.droi import DroiConfig
 from microdet.metrics import DEFAULT_IOU_THRESHOLDS
 from microdet.model import ModelConfig
@@ -35,6 +41,18 @@ class TestEvalSweep:
         assert "iou_thresholds: 0.5 0.55 0.6 0.65 0.7 0.75 0.8 0.85 0.9 0.95\n" in out
         assert "map50: 1.000000\n" in out
         assert "map50_95: 0.500000\n" in out
+
+    def test_map50_is_at_iou_05_whatever_the_sweep(self, one_box, tmp_path):
+        """A sweep without 0.5 still reports AP@0.5 as map50, in the ap50 column
+        and in the PR curve; only map50_95 reads the sweep (AP@0.75 is 0 here)."""
+        gts = load_annotations(tmp_path / "gt" / "a.txt")
+        dets = load_predictions(tmp_path / "pred" / "a.txt")
+        report = metrics.evaluate(dets, gts, ["class0"], iou_thresholds=[0.75])
+        assert report.map50 == metrics.evaluate(dets, gts, ["class0"]).map50 == 1.0
+        assert report.map50_95 == 0.0
+        assert "map50: 1.000000\n" in report.to_text()
+        assert "\nclass0 1.000000 0.000000 " in report.to_text()
+        assert report.pr_curve_rows(0) == [(0.9, 1.0, 1.0)]
 
     @pytest.mark.parametrize("flags", [["--iou", "0.5"], ["--all-thresholds"]])
     def test_removed_threshold_flags_are_usage_errors(self, capsys, one_box, flags):

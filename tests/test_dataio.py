@@ -1,5 +1,6 @@
 """File formats, manifests, and the synthetic scene generator."""
 
+import argparse
 import dataclasses
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from microdet.cli import build_parser
 from microdet.dataio import (
     AnnotationError,
     DatasetManifest,
@@ -236,6 +238,21 @@ class TestReadme:
         for label, kind in self.KINDS.items():
             assert bullets[label] == [f.name for f in dataclasses.fields(kind)], label
 
+    def test_cli_flags_match_the_parser(self):
+        """Each `microdet <cmd> ...` usage line of the CLI section names exactly the
+        `--flags` of that subcommand's parser, and every subcommand has one."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n#", 1)[0]
+        usage = {}
+        for cmd, rest in re.findall(r"`microdet ([a-z][a-z-]*)([^`]*)`", section):
+            assert cmd not in usage, f"two usage lines for {cmd}"
+            usage[cmd] = sorted(re.findall(r"--[a-z][a-z-]*", rest))
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {cmd: sorted(o for a in p._actions for o in a.option_strings
+                             if o.startswith("--") and o != "--help")
+                 for cmd, p in sub.choices.items()}
+        assert usage == flags
+
 
 class TestToyScene:
     def test_deterministic_per_seed(self):
@@ -270,6 +287,14 @@ class TestToyScene:
             assert cols.max() >= round(x2 * size) - 2
             assert rows.min() <= round(y1 * size) + 1
             assert rows.max() >= round(y2 * size) - 2
+
+    @pytest.mark.parametrize("size", [32, 34])
+    def test_image_too_small_for_the_largest_object(self, tmp_path, size):
+        """A 30 px object needs 35 px with margin; the dataset is rejected
+        before any directory is made."""
+        with pytest.raises(DomainError, match="cannot fit"):
+            generate_toy_dataset(tmp_path / "d", n_images=1, image_size=size)
+        assert not (tmp_path / "d").exists()
 
     def test_infeasible_packing_error(self):
         """35 px is the smallest image that fits a 30 px object, but not four of 14 px up."""

@@ -1,5 +1,7 @@
 """Ghost conv / C3Ghost behavior and the parameter-economy accounting."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,12 @@ from microdet.ghost import (
     GhostBottleneck,
     GhostConv,
     GhostSpec,
+    PlainBottleneck,
     count_params_flops,
 )
+from microdet.neck import IgdNeck
 from microdet.selftest import gradcheck_row
+from microdet.sppf import PlainSppf, SimConv, SimSppf
 from microdet.tensor import ConvSpec, ShapeError, Tensor4
 
 
@@ -119,6 +124,15 @@ class TestC3Ghost:
     def test_grad_check(self, seed):
         rep = gradcheck_row("c3ghost_block", 700 + seed)
         assert rep.passed, rep
+
+
+@pytest.mark.parametrize("block", [SimConv, GhostConv, GhostBottleneck, PlainBottleneck,
+                                   C3Block, SimSppf, PlainSppf, IgdNeck])
+def test_block_requires_its_callers_generator(block):
+    """`rng` is keyword-only with no default: no block seeds a generator of its own."""
+    rng = inspect.signature(block).parameters["rng"]
+    assert rng.kind is inspect.Parameter.KEYWORD_ONLY
+    assert rng.default is inspect.Parameter.empty
 
 
 class TestCounting:

@@ -228,31 +228,41 @@ class TestMf1Sweep:
 
 
 class TestConfusion:
+    def test_cut_offs_are_conf_025_and_iou_05(self):
+        """A detection at confidence exactly 0.25 counts and one at 0.24 does not;
+        a pair at IoU 0.6 matches and one at IoU 0.38 stays two background hits."""
+        assert (metrics.CONFUSION_CONF, metrics.CONFUSION_IOU) == (0.25, 0.5)
+        gts = [gt(0, 0.3, 0.3), gt(1, 0.7, 0.7)]
+        dets = [det(0, 0.25, 0.325, 0.3), det(1, 0.9, 0.745, 0.7), det(0, 0.24, 0.7, 0.3)]
+        raw, norm = confusion_matrix(dets, gts, 2)
+        np.testing.assert_array_equal(raw, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        np.testing.assert_array_equal(norm, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
     def test_perfect_identity_block(self):
         gts = [gt(0, 0.3, 0.3), gt(1, 0.7, 0.7)]
         dets = [det(0, 1.0, 0.3, 0.3), det(1, 1.0, 0.7, 0.7)]
-        raw, norm = confusion_matrix(dets, gts, 0.25, 0.5, 2)
+        raw, norm = confusion_matrix(dets, gts, 2)
         np.testing.assert_array_equal(raw, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
         np.testing.assert_allclose(norm[0], [1, 0, 0])
 
     def test_missed_gt_goes_to_background_column(self):
-        raw, _ = confusion_matrix([], [gt(1, 0.5, 0.5)], 0.25, 0.5, 2)
+        raw, _ = confusion_matrix([], [gt(1, 0.5, 0.5)], 2)
         np.testing.assert_array_equal(raw, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
 
     def test_spurious_detection_background_row(self):
-        raw, _ = confusion_matrix([det(0, 0.9, 0.5, 0.5)], [], 0.25, 0.5, 2)
+        raw, _ = confusion_matrix([det(0, 0.9, 0.5, 0.5)], [], 2)
         assert raw[2, 0] == 1
 
     def test_cross_class_confusion_recorded(self):
         """Class-agnostic matching books a wrong-class hit at (true, pred)."""
-        raw, _ = confusion_matrix([det(1, 0.9, 0.5, 0.5)], [gt(0, 0.5, 0.5)], 0.25, 0.5, 2)
+        raw, _ = confusion_matrix([det(1, 0.9, 0.5, 0.5)], [gt(0, 0.5, 0.5)], 2)
         assert raw[0, 1] == 1
 
     def test_total_count_conservation(self):
         rng = np.random.default_rng(3)
         dets, gts = random_instance(rng)
         kept = [d for d in dets if d.confidence >= 0.25]
-        raw, _ = confusion_matrix(dets, gts, 0.25, 0.5, 3)
+        raw, _ = confusion_matrix(dets, gts, 3)
         matched = raw[:3, :3].sum()
         assert raw.sum() == matched + (len(gts) - matched) + (len(kept) - matched)
 
@@ -260,7 +270,7 @@ class TestConfusion:
         rng = np.random.default_rng(4)
         for _ in range(20):
             dets, gts = random_instance(rng)
-            raw, norm = confusion_matrix(dets, gts, 0.25, 0.5, 3)
+            raw, norm = confusion_matrix(dets, gts, 3)
             for i in range(4):
                 if raw[i].sum() > 0:
                     assert abs(norm[i].sum() - 1.0) <= 1e-9
@@ -302,13 +312,14 @@ class TestEvaluate:
         assert rows[1] == (0.8, 1.0, 0.5)
 
     def test_pr_curve_rows_read_the_ap_flags(self):
-        """The last row's recall and the AP come from one ranked flag sequence."""
+        """The last row's recall and the AP@0.5 come from one ranked flag sequence,
+        which is the IoU-0.5 one even for a sweep that leaves 0.5 out."""
         rng = np.random.default_rng(8)
         for _ in range(20):
             dets, gts = random_instance(rng)
             report = evaluate(dets, gts, ["a", "b", "c"], iou_thresholds=[0.6])
             rows = report.pr_curve_rows(0)
-            ap = average_precision(dets, gts, 0, 0.6)
+            ap = average_precision(dets, gts, 0, 0.5)
             if not rows:
                 assert ap == 0.0
                 continue

@@ -136,8 +136,9 @@ class TestAdamwFlatBuffer:
             adamw_step(state, TrainParams())
 
     def test_frozen_parameter_stays_put(self, toy_manifest):
-        """A parameter unmarked after a step keeps its stale grad from that
-        step; the update must not read it, so its value and moments hold."""
+        """A parameter unmarked after a step holds a stale grad from that step;
+        the update must not read it and drops it, so its value and moments
+        hold and its grad reads None."""
         batch = _stack_images(toy_manifest)
         gts = [toy_manifest.load_gts(i) for i in range(len(toy_manifest.entries))]
         model = build_model(ModelConfig(), 0)
@@ -164,6 +165,7 @@ class TestAdamwFlatBuffer:
         params[frozen].requires_grad = False
         before, other = snapshot(frozen), snapshot(neighbour)
         step()
+        assert params[frozen].grad is None
         step()
         assert snapshot(frozen) == before
         assert all(a != b for a, b in zip(snapshot(neighbour), other))
