@@ -19,7 +19,7 @@ from .tensor import (
 )
 from .activations import mish, relu, silu
 from .simam import energy_numeric_oracle, simam_energy_min, simam_forward
-from .ghost import C3Block, C3GhostSpec, GhostConv, GhostSpec, count_params_flops
+from .ghost import C3Block, GhostConv, count_params_flops
 from .sppf import SimConv, SimSppf
 from .neck import IgdNeck, PyramidFeatures
 from .model import (

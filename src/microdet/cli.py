@@ -34,7 +34,7 @@ from .droi import (
     replay_to_csv_rows,
     replay_trajectory,
 )
-from .ghost import C3GhostSpec, GhostSpec, count_params_flops
+from .ghost import C3Block, GhostConv, count_params_flops
 from .metrics import evaluate
 from .model import (
     ModelConfig,
@@ -44,7 +44,8 @@ from .model import (
     save_weights,
 )
 from .selftest import gradcheck_rows, run_selftest
-from .tensor import ConvSpec, DomainError, ShapeError
+from .sppf import SimConv
+from .tensor import DomainError, ShapeError
 from .train import TrainParams, train_toy
 
 
@@ -68,19 +69,14 @@ def _cmd_gradcheck(args):
 
 def _cmd_bench(args):
     print("block hxw params flops")
-    blocks = [
-        ("conv3x3_c64", ConvSpec(64, 64, k=3, p=1), (8, 8)),
-        ("ghost_c64", GhostSpec(64, 64), (8, 8)),
-        ("c3ghost_16", C3GhostSpec(16, 16, n=2), (8, 8)),
-        ("c3ghost_32", C3GhostSpec(32, 32, n=2), (4, 4)),
-        ("c3ghost_48", C3GhostSpec(48, 48, n=2), (2, 2)),
-    ]
-    for name, spec, (h, w) in blocks:
-        p, f = count_params_flops(spec, h, w)
+    rng = np.random.default_rng(0)
+    blocks = [("conv3x3_c64", SimConv(64, 64, k=3, rng=rng), (8, 8)),
+              ("ghost_c64", GhostConv(64, 64, rng=rng), (8, 8))]
+    blocks += [(f"c3{kind}_{c}", C3Block(c, c, n=2, ghost=kind == "ghost", rng=rng), (h, h))
+               for kind in ("ghost", "plain") for c, h in ((16, 8), (32, 4), (48, 2))]
+    for name, block, (h, w) in blocks:
+        p, f = count_params_flops(block, h, w)
         print(f"{name} {h}x{w} {p} {f}")
-    for name, spec, (h, w) in blocks[2:]:
-        p, f = count_params_flops(spec, h, w, ghost=False)
-        print(f"{name.replace('c3ghost', 'c3plain')} {h}x{w} {p} {f}")
     ghost_model = build_model(ModelConfig(), 0)
     plain_model = build_model(ModelConfig(use_c3ghost=False), 0)
     gp, pp = ghost_model.param_count(), plain_model.param_count()

@@ -112,8 +112,16 @@ def replay_trajectory(log, cfg: DroiConfig):
     return results, area_sum / len(results)
 
 
+def _number(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
 def load_trajectory_csv(path):
-    """CSV `t,theta_deg,speed_mps`; a non-numeric first line is a header.
+    """CSV `t,theta_deg,speed_mps`; a first line with no numeric field is a
+    header, so a mistyped first sample is an error, not skipped.
 
     Every value must be finite.
     """
@@ -125,12 +133,12 @@ def load_trajectory_csv(path):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise DomainError("droi", f"{path}:{line_no}: expected t,theta_deg,speed_mps")
-        try:
-            row = tuple(float(p) for p in parts)
-        except ValueError:
-            if line_no == 1:
-                continue  # header
-            raise DomainError("droi", f"{path}:{line_no}: unparsable row {line!r}") from None
+        values = [_number(p) for p in parts]
+        if line_no == 1 and all(v is None for v in values):
+            continue  # header
+        if None in values:
+            raise DomainError("droi", f"{path}:{line_no}: unparsable row {line!r}")
+        row = tuple(values)
         if not all(math.isfinite(v) for v in row):
             raise DomainError("droi", f"{path}:{line_no}: non-finite value in {line!r}")
         rows.append(row)

@@ -3,68 +3,39 @@
 A ghost conv spends a standard conv only on c_out/2 intrinsic channels
 and derives the other half with a cheap depthwise transform (GhostNet's
 ratio 2), cutting both parameters and FLOPs. C3Ghost swaps these into the
-bottlenecks of a cross-stage-partial block. Closed-form parameter/FLOP counting lives here
-too so the economy claim is checkable.
+bottlenecks of a cross-stage-partial block. `count_params_flops` reads the
+parameter and FLOP counts off a built block, so the economy claim is
+checkable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .module import Module, ModuleList
 from .sppf import SimConv
-from .tensor import ConvSpec, GradTape, ShapeError, Tensor4, add, concat_channels
+from .tensor import GradTape, ShapeError, Tensor4, add, concat_channels
 
 
 PRIMARY_K = 1  # kernel of the conv that makes the intrinsic maps
 CHEAP_K = 3  # kernel of the depthwise transform that makes the ghost maps
 
 
-@dataclass(frozen=True)
-class GhostSpec:
-    c_in: int
-    c_out: int
-    activation: str = "mish"
-
-    def __post_init__(self):
-        if self.c_out % 2:
-            raise ShapeError("ghost", f"c_out {self.c_out} must be even: half intrinsic, "
-                                      f"half ghost")
-
-    @property
-    def intrinsic(self):
-        return self.c_out // 2
-
-
-@dataclass(frozen=True)
-class C3GhostSpec:
-    c_in: int
-    c_out: int
-    n: int = 1
-    activation: str = "mish"
-
-    def __post_init__(self):
-        if self.c_out < 1:
-            raise ShapeError("c3ghost", f"c_out {self.c_out} < 1")
-
-
 class GhostConv(Module):
     """Primary conv (intrinsic maps) and depthwise conv (ghost maps), both from `rng`."""
 
-    def __init__(self, spec: GhostSpec, *, rng: np.random.Generator):
+    def __init__(self, c_in, c_out, activation="mish", *, rng: np.random.Generator):
         super().__init__()
-        self.spec = spec
-        ci = spec.intrinsic
-        self.primary = SimConv(spec.c_in, ci, k=PRIMARY_K, activation=spec.activation,
-                               rng=rng)
-        self.cheap = SimConv(ci, ci, k=CHEAP_K, g=ci,
-                             activation=spec.activation, rng=rng)
+        if c_out % 2:
+            raise ShapeError("ghost", f"c_out {c_out} must be even: half intrinsic, half ghost")
+        self.c_in = c_in
+        ci = c_out // 2
+        self.primary = SimConv(c_in, ci, k=PRIMARY_K, activation=activation, rng=rng)
+        self.cheap = SimConv(ci, ci, k=CHEAP_K, g=ci, activation=activation, rng=rng)
 
     def forward(self, x: Tensor4, tape: GradTape | None = None) -> Tensor4:
-        if x.shape[1] != self.spec.c_in:
-            raise ShapeError("ghost_conv", f"input channels {x.shape[1]} != {self.spec.c_in}")
+        if x.shape[1] != self.c_in:
+            raise ShapeError("ghost_conv", f"input channels {x.shape[1]} != {self.c_in}")
         intrinsic = self.primary.forward(x, tape)
         ghosts = self.cheap.forward(intrinsic, tape)
         return concat_channels([intrinsic, ghosts], tape)
@@ -75,8 +46,8 @@ class GhostBottleneck(Module):
 
     def __init__(self, c, activation="mish", *, rng: np.random.Generator):
         super().__init__()
-        self.expand = GhostConv(GhostSpec(c, 2 * c, activation=activation), rng=rng)
-        self.project = GhostConv(GhostSpec(2 * c, c, activation=activation), rng=rng)
+        self.expand = GhostConv(c, 2 * c, activation, rng=rng)
+        self.project = GhostConv(2 * c, c, activation, rng=rng)
 
     def forward(self, x: Tensor4, tape: GradTape | None = None) -> Tensor4:
         return add(x, self.project.forward(self.expand.forward(x, tape), tape), tape)
@@ -102,19 +73,21 @@ class C3Block(Module):
     plain baseline used by the ablation toggle. Every conv draws from `rng`.
     """
 
-    def __init__(self, spec: C3GhostSpec, ghost=True, *, rng: np.random.Generator):
+    def __init__(self, c_in, c_out, n=1, ghost=True, activation="mish", *,
+                 rng: np.random.Generator):
         super().__init__()
-        self.spec = spec
-        c, act = spec.c_out, spec.activation
-        self.cv1 = SimConv(spec.c_in, c, k=1, activation=act, rng=rng)
-        self.cv2 = SimConv(spec.c_in, c, k=1, activation=act, rng=rng)
+        if c_out < 1:
+            raise ShapeError("c3ghost", f"c_out {c_out} < 1")
+        self.c_in = c_in
+        self.cv1 = SimConv(c_in, c_out, k=1, activation=activation, rng=rng)
+        self.cv2 = SimConv(c_in, c_out, k=1, activation=activation, rng=rng)
         maker = GhostBottleneck if ghost else PlainBottleneck
-        self.blocks = ModuleList([maker(c, activation=act, rng=rng) for _ in range(spec.n)])
-        self.cv3 = SimConv(2 * c, c, k=1, activation=act, rng=rng)
+        self.blocks = ModuleList([maker(c_out, activation, rng=rng) for _ in range(n)])
+        self.cv3 = SimConv(2 * c_out, c_out, k=1, activation=activation, rng=rng)
 
     def forward(self, x: Tensor4, tape: GradTape | None = None) -> Tensor4:
-        if x.shape[1] != self.spec.c_in:
-            raise ShapeError("c3", f"input channels {x.shape[1]} != {self.spec.c_in}")
+        if x.shape[1] != self.c_in:
+            raise ShapeError("c3", f"input channels {x.shape[1]} != {self.c_in}")
         a = self.cv1.forward(x, tape)
         for blk in self.blocks:
             a = blk.forward(a, tape)
@@ -122,45 +95,15 @@ class C3Block(Module):
         return self.cv3.forward(concat_channels([a, b], tape), tape)
 
 
-# ---------------------------------------------------------------------------
-# closed-form parameter / FLOP accounting
-#
-# Convention: params count conv weights (no bias, no batchnorm). FLOPs are
-# 2 * (weight multiplies) * output positions; activation and normalization
-# arithmetic are not counted.
+def count_params_flops(block: Module, h, w):
+    """(params, FLOPs) of a built block at spatial dims (h, w).
 
-
-def _conv_cost(c_in, c_out, k, g, h_out, w_out):
-    weights = c_out * (c_in // g) * k * k
-    return weights, 2 * weights * h_out * w_out
-
-
-def count_params_flops(spec, h, w, ghost=True):
-    """Exact parameter and FLOP counts for a block spec at spatial dims (h, w).
-
-    Accepts ConvSpec (bare conv), GhostSpec, or C3GhostSpec (same-padding
-    stride-1 assumed for the composite blocks, so spatial dims carry
-    through). For a ghost conv the count is (c_out/2)*c_in*k^2 + (c_out/2)*d^2.
-    For a C3GhostSpec, ghost=False counts the plain-bottleneck block, as
-    C3Block(ghost=False) builds it.
+    Params are the conv weights: every registered parameter whose name ends
+    in `weight`, so batchnorm's gamma and beta and any bias are left out.
+    FLOPs are 2 * params * h * w, two per weight multiply at each output
+    position; activation and normalization arithmetic are not counted. That
+    holds for the blocks here because each of their convs is stride 1 with
+    padding k//2, so every conv's output is h x w.
     """
-    if isinstance(spec, ConvSpec):
-        return _conv_cost(spec.c_in, spec.c_out, spec.k, spec.g, *spec.out_hw(h, w))
-    if isinstance(spec, GhostSpec):
-        ci = spec.intrinsic
-        p1, f1 = _conv_cost(spec.c_in, ci, PRIMARY_K, 1, h, w)
-        p2, f2 = _conv_cost(ci, ci, CHEAP_K, ci, h, w)
-        return p1 + p2, f1 + f2
-    if isinstance(spec, C3GhostSpec):
-        c = spec.c_out
-        costs = [_conv_cost(c_in, c_out, 1, 1, h, w)
-                 for c_in, c_out in ((spec.c_in, c), (spec.c_in, c), (2 * c, c))]
-        for _ in range(spec.n):
-            if ghost:
-                costs += [count_params_flops(gs, h, w)
-                          for gs in (GhostSpec(c, 2 * c, activation=spec.activation),
-                                     GhostSpec(2 * c, c, activation=spec.activation))]
-            else:  # PlainBottleneck: 1x1 then 3x3, both c -> c
-                costs += [_conv_cost(c, c, k, 1, h, w) for k in (1, 3)]
-        return sum(p for p, _ in costs), sum(f for _, f in costs)
-    raise ShapeError("count_params_flops", f"unsupported spec type {type(spec).__name__}")
+    params = sum(p.numel for name, p in block.named_params() if name.endswith("weight"))
+    return params, 2 * params * h * w

@@ -16,7 +16,7 @@ import numpy as np
 
 from .activations import ACTIVATION_KINDS
 from .dataio import _MAX_HEADER, _read_exact, _read_t4_record, _write_t4_record
-from .ghost import C3Block, C3GhostSpec
+from .ghost import C3Block
 from .losses import Box, box_iou
 from .metrics import Detection
 from .module import Module, ModuleList, he_weight
@@ -115,10 +115,8 @@ class _Stage(Module):
     def __init__(self, c_in, c_out, cfg: ModelConfig, rng):
         super().__init__()
         self.down = SimConv(c_in, c_out, k=3, s=2, activation=cfg.activation, rng=rng)
-        self.c3 = C3Block(
-            C3GhostSpec(c_out, c_out, n=REPEATS, activation=cfg.activation),
-            ghost=cfg.use_c3ghost, rng=rng,
-        )
+        self.c3 = C3Block(c_out, c_out, n=REPEATS, ghost=cfg.use_c3ghost,
+                          activation=cfg.activation, rng=rng)
         self.use_simam = cfg.use_simam
 
     def forward(self, x: Tensor4, tape=None):

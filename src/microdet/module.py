@@ -72,23 +72,21 @@ class Module:
 
 
 class ModuleList(Module):
-    """Sequence container so repeated blocks land in the registry."""
+    """Sequence container so repeated blocks land in the registry, in order."""
 
     def __init__(self, mods):
         super().__init__()
-        self._order = []
         for i, m in enumerate(mods):
             setattr(self, f"b{i}", m)
-            self._order.append(m)
 
     def __iter__(self):
-        return iter(self._order)
+        return iter(self._children.values())
 
     def __len__(self):
-        return len(self._order)
+        return len(self._children)
 
     def __getitem__(self, i):
-        return self._order[i]
+        return list(self._children.values())[i]
 
 
 def he_weight(rng: np.random.Generator, c_out, c_in_per_group, k):

@@ -14,7 +14,7 @@ import numpy as np
 from .activations import ACTIVATIONS, mish, mish_np, relu, silu
 from .dataio import generate_toy_scene
 from .droi import DroiConfig, critical_width
-from .ghost import C3Block, C3GhostSpec, ConvSpec, GhostConv, GhostSpec, count_params_flops
+from .ghost import C3Block, GhostConv, count_params_flops
 from .losses import Box, bce_logits, ciou, dfl
 from .metrics import Detection, GroundTruth, average_precision
 from .model import ModelConfig, build_model
@@ -23,6 +23,7 @@ from .simam import energy_numeric_oracle, simam_energy_min, simam_forward
 from .sppf import SimConv, SimSppf
 from .tensor import (
     BatchNormState,
+    ConvSpec,
     DomainError,
     Tensor4,
     add,
@@ -284,11 +285,12 @@ def suite_model_structure():
     for l1, l2 in zip(preds.levels, a.levels):
         if not np.array_equal(l1.cls.data, l2.cls.data):
             return "repeated forward is not bit-identical"
-    gp, gf = count_params_flops(C3GhostSpec(16, 16), 8, 8)
-    pp, pf = count_params_flops(C3GhostSpec(16, 16), 8, 8, ghost=False)
+    rng = np.random.default_rng(0)
+    gp, gf = count_params_flops(C3Block(16, 16, rng=rng), 8, 8)
+    pp, pf = count_params_flops(C3Block(16, 16, ghost=False, rng=rng), 8, 8)
     if not (gp < pp and gf < pf):
         return "C3 ghost counting shows no economy"
-    if count_params_flops(GhostSpec(64, 64), 8, 8)[0] != 2336:
+    if count_params_flops(GhostConv(64, 64, rng=rng), 8, 8)[0] != 2336:
         return "ghost closed-form count != 2336"
     return None
 
@@ -387,9 +389,9 @@ GRADCHECK_TABLE = [
     ("silu", lambda rng: silu, (2, 2, 4, 4), GRADCHECK_TOL),
     ("relu", lambda rng: relu, (2, 2, 4, 4), GRADCHECK_TOL),
     ("simam_forward", lambda rng: simam_forward, (2, 3, 4, 4), GRADCHECK_TOL),
-    ("ghost_conv", lambda rng: _train_forward(GhostConv(GhostSpec(3, 8), rng=rng)),
+    ("ghost_conv", lambda rng: _train_forward(GhostConv(3, 8, rng=rng)),
      (2, 3, 4, 4), GRADCHECK_TOL),
-    ("c3ghost_block", lambda rng: _train_forward(C3Block(C3GhostSpec(4, 4, n=1), rng=rng)),
+    ("c3ghost_block", lambda rng: _train_forward(C3Block(4, 4, rng=rng)),
      (1, 4, 4, 4), GRADCHECK_TOL),
     # conv -> batchnorm -> Mish
     ("sim_conv", lambda rng: _train_forward(SimConv(3, 4, k=3, rng=rng)), (2, 3, 5, 5),

@@ -342,6 +342,18 @@ class TestEmptyTrajectory:
         assert not out.exists()
 
 
+class TestTrajectoryFirstLine:
+    def test_mistyped_first_sample_is_no_header(self, tmp_path, capsys):
+        """A first line with a numeric field is a sample: `1O` (letter O) is an
+        error naming line 1, not a header that drops the sample."""
+        log = tmp_path / "traj.csv"
+        log.write_text("0,1O,5\n0.1,12.5,4\n")
+        out = tmp_path / "out.csv"
+        err = expect_one_error(capsys, ["droi-replay", "--log", str(log), "--out", str(out)])
+        assert f"{log}:1: unparsable" in err
+        assert not out.exists()
+
+
 class TestNonUtf8Text:
     def test_droi_replay_log(self, tmp_path, capsys):
         log = tmp_path / "traj.csv"

@@ -198,6 +198,15 @@ class TestReplay:
         with pytest.raises(DomainError, match="unparsable"):
             load_trajectory_csv(path)
 
+    @pytest.mark.parametrize("first", ["0,1O,5", "t,1,5", "0,theta,speed"])
+    def test_csv_first_line_with_a_number_is_a_sample(self, tmp_path, first):
+        """Line 1 is a header only when no field parses: a mistyped first
+        sample is reported, not skipped."""
+        path = tmp_path / "log.csv"
+        path.write_text(f"{first}\n0.1,12.5,4\n0.2,-25,6.5\n")
+        with pytest.raises(DomainError, match=f"{path}:1: unparsable"):
+            load_trajectory_csv(path)
+
     @pytest.mark.parametrize("row", ["0,nan,5", "inf,0,5", "0,0,-inf"])
     def test_csv_non_finite_row(self, tmp_path, row):
         path = tmp_path / "log.csv"

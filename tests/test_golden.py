@@ -1,8 +1,9 @@
-"""`tools/golden.py` reproduces the seven hashes in `tests/golden.txt` at the
+"""`tools/golden.py` reproduces the eight hashes in `tests/golden.txt` at the
 default BLAS thread count and with `OPENBLAS_NUM_THREADS=1`.
 
 The rows hash the CLI's deterministic outputs: two toy trainings, a forward
-pass with decode, selftest, gradcheck, eval and two ROI-planner replays.
+pass with decode, selftest, gradcheck, eval, two ROI-planner replays and the
+`bench` table.
 golden.py runs each in a fresh process, so the thread count is set before
 numpy loads. A change that moves a hash on purpose updates
 `tests/golden.txt` and says why in CHANGES.md.

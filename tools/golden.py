@@ -17,9 +17,11 @@ sources under ROOT/src, inside a temporary directory:
     droi        SHA-256 of `droi-replay` stdout on a fixed trajectory with
                 straight, moderate and sharp samples of both signs, with
                 the default config and then with `deadband = false`
+    bench       SHA-256 of `bench` stdout: the block table and the model
+                parameter totals
 
 Run it on two checkouts and compare the lines: a change that keeps these
-outputs bit-identical prints the same seven hashes. With `--expect FILE`, a
+outputs bit-identical prints the same eight hashes. With `--expect FILE`, a
 saved output of an earlier run, it prints the rows, then each differing
 name with the expected and the actual digest, and exits 1 on a mismatch.
 
@@ -93,7 +95,7 @@ def _cli(root: Path, work: Path, *argv) -> bytes:
 
 
 def golden(root: Path):
-    """(name, hex digest) rows for the seven outputs."""
+    """(name, hex digest) rows for the eight outputs."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "train.cfg").write_text(TRAIN_CFG)
@@ -122,6 +124,7 @@ def golden(root: Path):
             ("gradcheck", _sha(_cli(root, work, "gradcheck"))),
             ("eval", _sha(report)),
             ("droi", _sha(replays)),
+            ("bench", _sha(_cli(root, work, "bench"))),
         ]
 
 
